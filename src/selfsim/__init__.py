@@ -16,12 +16,10 @@ from .core import (
     ReplicateBatch,
     RngStream,
     SamplePath,
-    gaussian_pair,
     generate_batch,
 )
 from .covmodels import (
     CovarianceKernel,
-    StationaryACF,
     fbm_cov,
     fbm_kernel,
     fgn_acf,

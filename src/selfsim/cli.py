@@ -1,8 +1,9 @@
 """Command-line front end: simulate path batches, run verification suites,
 and benchmark methods, with reproducible seeds and CSV/JSON output.
 
-Exit codes: 0 success, 2 usage error (including invalid process/method
-combinations), 3 numerical failure (e.g. indefinite circulant embedding).
+Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
+(including invalid process/method combinations and malformed values),
+3 numerical failure (e.g. indefinite circulant embedding).
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -41,14 +44,46 @@ from .samplers import (
 from .verify import covariance_match, method_equivalence, normality_check
 
 EXIT_OK = 0
+EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-VALID_COMBINATIONS = {
-    "bm": {"bm-cumsum"},
-    "fbm": {"cholesky", "davies-harte", "circulant", "ma-truncated", "lamperti"},
-    "sfbm": {"cholesky", "lamperti"},
+# Each method once: the processes it samples, and a builder that takes
+# (args, process, hurst, grid) and returns its sampler rng -> SamplePath.
+METHOD_TABLE = {
+    "bm-cumsum": (("bm",), lambda args, process, hurst, grid: partial(sample_bm, grid)),
+    "cholesky": (
+        ("fbm", "sfbm"),
+        lambda args, process, hurst, grid: partial(
+            cholesky_sample, make_kernel(process, hurst), grid
+        ),
+    ),
+    "davies-harte": (
+        ("fbm",),
+        lambda args, process, hurst, grid: partial(davies_harte_fbm, grid, hurst),
+    ),
+    "circulant": (
+        ("fbm",),
+        lambda args, process, hurst, grid: partial(
+            wood_chan_fbm, grid, hurst, max_doublings=_resolve(args, "embedding_cap", int)
+        ),
+    ),
+    "ma-truncated": (
+        ("fbm",),
+        lambda args, process, hurst, grid: partial(
+            ma_truncated_fbm,
+            grid,
+            hurst,
+            truncation=_resolve(args, "truncation", float),
+            substeps=_resolve(args, "substeps", int),
+        ),
+    ),
+    "lamperti": (
+        ("fbm", "sfbm"),
+        lambda args, process, hurst, grid: partial(simulate_lamperti, process, hurst, grid),
+    ),
 }
+PROCESSES = tuple(sorted({p for processes, _ in METHOD_TABLE.values() for p in processes}))
 
 SUITES = ("marginals", "covariance", "normality", "equivalence", "error-bound")
 
@@ -58,7 +93,7 @@ _DEFAULTS = {
     "hurst": 0.5,
     "n": 256,
     "paths": 1,
-    "seed": None,
+    "seed": DEFAULT_SEED,
     "out": None,
     "format": "csv",
     "truncation": MA_DEFAULT_TRUNCATION,
@@ -76,7 +111,11 @@ class UsageError(Exception):
 def _read_config(path: str) -> dict:
     """Plain key=value config file; '#' starts a comment."""
     values = {}
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
+    with fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -89,52 +128,44 @@ def _read_config(path: str) -> dict:
 
 
 def _resolve(args: argparse.Namespace, key: str, cast=None):
-    """Precedence: command-line flag > config file > defaults."""
+    """Precedence: command-line flag > config file > SELFSIM_SEED environment
+    variable (seed only) > defaults. A value that `cast` rejects is a usage error."""
     value = getattr(args, key, None)
     if value is None:
         value = getattr(args, "_config", {}).get(key)
+    if value is None and key == "seed":
+        value = os.environ.get("SELFSIM_SEED")
     if value is None:
         value = _DEFAULTS[key]
     if value is not None and cast is not None:
-        value = cast(value)
+        try:
+            value = cast(value)
+        except ValueError:
+            raise UsageError(f"invalid value for {key}: {value!r}") from None
     return value
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    seed = _resolve(args, "seed")
-    if seed is None:
-        seed = os.environ.get("SELFSIM_SEED")
-    if seed is None:
-        seed = DEFAULT_SEED
-    return int(seed)
+def _int_list(value) -> list[int]:
+    return [int(part) for part in str(value).split(",")]
 
 
-def _build_sampler(process, method, hurst, n, truncation, substeps, embedding_cap):
-    if method not in VALID_COMBINATIONS.get(process, set()):
+def _build_sampler(args: argparse.Namespace, process, method, hurst, n):
+    """The sampler rng -> SamplePath of a (process, method) pair on GridSpec(n)."""
+    processes, build = METHOD_TABLE.get(method, ((), None))
+    if process not in processes:
         raise UsageError(f"method {method!r} is not valid for process {process!r}")
-    grid = GridSpec(n)
-    if method == "bm-cumsum":
-        return lambda rng: sample_bm(grid, rng)
-    if method == "cholesky":
-        kernel = make_kernel(process, hurst)
-        return lambda rng: cholesky_sample(kernel, grid, rng)
-    if method == "davies-harte":
-        return lambda rng: davies_harte_fbm(grid, hurst, rng)
-    if method == "circulant":
-        return lambda rng: wood_chan_fbm(grid, hurst, rng, max_doublings=embedding_cap)
-    if method == "ma-truncated":
-        return lambda rng: ma_truncated_fbm(
-            grid, hurst, rng, truncation=truncation, substeps=substeps
-        )
-    if method == "lamperti":
-        return lambda rng: simulate_lamperti(process, hurst, grid, rng)
-    raise UsageError(f"unknown method {method!r}")
+    if process == "bm" and hurst != 0.5:
+        raise UsageError(f"process 'bm' has Hurst index 0.5, got {hurst}")
+    return build(args, process, hurst, GridSpec(n))
 
 
+@contextmanager
 def _open_out(out):
     if out is None:
-        return sys.stdout, False
-    return open(out, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(out, "w", newline="") as stream:
+            yield stream
 
 
 def _write_csv(batch: ReplicateBatch, stream) -> None:
@@ -161,19 +192,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     hurst = _resolve(args, "hurst", float)
     n = _resolve(args, "n", int)
     paths = _resolve(args, "paths", int)
-    seed = _resolve_seed(args)
+    seed = _resolve(args, "seed", int)
     out = _resolve(args, "out")
     fmt = _resolve(args, "format")
-    truncation = _resolve(args, "truncation", float)
-    substeps = _resolve(args, "substeps", int)
-    embedding_cap = _resolve(args, "embedding_cap", int)
     if fmt not in ("csv", "json"):
         raise UsageError(f"unknown format {fmt!r}")
 
-    sampler = _build_sampler(process, method, hurst, n, truncation, substeps, embedding_cap)
+    sampler = _build_sampler(args, process, method, hurst, n)
     batch = generate_batch(sampler, paths, seed)
-    stream, close = _open_out(out)
-    try:
+    with _open_out(out) as stream:
         if fmt == "csv":
             _write_csv(batch, stream)
         else:
@@ -187,11 +214,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "format": fmt,
             }
             if method == "ma-truncated":
-                meta.update(truncation=truncation, substeps=substeps)
+                meta.update(batch.paths[0].info)
             _write_json(batch, meta, stream)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -222,13 +246,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     method = _resolve(args, "method")
     hurst = _resolve(args, "hurst", float)
     paths = _resolve(args, "paths", int)
-    seed = _resolve_seed(args)
+    seed = _resolve(args, "seed", int)
     out = _resolve(args, "out")
-    truncation = _resolve(args, "truncation", float)
-    substeps = _resolve(args, "substeps", int)
-    embedding_cap = _resolve(args, "embedding_cap", int)
-    n_raw = str(_resolve(args, "n"))
-    n_values = [int(part) for part in n_raw.split(",")]
+    n_values = _resolve(args, "n", _int_list)
     n = n_values[0]
 
     if suite not in SUITES:
@@ -238,9 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if suite == "error-bound":
         reports.append(_error_bound_report(n_values, hurst))
     else:
-        sampler = _build_sampler(
-            process, method, hurst, n, truncation, substeps, embedding_cap
-        )
+        sampler = _build_sampler(args, process, method, hurst, n)
         batch = generate_batch(sampler, paths, seed)
         if suite == "marginals":
             reports.append(marginal_variance_profile(batch, process, hurst).to_dict())
@@ -252,46 +270,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 reports.append(normality_check(batch, node).to_dict())
         elif suite == "equivalence":
             baseline = _resolve(args, "baseline")
-            base_sampler = _build_sampler(
-                process, baseline, hurst, n, truncation, substeps, embedding_cap
-            )
+            base_sampler = _build_sampler(args, process, baseline, hurst, n)
             base_batch = generate_batch(base_sampler, paths, seed + 1)
             diagonal_only = "lamperti" in (method, baseline)
             reports.append(
                 method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
             )
 
-    stream, close = _open_out(out)
-    try:
+    with _open_out(out) as stream:
         json.dump(reports if len(reports) > 1 else reports[0], stream, indent=2)
         stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     all_pass = all(r["verdict"] == "pass" for r in reports)
-    return EXIT_OK if all_pass else 1
+    return EXIT_OK if all_pass else EXIT_VERDICT
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
     process = _resolve(args, "process")
     hurst = _resolve(args, "hurst", float)
-    seed = _resolve_seed(args)
+    seed = _resolve(args, "seed", int)
     out = _resolve(args, "out")
     fmt = _resolve(args, "format")
     paths = _resolve(args, "paths", int)
-    truncation = _resolve(args, "truncation", float)
-    substeps = _resolve(args, "substeps", int)
-    embedding_cap = _resolve(args, "embedding_cap", int)
     methods = str(_resolve(args, "method")).split(",")
-    n_values = [int(part) for part in str(_resolve(args, "n")).split(",")]
+    n_values = _resolve(args, "n", _int_list)
 
     rows = []
     for method in methods:
         previous = None
         for n in n_values:
-            sampler = _build_sampler(
-                process, method, hurst, n, truncation, substeps, embedding_cap
-            )
+            sampler = _build_sampler(args, process, method, hurst, n)
             sampler(RngStream(seed, 0))  # warmup: builds cached spectra/factors
             count = max(3, paths)
             start = time.perf_counter()
@@ -309,8 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             previous = per_path
             rows.append(row)
 
-    stream, close = _open_out(out)
-    try:
+    with _open_out(out) as stream:
         if fmt == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")
@@ -322,9 +328,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{r['method']},{r['n']},{r['paths']},"
                     f"{r['seconds_per_path']!r},{r['seconds_per_batch']!r},{ratio}\n"
                 )
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -336,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--process", choices=("bm", "fbm", "sfbm"))
+        p.add_argument("--process", choices=PROCESSES)
         p.add_argument("--method")
         p.add_argument("--hurst", type=float)
         p.add_argument("--n")

@@ -16,29 +16,16 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_SEED",
-    "PROCESSES",
-    "METHODS",
     "ParameterError",
     "GridSpec",
     "SamplePath",
     "RngStream",
     "ReplicateBatch",
-    "gaussian_pair",
     "generate_batch",
 ]
 
 # Fixed default so every run is reproducible unless the caller opts out.
 DEFAULT_SEED = 20240817
-
-PROCESSES = ("bm", "fbm", "sfbm")
-METHODS = (
-    "bm-cumsum",
-    "cholesky",
-    "davies-harte",
-    "circulant",
-    "ma-truncated",
-    "lamperti",
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -110,12 +97,6 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def gaussian_pair(rng: RngStream) -> tuple[float, float]:
-    """Two independent standard normal variates from the stream."""
-    a, b = rng.normals(2)
-    return float(a), float(b)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .core import ParameterError
 
 __all__ = [
     "CovarianceKernel",
-    "StationaryACF",
     "fbm_cov",
     "sfbm_cov",
     "fgn_acf",
@@ -27,8 +25,6 @@ __all__ = [
     "fbm_kernel",
     "sfbm_kernel",
     "make_kernel",
-    "fgn_acf_model",
-    "lamperti_acf_model",
 ]
 
 
@@ -45,14 +41,20 @@ def _npow(n: int, c: float) -> float:
     return math.exp(c * math.log(n))
 
 
-def fbm_cov(s: float, t: float, hurst: float) -> float:
-    """Covariance of fBm: (|t|^2H + |s|^2H - |t-s|^2H) / 2."""
+def fbm_cov(s, t, hurst: float):
+    """Covariance of fBm: (|t|^2H + |s|^2H - |t-s|^2H) / 2.
+
+    s and t may be floats or numpy arrays that broadcast together.
+    """
     h2 = 2.0 * _check_hurst(hurst)
     return 0.5 * (abs(t) ** h2 + abs(s) ** h2 - abs(t - s) ** h2)
 
 
-def sfbm_cov(s: float, t: float, hurst: float) -> float:
-    """Covariance of sfBm: t^2H + s^2H - ((t+s)^2H + |t-s|^2H) / 2."""
+def sfbm_cov(s, t, hurst: float):
+    """Covariance of sfBm: t^2H + s^2H - ((t+s)^2H + |t-s|^2H) / 2.
+
+    s and t may be floats or numpy arrays that broadcast together.
+    """
     h2 = 2.0 * _check_hurst(hurst)
     return t**h2 + s**h2 - 0.5 * ((t + s) ** h2 + abs(t - s) ** h2)
 
@@ -93,71 +95,31 @@ def lamperti_acf_sfbm(k: int, n: int, hurst: float) -> float:
     )
 
 
+_COVARIANCES = {"fbm": fbm_cov, "sfbm": sfbm_cov}
+
+
 @dataclass(frozen=True)
 class CovarianceKernel:
-    """A pure bivariate covariance c(s, t) with its parameter record."""
+    """A bivariate covariance c(s, t) of a named process: fbm or sfbm."""
 
     process: str
     hurst: float
-    evaluate: Callable[[float, float], float]
 
     def gram(self, times: np.ndarray) -> np.ndarray:
         """Gram matrix on a vector of time points (vectorized)."""
         t = np.asarray(times, dtype=float)
-        s, u = t[:, None], t[None, :]
-        h2 = 2.0 * self.hurst
-        if self.process == "fbm":
-            return 0.5 * (np.abs(u) ** h2 + np.abs(s) ** h2 - np.abs(u - s) ** h2)
-        if self.process == "sfbm":
-            return u**h2 + s**h2 - 0.5 * ((u + s) ** h2 + np.abs(u - s) ** h2)
-        raise ParameterError(f"unknown process {self.process!r}")
+        return _COVARIANCES[self.process](t[:, None], t[None, :], self.hurst)
 
 
 def fbm_kernel(hurst: float) -> CovarianceKernel:
-    hurst = _check_hurst(hurst)
-    return CovarianceKernel("fbm", hurst, lambda s, t: fbm_cov(s, t, hurst))
+    return make_kernel("fbm", hurst)
 
 
 def sfbm_kernel(hurst: float) -> CovarianceKernel:
-    hurst = _check_hurst(hurst)
-    return CovarianceKernel("sfbm", hurst, lambda s, t: sfbm_cov(s, t, hurst))
+    return make_kernel("sfbm", hurst)
 
 
 def make_kernel(process: str, hurst: float) -> CovarianceKernel:
-    if process == "fbm":
-        return fbm_kernel(hurst)
-    if process == "sfbm":
-        return sfbm_kernel(hurst)
-    raise ParameterError(f"no covariance kernel for process {process!r}")
-
-
-@dataclass(frozen=True)
-class StationaryACF:
-    """A pure lag function rho(k) for a discretely sampled stationary sequence.
-
-    rho extends past lag n by its defining formula, which circulant embedding
-    relies on when the minimal embedding needs enlarging.
-    """
-
-    kind: str
-    hurst: float
-    n: int
-    rho: Callable[[int], float]
-
-
-def fgn_acf_model(n: int, hurst: float) -> StationaryACF:
-    hurst = _check_hurst(hurst)
-    return StationaryACF("fgn", hurst, n, lambda k: fgn_acf(k, n, hurst))
-
-
-def lamperti_acf_model(process: str, n: int, hurst: float) -> StationaryACF:
-    hurst = _check_hurst(hurst)
-    if process == "fbm":
-        return StationaryACF(
-            "lamperti-fbm", hurst, n, lambda k: lamperti_acf_fbm(k, n, hurst)
-        )
-    if process == "sfbm":
-        return StationaryACF(
-            "lamperti-sfbm", hurst, n, lambda k: lamperti_acf_sfbm(k, n, hurst)
-        )
-    raise ParameterError(f"no Lamperti autocovariance for process {process!r}")
+    if process not in _COVARIANCES:
+        raise ParameterError(f"no covariance kernel for process {process!r}")
+    return CovarianceKernel(process, _check_hurst(hurst))

@@ -8,13 +8,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
 from scipy.linalg import lapack
 
 from .core import GridSpec, ParameterError, RngStream, SamplePath
-from .covmodels import CovarianceKernel, StationaryACF, fgn_acf_model, make_kernel
+from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
 
 __all__ = [
     "CirculantSpectrum",
@@ -146,7 +147,7 @@ def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) ->
 
 
 def circulant_spectrum(
-    acf: StationaryACF,
+    rho: Callable[[int], float],
     length: int,
     *,
     rel_tol: float = EIG_REL_TOL,
@@ -156,8 +157,9 @@ def circulant_spectrum(
     """Embed the Toeplitz covariance of a length-`length` stationary sequence
     in a circulant and return its (repaired) eigenvalue vector.
 
-    The first circulant row folds the ACF: c_j = rho(j) for j <= m/2 and
-    c_j = rho(m - j) above, with rho extended by its formula when m grows.
+    The first circulant row folds the lag function: c_j = rho(j) for
+    j <= m/2 and c_j = rho(m - j) above; rho must extend past lag `length`
+    by its formula, since doubling grows m.
     Eigenvalues below -rel_tol * max trigger doubling of m (unless
     `clamp_all`, which clamps every negative, as the fixed-size Davies-Harte
     variant does); residual negatives within tolerance are clamped to zero.
@@ -169,7 +171,7 @@ def circulant_spectrum(
         m = m_min << doublings
         half = m // 2
         lags = np.minimum(np.arange(m), m - np.arange(m))
-        row = np.array([acf.rho(int(k)) for k in range(half + 1)])
+        row = np.array([rho(int(k)) for k in range(half + 1)])
         eig = np.fft.fft(row[lags]).real
         eig_max = float(eig.max())
         floor = -rel_tol * eig_max
@@ -212,8 +214,9 @@ def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -
 
 @functools.lru_cache(maxsize=64)
 def _fgn_spectrum(n: int, hurst: float, max_doublings: int, clamp_all: bool) -> CirculantSpectrum:
-    acf = fgn_acf_model(n, hurst)
-    return circulant_spectrum(acf, n, max_doublings=max_doublings, clamp_all=clamp_all)
+    return circulant_spectrum(
+        lambda k: fgn_acf(k, n, hurst), n, max_doublings=max_doublings, clamp_all=clamp_all
+    )
 
 
 def _fgn_to_path(grid, hurst, fgn, spectrum, rng, method):
@@ -264,9 +267,7 @@ def normalizing_constant_CH(hurst: float) -> float:
     C_H = (I + 1/(2H))^{-1/2} with
     I = integral over v > 0 of ((1+v)^{H-1/2} - v^{H-1/2})^2 dv.
     """
-    hurst = float(hurst)
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"Hurst parameter must lie in (0, 1), got {hurst}")
+    hurst = _check_hurst(hurst)
     if hurst == 0.5:
         return 1.0
     f = lambda v: ((1.0 + v) ** (hurst - 0.5) - v ** (hurst - 0.5)) ** 2
@@ -319,9 +320,7 @@ def ma_truncated_fbm(
     approximation gives 0.0491 of Var X(1) = 1, against 0.0489 exactly;
     at T = 2 the exact loss is 0.163.
     """
-    hurst = float(hurst)
-    if not (0.0 < hurst < 1.0):
-        raise ParameterError(f"Hurst parameter must lie in (0, 1), got {hurst}")
+    hurst = _check_hurst(hurst)
     if truncation < 1.0:
         raise ParameterError("truncation horizon must be >= 1")
     if substeps < 1:

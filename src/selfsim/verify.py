@@ -5,7 +5,6 @@ one-dimensional scaling-law check.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -61,9 +60,6 @@ class VerificationReport:
             "tolerance": self.tolerance,
             "details": self.details,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _sample_cov(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from selfsim.covmodels import (
     fbm_kernel,
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
-    fgn_acf_model,
+    fgn_acf,
     sfbm_cov,
 )
 from selfsim.lamperti import error_bound_diagnostics, simulate_lamperti
@@ -137,7 +137,7 @@ class TestAcceptance:
         n = 1024
         worst_clamped = 0
         for hurst in np.arange(0.1, 0.95, 0.1):
-            spec = circulant_spectrum(fgn_acf_model(n, float(hurst)), n)
+            spec = circulant_spectrum(lambda k: fgn_acf(k, n, float(hurst)), n)
             assert spec.m == 2 * (n - 1)
             worst_clamped = max(worst_clamped, spec.clamped_count)
         ok = worst_clamped == 0

@@ -142,6 +142,50 @@ class TestSimulate:
             == 2
         )
 
+    def test_every_pair_matches_public_sampler(self, tmp_path):
+        from selfsim.cli import METHOD_TABLE, PROCESSES
+        from selfsim.core import GridSpec, RngStream
+        from selfsim.covmodels import make_kernel
+        from selfsim.lamperti import simulate_lamperti
+        from selfsim.samplers import (
+            cholesky_sample,
+            davies_harte_fbm,
+            ma_truncated_fbm,
+            sample_bm,
+            wood_chan_fbm,
+        )
+
+        public = {
+            ("bm", "bm-cumsum"): lambda p, h, g, r: sample_bm(g, r),
+            ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
+            ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
+            ("fbm", "davies-harte"): lambda p, h, g, r: davies_harte_fbm(g, h, r),
+            ("fbm", "circulant"): lambda p, h, g, r: wood_chan_fbm(g, h, r),
+            ("fbm", "ma-truncated"): lambda p, h, g, r: ma_truncated_fbm(g, h, r),
+            ("fbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
+            ("sfbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
+        }
+        valid = {(p, m) for m, (processes, _) in METHOD_TABLE.items() for p in processes}
+        assert valid == set(public)
+        n, count, seed = 16, 3, 11
+        for process, method in sorted(valid):
+            hurst = 0.5 if process == "bm" else 0.7
+            out = tmp_path / f"{process}-{method}.csv"
+            argv = ["simulate", "--process", process, "--method", method, "--hurst", str(hurst)]
+            argv += ["--n", str(n), "--paths", str(count), "--seed", str(seed), "--out", str(out)]
+            assert run(argv) == 0
+            with open(out) as fh:
+                rows = list(csv.DictReader(fh))
+            values = np.array([float(r["value"]) for r in rows]).reshape(count, n + 1)
+            for i in range(count):
+                path = public[process, method](process, hurst, GridSpec(n), RngStream(seed, i))
+                assert np.array_equal(values[i, 1:], path.values), (process, method, i)
+        for process in PROCESSES:
+            for method in [*METHOD_TABLE, "nope"]:
+                if (process, method) not in valid:
+                    argv = ["simulate", "--process", process, "--method", method, "--n", "16"]
+                    assert run(argv) == 2, (process, method)
+
     def test_bm_cumsum_only_for_bm(self):
         assert (
             run(["simulate", "--process", "fbm", "--method", "bm-cumsum", "--n", "16"])
@@ -191,6 +235,31 @@ class TestSimulate:
             ]
         )
         assert out1.read_bytes() == out2.read_bytes()
+
+
+MALFORMED = [
+    (["simulate", "--n", "abc"], None),
+    (["simulate", "--n", "256,512"], None),
+    (["verify", "--suite", "error-bound", "--n", "256,x"], None),
+    (["simulate", "--n", "16"], "hurst = abc\n"),
+    (["simulate", "--n", "16"], "seed = 1.5\n"),
+    (["simulate", "--n", "16", "--config", "/nonexistent/selfsim.cfg"], None),
+    (["simulate", "--process", "bm", "--method", "bm-cumsum", "--hurst", "0.7"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    MALFORMED,
+    ids=["n-abc", "n-list", "n-list-entry", "cfg-hurst", "cfg-seed", "cfg-missing", "bm-hurst"],
+)
+def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestVerifyCommand:

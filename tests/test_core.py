@@ -8,7 +8,6 @@ from selfsim.core import (
     ParameterError,
     RngStream,
     SamplePath,
-    gaussian_pair,
     generate_batch,
 )
 from selfsim.samplers import sample_bm
@@ -37,17 +36,6 @@ class TestRngStream:
         a = RngStream(123, 0).normals(100)
         b = RngStream(123, 1).normals(100)
         assert not np.array_equal(a, b)
-
-    def test_gaussian_pair_moments(self):
-        rng = RngStream(7, 0)
-        draws = np.empty(10**6)
-        for i in range(draws.size // 2):
-            draws[2 * i], draws[2 * i + 1] = gaussian_pair(rng)
-        assert abs(draws.mean()) < 4 / np.sqrt(draws.size)
-        assert abs(draws.var() - 1.0) < 0.006
-
-    def test_gaussian_pair_deterministic(self):
-        assert gaussian_pair(RngStream(9, 2)) == gaussian_pair(RngStream(9, 2))
 
 
 class TestSamplePath:

@@ -88,7 +88,8 @@ class TestKernelGram:
         gram = kernel.gram(times)
         for i, s in enumerate(times):
             for j, t in enumerate(times):
-                assert gram[i, j] == pytest.approx(kernel.evaluate(s, t), abs=1e-14)
+                scalar = {"fbm": fbm_cov, "sfbm": sfbm_cov}[kernel.process](s, t, 0.7)
+                assert gram[i, j] == pytest.approx(scalar, abs=1e-14)
 
 
 class TestFgnAcf:

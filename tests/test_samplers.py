@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import (
-    StationaryACF,
-    fbm_kernel,
-    fgn_acf,
-    fgn_acf_model,
-    sfbm_kernel,
-)
+from selfsim.covmodels import fbm_kernel, fgn_acf, sfbm_kernel
 from selfsim.samplers import (
     EmbeddingError,
     NotPositiveDefiniteError,
@@ -115,7 +109,7 @@ class TestCholeskySample:
 
 
 def white_noise_acf(n):
-    return StationaryACF("fgn", 0.5, n, lambda k: 1.0 if k == 0 else 0.0)
+    return lambda k: 1.0 if k == 0 else 0.0
 
 
 class TestCirculantSpectrum:
@@ -128,23 +122,21 @@ class TestCirculantSpectrum:
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_fgn_embedding_nonnegative_at_minimal_size(self, hurst):
         n = 256
-        spec = circulant_spectrum(fgn_acf_model(n, hurst), n)
+        spec = circulant_spectrum(lambda k: fgn_acf(k, n, hurst), n)
         assert spec.doublings == 0
         assert spec.clamped_count == 0
         assert spec.m == 2 * (n - 1)
 
     def test_squared_exponential_needs_doubling(self):
         n = 32
-        acf = StationaryACF("fgn", 0.5, n, lambda k: float(np.exp(-((k / 8) ** 2))))
+        acf = lambda k: float(np.exp(-((k / 8) ** 2)))
         spec = circulant_spectrum(acf, n)
         assert spec.doublings >= 1
         assert spec.eigenvalues.min() >= 0.0
 
     def test_truncated_acf_raises_after_cap(self):
         n = 64
-        acf = StationaryACF(
-            "fgn", 0.9, n, lambda k: fgn_acf(k, n, 0.9) if k <= 16 else 0.0
-        )
+        acf = lambda k: fgn_acf(k, n, 0.9) if k <= 16 else 0.0
         with pytest.raises(EmbeddingError):
             circulant_spectrum(acf, n)
 
@@ -152,7 +144,7 @@ class TestCirculantSpectrum:
 class TestCirculantSample:
     def test_empirical_acf_matches_input(self):
         n, hurst, m_rep = 64, 0.8, 100_000
-        acf = fgn_acf_model(n, hurst)
+        acf = lambda k: fgn_acf(k, n, hurst)
         spec = circulant_spectrum(acf, n)
 
         def one(rng):
@@ -161,8 +153,8 @@ class TestCirculantSample:
         rows = np.stack([one(RngStream(77, i)) for i in range(m_rep)])
         for lag in range(5):
             emp = np.mean(rows[:, 0] * rows[:, lag])
-            target = acf.rho(lag)
-            se = np.sqrt((acf.rho(0) ** 2 + target**2) / m_rep)
+            target = acf(lag)
+            se = np.sqrt((acf(0) ** 2 + target**2) / m_rep)
             assert abs(emp - target) <= 4 * se
 
     def test_white_noise_lag_one_correlation(self):
