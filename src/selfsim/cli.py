@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
+import stat
 import sys
 import time
 from contextlib import contextmanager
@@ -112,18 +114,23 @@ def _read_config(path: str) -> dict:
     """Plain key=value config file; '#' starts a comment."""
     values = {}
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc.strerror}") from None
-    with fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    except UnicodeDecodeError:
+        raise UsageError(f"config file {path!r} is not UTF-8 text") from None
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in _DEFAULTS:
+            raise UsageError(f"unknown config key {key!r}")
+        values[key] = val
     return values
 
 
@@ -161,29 +168,60 @@ def _build_sampler(args: argparse.Namespace, process, method, hurst, n):
 
 @contextmanager
 def _open_out(out):
+    """The output stream; an unwritable path is a usage error.
+
+    The file is opened at offset 0 without truncation, and its old tail is
+    cut only when the block succeeds. So a command that opens it before its
+    work fails on a bad path at once. A failed run removes a file it
+    created; one that fails before writing leaves an existing file as it was.
+    """
     if out is None:
         yield sys.stdout
-    else:
-        with open(out, "w", newline="") as stream:
+        return
+    created = not os.path.lexists(out)
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file {out!r}: {exc.strerror}") from None
+    with open(fd, "w", newline="") as stream:
+        try:
             yield stream
+        except BaseException:
+            if created:
+                os.unlink(out)
+            raise
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            stream.truncate()
 
 
 def _write_csv(batch: ReplicateBatch, stream) -> None:
+    """Rows path_id,t,value with the t = 0 row first; one write per path.
+
+    Each "t," cell is formatted once per batch, as repr(j / n) of Python ints.
+    """
     n = batch.n
+    times = [f"{j / n!r}," for j in range(1, n + 1)]
     stream.write("path_id,t,value\n")
     for i, path in enumerate(batch.paths):
-        stream.write(f"{i},0.0,0.0\n")
-        for j, value in enumerate(path.values, start=1):
-            stream.write(f"{i},{j / n!r},{float(value)!r}\n")
+        sep = f"\n{i},"
+        cells = map(operator.add, times, map(repr, path.values.tolist()))
+        stream.write(f"{i},0.0,0.0{sep}{sep.join(cells)}\n")
 
 
 def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
-    payload = {
-        "meta": {**meta, "artifact_version": __version__},
-        "paths": [[0.0] + [float(v) for v in path.values] for path in batch.paths],
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    """The layout of json.dump({"meta": ..., "paths": ...}, indent=2), one write per path.
+
+    repr equals the JSON token only for finite floats; SamplePath rejects
+    non-finite values, and this writer relies on that.
+    """
+    head = json.dumps({"meta": {**meta, "artifact_version": __version__}}, indent=2)
+    stream.write(f'{head[:-2]},\n  "paths": [\n')
+    sep = ""
+    for path in batch.paths:
+        values = ",\n      ".join(map(repr, path.values.tolist()))
+        stream.write(f"{sep}    [\n      0.0,\n      {values}\n    ]")
+        sep = ",\n"
+    stream.write("\n  ]\n}\n")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -199,8 +237,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"unknown format {fmt!r}")
 
     sampler = _build_sampler(args, process, method, hurst, n)
-    batch = generate_batch(sampler, paths, seed)
     with _open_out(out) as stream:
+        batch = generate_batch(sampler, paths, seed)
         if fmt == "csv":
             _write_csv(batch, stream)
         else:
@@ -220,6 +258,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _error_bound_report(n_values, hurst) -> dict:
+    if len(set(n_values)) < 2:
+        raise UsageError("the error-bound suite needs at least two distinct grid sizes in --n")
     diag = error_bound_diagnostics(n_values, hurst)
     first, last = diag["entries"][0], diag["entries"][-1]
     # rate confirmation against log(n)/n with 50% slack

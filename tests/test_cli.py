@@ -1,6 +1,8 @@
 """CLI contract: output formats, determinism, exit codes, config precedence."""
 
+import argparse
 import csv
+import io
 import json
 import math
 
@@ -237,6 +239,92 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _reference_csv(batch, stream):
+    """The per-value CSV writer the bulk writer replaced: the format oracle."""
+    n = batch.n
+    stream.write("path_id,t,value\n")
+    for i, path in enumerate(batch.paths):
+        stream.write(f"{i},0.0,0.0\n")
+        for j, value in enumerate(path.values, start=1):
+            stream.write(f"{i},{j / n!r},{float(value)!r}\n")
+
+
+def _reference_json(batch, meta, stream):
+    """The json.dump(indent=2) writer the bulk writer replaced: the format oracle."""
+    from selfsim import __version__
+
+    payload = {
+        "meta": {**meta, "artifact_version": __version__},
+        "paths": [[0.0] + [float(v) for v in path.values] for path in batch.paths],
+    }
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
+
+
+def _rendered(writer, *args):
+    buf = io.StringIO()
+    writer(*args, buf)
+    return buf.getvalue()
+
+
+class TestWriters:
+    """The CSV and JSON bytes equal the reference writers above."""
+
+    META = {"process": "fbm", "method": "x", "hurst": 0.7, "n": 2, "paths": 3, "seed": 17}
+
+    def test_every_pair_matches_reference(self):
+        from selfsim.cli import METHOD_TABLE, _build_sampler, _write_csv, _write_json
+        from selfsim.core import generate_batch
+
+        args = argparse.Namespace()
+        for method, (processes, _) in METHOD_TABLE.items():
+            for process in processes:
+                hurst = 0.5 if process == "bm" else 0.7
+                for n in (2, 257):
+                    batch = generate_batch(_build_sampler(args, process, method, hurst, n), 3, 17)
+                    assert _rendered(_write_csv, batch) == _rendered(_reference_csv, batch), (
+                        process,
+                        method,
+                        n,
+                    )
+                    assert _rendered(_write_json, batch, self.META) == _rendered(
+                        _reference_json, batch, self.META
+                    ), (process, method, n)
+
+    def test_edge_reprs_match_reference(self):
+        from selfsim.cli import _write_csv, _write_json
+        from selfsim.core import GridSpec, ReplicateBatch, SamplePath
+
+        edge = [1e-05, 1.5e16, 5e-324, -0.0, 1e300, 0.1, -2.5e-7, 123456789.0, 1e16, 1e22, -1e-300]
+        grid = GridSpec(len(edge))
+        paths = tuple(
+            SamplePath(grid=grid, values=np.array(values), method="x", process="fbm", hurst=0.7, seed=1)
+            for values in (edge, edge[::-1])
+        )
+        batch = ReplicateBatch(count=2, base_seed=1, paths=paths)
+        csv_text = _rendered(_write_csv, batch)
+        assert csv_text == _rendered(_reference_csv, batch)
+        assert "0,1.0,-1e-300\n" in csv_text and "1,0.8181818181818182,5e-324\n" in csv_text
+        meta = {**self.META, "note": "é", "info": {"jitter": 0.0}}
+        assert _rendered(_write_json, batch, meta) == _rendered(_reference_json, batch, meta)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_reference(self, fmt, capsys):
+        from selfsim.core import GridSpec, generate_batch
+        from selfsim.samplers import davies_harte_fbm
+
+        argv = ["simulate", "--method", "davies-harte", "--hurst", "0.3", "--n", "257"]
+        assert run(argv + ["--paths", "3", "--seed", "17", "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        batch = generate_batch(lambda r: davies_harte_fbm(GridSpec(257), 0.3, r), 3, 17)
+        if fmt == "csv":
+            assert text == _rendered(_reference_csv, batch)
+        else:
+            meta = json.loads(text)["meta"]
+            del meta["artifact_version"]
+            assert text == _rendered(_reference_json, batch, meta)
+
+
 MALFORMED = [
     (["simulate", "--n", "abc"], None),
     (["simulate", "--n", "256,512"], None),
@@ -245,21 +333,81 @@ MALFORMED = [
     (["simulate", "--n", "16"], "seed = 1.5\n"),
     (["simulate", "--n", "16", "--config", "/nonexistent/selfsim.cfg"], None),
     (["simulate", "--process", "bm", "--method", "bm-cumsum", "--hurst", "0.7"], None),
+    (["simulate", "--n", "16", "--out", "/nonexistent/dir/x.csv"], None),
+    (["simulate", "--n", "16"], "hurts = 0.7\n"),
+    (["simulate", "--n", "16"], b"hurst = 0.7 # \xe9t\xe9\n"),
+    (["verify", "--suite", "error-bound", "--n", "256"], None),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, config",
     MALFORMED,
-    ids=["n-abc", "n-list", "n-list-entry", "cfg-hurst", "cfg-seed", "cfg-missing", "bm-hurst"],
+    ids=[
+        "n-abc",
+        "n-list",
+        "n-list-entry",
+        "cfg-hurst",
+        "cfg-seed",
+        "cfg-missing",
+        "bm-hurst",
+        "out-unwritable",
+        "cfg-unknown-key",
+        "cfg-not-utf8",
+        "error-bound-one-n",
+    ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
+        (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
         argv = argv + ["--config", str(cfg)]
-    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    if "--out" not in argv:
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestOutputFile:
+    @pytest.fixture
+    def sampling(self, monkeypatch):
+        """Count batch generations; raise `fail` instead of sampling when it is set."""
+        import selfsim.cli
+
+        state = argparse.Namespace(calls=0, fail=None)
+        real = selfsim.cli.generate_batch
+
+        def generate(*args):
+            state.calls += 1
+            if state.fail is not None:
+                raise state.fail
+            return real(*args)
+
+        monkeypatch.setattr(selfsim.cli, "generate_batch", generate)
+        return state
+
+    def test_unwritable_out_fails_before_sampling(self, sampling, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["simulate", "--n", "16", "--out", str(out)]) == 2
+        assert sampling.calls == 0
+
+    def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path):
+        from selfsim.samplers import EmbeddingError
+
+        sampling.fail = EmbeddingError("indefinite")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
+        assert not out.exists()
+        out.write_text("kept\n")
+        assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
+        assert out.read_text() == "kept\n"
+
+    def test_shorter_output_replaces_existing_file(self, tmp_path):
+        fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+        reused.write_text("x" * 100_000)
+        for out in (fresh, reused):
+            assert run(["simulate", "--n", "16", "--paths", "2", "--out", str(out)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
 
 
 class TestVerifyCommand:
