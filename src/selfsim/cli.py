@@ -2,8 +2,9 @@
 and benchmark methods, with reproducible seeds and CSV/JSON output.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
-(including invalid process/method combinations and malformed values),
-3 numerical failure (e.g. indefinite circulant embedding).
+(including invalid process/method combinations, malformed values, bad
+config files and an unwritable output path), 3 numerical failure (e.g.
+indefinite circulant embedding).
 """
 
 from __future__ import annotations

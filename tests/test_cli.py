@@ -298,7 +298,7 @@ class TestWriters:
         edge = [1e-05, 1.5e16, 5e-324, -0.0, 1e300, 0.1, -2.5e-7, 123456789.0, 1e16, 1e22, -1e-300]
         grid = GridSpec(len(edge))
         paths = tuple(
-            SamplePath(grid=grid, values=np.array(values), method="x", process="fbm", hurst=0.7, seed=1)
+            SamplePath(grid, np.array(values), method="x", process="fbm", hurst=0.7, seed=1)
             for values in (edge, edge[::-1])
         )
         batch = ReplicateBatch(count=2, base_seed=1, paths=paths)
