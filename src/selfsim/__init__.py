@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 from .core import (
     DEFAULT_SEED,
     GridSpec,
+    LinearSampler,
     ParameterError,
     ReplicateBatch,
     RngStream,
@@ -33,6 +34,7 @@ from .lamperti import (
     LampertiGridMap,
     error_bound_diagnostics,
     grid_map,
+    lamperti_sampler,
     marginal_variance_profile,
     simulate_lamperti,
 )
@@ -41,11 +43,15 @@ from .samplers import (
     CirculantSpectrum,
     EmbeddingError,
     NotPositiveDefiniteError,
+    bm_sampler,
     cholesky_factor,
     cholesky_sample,
+    cholesky_sampler,
     circulant_sample,
     circulant_spectrum,
     davies_harte_fbm,
+    fgn_sampler,
+    ma_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,

@@ -17,7 +17,6 @@ import stat
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 
 import numpy as np
 
@@ -31,18 +30,17 @@ from .core import (
     generate_batch,
 )
 from .covmodels import make_kernel
-from .lamperti import error_bound_diagnostics, marginal_variance_profile, simulate_lamperti
+from .lamperti import error_bound_diagnostics, lamperti_sampler, marginal_variance_profile
 from .samplers import (
     MA_DEFAULT_SUBSTEPS,
     MA_DEFAULT_TRUNCATION,
     MAX_DOUBLINGS,
     EmbeddingError,
     NotPositiveDefiniteError,
-    cholesky_sample,
-    davies_harte_fbm,
-    ma_truncated_fbm,
-    sample_bm,
-    wood_chan_fbm,
+    bm_sampler,
+    cholesky_sampler,
+    fgn_sampler,
+    ma_sampler,
 )
 from .verify import covariance_match, method_equivalence, normality_check
 
@@ -52,29 +50,23 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 # Each method once: the processes it samples, and a builder that takes
-# (args, process, hurst, grid) and returns its sampler rng -> SamplePath.
+# (args, process, hurst, grid) and returns its LinearSampler.
 METHOD_TABLE = {
-    "bm-cumsum": (("bm",), lambda args, process, hurst, grid: partial(sample_bm, grid)),
+    "bm-cumsum": (("bm",), lambda args, process, hurst, grid: bm_sampler(grid)),
     "cholesky": (
         ("fbm", "sfbm"),
-        lambda args, process, hurst, grid: partial(
-            cholesky_sample, make_kernel(process, hurst), grid
-        ),
+        lambda args, process, hurst, grid: cholesky_sampler(make_kernel(process, hurst), grid),
     ),
-    "davies-harte": (
-        ("fbm",),
-        lambda args, process, hurst, grid: partial(davies_harte_fbm, grid, hurst),
-    ),
+    "davies-harte": (("fbm",), lambda args, process, hurst, grid: fgn_sampler(grid, hurst)),
     "circulant": (
         ("fbm",),
-        lambda args, process, hurst, grid: partial(
-            wood_chan_fbm, grid, hurst, max_doublings=_resolve(args, "embedding_cap", int)
+        lambda args, process, hurst, grid: fgn_sampler(
+            grid, hurst, "circulant", _resolve(args, "embedding_cap", int)
         ),
     ),
     "ma-truncated": (
         ("fbm",),
-        lambda args, process, hurst, grid: partial(
-            ma_truncated_fbm,
+        lambda args, process, hurst, grid: ma_sampler(
             grid,
             hurst,
             truncation=_resolve(args, "truncation", float),
@@ -83,7 +75,7 @@ METHOD_TABLE = {
     ),
     "lamperti": (
         ("fbm", "sfbm"),
-        lambda args, process, hurst, grid: partial(simulate_lamperti, process, hurst, grid),
+        lambda args, process, hurst, grid: lamperti_sampler(process, hurst, grid),
     ),
 }
 PROCESSES = tuple(sorted({p for processes, _ in METHOD_TABLE.values() for p in processes}))
@@ -158,7 +150,7 @@ def _int_list(value) -> list[int]:
 
 
 def _build_sampler(args: argparse.Namespace, process, method, hurst, n):
-    """The sampler rng -> SamplePath of a (process, method) pair on GridSpec(n)."""
+    """The LinearSampler of a (process, method) pair on GridSpec(n)."""
     processes, build = METHOD_TABLE.get(method, ((), None))
     if process not in processes:
         raise UsageError(f"method {method!r} is not valid for process {process!r}")
@@ -294,14 +286,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
+    if suite != "error-bound":
+        if len(n_values) > 1:
+            raise UsageError(f"the {suite} suite takes one grid size in --n, got {len(n_values)}")
+        sampler = _build_sampler(args, process, method, hurst, n)
+    if suite == "equivalence":
+        baseline = _resolve(args, "baseline")
+        base_sampler = _build_sampler(args, process, baseline, hurst, n)
 
     reports: list[dict] = []
-    if suite == "error-bound":
-        reports.append(_error_bound_report(n_values, hurst))
-    else:
-        sampler = _build_sampler(args, process, method, hurst, n)
-        batch = generate_batch(sampler, paths, seed)
-        if suite == "marginals":
+    with _open_out(out) as stream:
+        batch = None if suite == "error-bound" else generate_batch(sampler, paths, seed)
+        if suite == "error-bound":
+            reports.append(_error_bound_report(n_values, hurst))
+        elif suite == "marginals":
             reports.append(marginal_variance_profile(batch, process, hurst).to_dict())
         elif suite == "covariance":
             kernel = make_kernel("fbm" if process == "bm" else process, hurst)
@@ -310,15 +308,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for node in sorted({max(1, n // 4), max(1, n // 2), n}):
                 reports.append(normality_check(batch, node).to_dict())
         elif suite == "equivalence":
-            baseline = _resolve(args, "baseline")
-            base_sampler = _build_sampler(args, process, baseline, hurst, n)
             base_batch = generate_batch(base_sampler, paths, seed + 1)
             diagonal_only = "lamperti" in (method, baseline)
             reports.append(
                 method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
             )
-
-    with _open_out(out) as stream:
         json.dump(reports if len(reports) > 1 else reports[0], stream, indent=2)
         stream.write("\n")
     all_pass = all(r["verdict"] == "pass" for r in reports)
@@ -336,28 +330,28 @@ def cmd_bench(args: argparse.Namespace) -> int:
     n_values = _resolve(args, "n", _int_list)
 
     rows = []
-    for method in methods:
-        previous = None
-        for n in n_values:
-            sampler = _build_sampler(args, process, method, hurst, n)
-            sampler(RngStream(seed, 0))  # warmup: builds cached spectra/factors
-            count = max(3, paths)
-            start = time.perf_counter()
-            generate_batch(sampler, count, seed)
-            elapsed = time.perf_counter() - start
-            per_path = elapsed / count
-            row = {
-                "method": method,
-                "n": n,
-                "paths": count,
-                "seconds_per_path": per_path,
-                "seconds_per_batch": elapsed,
-                "ratio_vs_previous_n": (per_path / previous) if previous else None,
-            }
-            previous = per_path
-            rows.append(row)
-
     with _open_out(out) as stream:
+        for method in methods:
+            previous = None
+            for n in n_values:
+                sampler = _build_sampler(args, process, method, hurst, n)
+                sampler(RngStream(seed, 0))  # warmup: builds cached spectra/factors
+                count = max(3, paths)
+                start = time.perf_counter()
+                generate_batch(sampler, count, seed)
+                elapsed = time.perf_counter() - start
+                per_path = elapsed / count
+                row = {
+                    "method": method,
+                    "n": n,
+                    "paths": count,
+                    "seconds_per_path": per_path,
+                    "seconds_per_batch": elapsed,
+                    "ratio_vs_previous_n": (per_path / previous) if previous else None,
+                }
+                previous = per_path
+                rows.append(row)
+
         if fmt == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")

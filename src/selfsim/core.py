@@ -1,10 +1,11 @@
 """Shared domain types: uniform time grid, sample paths, seeded RNG streams,
-and replicate batches.
+linear samplers, and replicate batches.
 
 All samplers in this package are deterministic functions of their parameters
 and an :class:`RngStream`. Streams are counter-based (Philox), so replicate i
 of a batch can be generated in any order, on any worker, and always yields the
-same path.
+same path. Every built-in sampler is a :class:`LinearSampler` x = A z, which
+`generate_batch` draws a block of paths at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "GridSpec",
     "SamplePath",
     "RngStream",
+    "LinearSampler",
     "ReplicateBatch",
     "generate_batch",
 ]
@@ -100,6 +102,32 @@ class RngStream:
 
 
 @dataclass(frozen=True)
+class LinearSampler:
+    """A sampler x = A z that maps k standard normals to one path.
+
+    `plan()` returns (k, draw, info): `draw` maps a (rows, k) block of
+    normals to the (rows, n) paths row by row, and `info` is the record
+    every path carries. It is called when paths are drawn, so the spectrum
+    or factor behind it (cached by its builder) is not built before then.
+    """
+
+    grid: GridSpec
+    method: str
+    process: str
+    hurst: float
+    plan: Callable[[], tuple[int, Callable[[np.ndarray], np.ndarray], dict]]
+
+    def __call__(self, rng: RngStream) -> SamplePath:
+        k, draw, info = self.plan()
+        return self._path(draw(rng.normals(k)[None, :])[0], rng.seed, rng.stream_id, info)
+
+    def _path(self, values, seed, stream_id, info) -> SamplePath:
+        return SamplePath(
+            self.grid, values, self.method, self.process, self.hurst, seed, stream_id, dict(info)
+        )
+
+
+@dataclass(frozen=True)
 class ReplicateBatch:
     """A batch of M independent paths; path i comes from stream (base_seed, i)."""
 
@@ -131,8 +159,27 @@ def generate_batch(
     """Run `sampler` once per replicate, each on its own stream.
 
     The result is independent of generation order because stream i is fully
-    determined by (base_seed, i).
+    determined by (base_seed, i). A LinearSampler is drawn in blocks of at
+    most 2**16 normals: one Generator is re-keyed to each stream, so row i
+    holds the bits of RngStream(base_seed, i).normals(k), and each path is a
+    row of one (count, n) array.
     """
     ids = range(count) if stream_ids is None else stream_ids
-    paths = tuple(sampler(RngStream(base_seed, i)) for i in ids)
+    if not isinstance(sampler, LinearSampler) or not len(ids):
+        paths = tuple(sampler(RngStream(base_seed, i)) for i in ids)
+        return ReplicateBatch(count=count, base_seed=base_seed, paths=paths)
+    k, draw, info = sampler.plan()
+    seed, ids = base_seed & _MASK64, [i & _MASK64 for i in ids]
+    gen = np.random.Generator(np.random.Philox(0))
+    state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
+    z = np.empty((max(1, 2**16 // k), k))
+    values = np.empty((len(ids), sampler.grid.n))
+    for start in range(0, len(ids), len(z)):
+        block = ids[start : start + len(z)]
+        for row, stream_id in zip(z, block):
+            state["state"]["key"][:] = (seed, stream_id)
+            gen.bit_generator.state = state
+            gen.standard_normal(out=row)
+        values[start : start + len(block)] = draw(z[: len(block)])
+    paths = tuple(sampler._path(row, seed, i, info) for row, i in zip(values, ids))
     return ReplicateBatch(count=count, base_seed=base_seed, paths=paths)

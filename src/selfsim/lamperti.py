@@ -11,13 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, ParameterError, ReplicateBatch, RngStream, SamplePath
+from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
 from .covmodels import lamperti_acf_fbm, lamperti_acf_sfbm
-from .samplers import circulant_sample, circulant_spectrum
+from .samplers import _circulant_plan, circulant_spectrum
 
 __all__ = [
     "LampertiGridMap",
     "grid_map",
+    "lamperti_sampler",
     "simulate_lamperti",
     "marginal_variance_profile",
     "error_bound_diagnostics",
@@ -79,6 +80,23 @@ def _lamperti_spectrum(process: str, hurst: float, n: int):
     )
 
 
+def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
+    """The map of `simulate_lamperti`: circulant draw, gather, t^H scaling."""
+    hurst = float(hurst)
+
+    def plan():
+        if process not in ("fbm", "sfbm"):
+            raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
+        n = grid.n
+        if n < 2:
+            raise ParameterError("lamperti method needs n >= 2")
+        index, scale = grid_map(n).index, grid.times() ** hurst
+        spectrum = _lamperti_spectrum(process, hurst, n)
+        return _circulant_plan(spectrum, n + 1, lambda u: scale * u[:, index])
+
+    return LinearSampler(grid, "lamperti", process, hurst, plan)
+
+
 def simulate_lamperti(
     process: str,
     hurst: float,
@@ -95,31 +113,7 @@ def simulate_lamperti(
     0.72 the clamp inflates Var U, and so every marginal variance, by a
     relative 2.3e-4 at H = 0.8 and 1.3e-3 at H = 0.95 (n = 256).
     """
-    if process not in ("fbm", "sfbm"):
-        raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
-    n = grid.n
-    if n < 2:
-        raise ParameterError("lamperti method needs n >= 2")
-    hurst = float(hurst)
-    spectrum = _lamperti_spectrum(process, hurst, n)
-    u = circulant_sample(spectrum, n + 1, rng)
-    gm = grid_map(n)
-    t = grid.times()
-    values = t**hurst * u[gm.index]
-    return SamplePath(
-        grid=grid,
-        values=values,
-        method="lamperti",
-        process=process,
-        hurst=hurst,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        info={
-            "clamped_count": spectrum.clamped_count,
-            "doublings": spectrum.doublings,
-            "embedding_size": spectrum.m,
-        },
-    )
+    return lamperti_sampler(process, hurst, grid)(rng)
 
 
 def theoretical_variance(process: str, hurst: float, t: np.ndarray) -> np.ndarray:

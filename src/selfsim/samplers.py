@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 from scipy.linalg import lapack
 
-from .core import GridSpec, ParameterError, RngStream, SamplePath
+from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
 
 __all__ = [
@@ -22,6 +22,10 @@ __all__ = [
     "CholeskyFactor",
     "EmbeddingError",
     "NotPositiveDefiniteError",
+    "bm_sampler",
+    "cholesky_sampler",
+    "fgn_sampler",
+    "ma_sampler",
     "sample_bm",
     "cholesky_factor",
     "cholesky_sample",
@@ -85,19 +89,21 @@ class CholeskyFactor:
     jitter: float
 
 
-def sample_bm(grid: GridSpec, rng: RngStream) -> SamplePath:
+def _rowwise(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> matrix @ z one row at a time, so a path's bits do not depend on its block."""
+    return lambda z: np.array([matrix @ row for row in z])
+
+
+def bm_sampler(grid: GridSpec) -> LinearSampler:
     """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
     n = grid.n
-    increments = rng.normals(n) / math.sqrt(n)
-    return SamplePath(
-        grid=grid,
-        values=np.cumsum(increments),
-        method="bm-cumsum",
-        process="bm",
-        hurst=0.5,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+    draw = lambda z: np.cumsum(z / math.sqrt(n), axis=1)
+    return LinearSampler(grid, "bm-cumsum", "bm", 0.5, lambda: (n, draw, {}))
+
+
+def sample_bm(grid: GridSpec, rng: RngStream) -> SamplePath:
+    """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
+    return bm_sampler(grid)(rng)
 
 
 def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
@@ -130,20 +136,19 @@ def _cached_factor(process: str, hurst: float, n: int) -> CholeskyFactor:
     return cholesky_factor(kernel.gram(GridSpec(n).times()))
 
 
+def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
+    """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
+
+    def plan():
+        factor = _cached_factor(kernel.process, kernel.hurst, grid.n)
+        return grid.n, _rowwise(factor.lower), {"jitter": factor.jitter}
+
+    return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, plan)
+
+
 def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) -> SamplePath:
     """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
-    factor = _cached_factor(kernel.process, kernel.hurst, grid.n)
-    z = rng.normals(grid.n)
-    return SamplePath(
-        grid=grid,
-        values=factor.lower @ z,
-        method="cholesky",
-        process=kernel.process,
-        hurst=kernel.hurst,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        info={"jitter": factor.jitter},
-    )
+    return cholesky_sampler(kernel, grid)(rng)
 
 
 def circulant_spectrum(
@@ -188,28 +193,43 @@ def circulant_spectrum(
     )
 
 
-def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -> np.ndarray:
-    """Draw a stationary Gaussian sequence of the given length.
+def _circulant_plan(spectrum: CirculantSpectrum, length: int, finish=lambda y: y):
+    """(k, draw, info) of `finish` applied to circulant draws of `length` values.
 
-    A Hermitian-symmetric complex Gaussian vector is weighted by the square
-    roots of the eigenvalues and passed through one FFT; the first `length`
-    real coordinates have the (clamp-adjusted) target autocovariance.
+    Each row of m normals becomes a Hermitian-symmetric complex Gaussian
+    vector, weighted by the square roots of the eigenvalues and passed
+    through one FFT; the first `length` real coordinates have the
+    (clamp-adjusted) target autocovariance.
     """
     m = spectrum.m
     half = m // 2
     if length > half + 1:
         raise ParameterError("requested length exceeds the embedding capacity")
-    z = rng.normals(m)
-    w = np.zeros(m, dtype=complex)
-    w[0] = z[0]
-    w[half] = z[1]
-    if half > 1:
-        a = z[2 : half + 1]
-        b = z[half + 1 : m]
-        w[1:half] = (a + 1j * b) / math.sqrt(2.0)
-        w[half + 1 :] = np.conj(w[1:half][::-1])
-    y = np.fft.fft(np.sqrt(spectrum.eigenvalues / m) * w)
-    return y.real[:length]
+    weights = np.sqrt(spectrum.eigenvalues / m)
+
+    def draw(z):
+        w = np.zeros(z.shape, dtype=complex)
+        w[:, 0] = z[:, 0]
+        w[:, half] = z[:, 1]
+        if half > 1:
+            a = z[:, 2 : half + 1]
+            b = z[:, half + 1 : m]
+            w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
+            w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
+        w *= weights
+        return finish(np.fft.fft(w, axis=1, out=w).real[:, :length])
+
+    return m, draw, {
+        "clamped_count": spectrum.clamped_count,
+        "doublings": spectrum.doublings,
+        "embedding_size": m,
+    }
+
+
+def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -> np.ndarray:
+    """Draw a stationary Gaussian sequence of the given length (`_circulant_plan`)."""
+    _, draw, _ = _circulant_plan(spectrum, length)
+    return draw(rng.normals(spectrum.m)[None, :])[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,21 +239,23 @@ def _fgn_spectrum(n: int, hurst: float, max_doublings: int, clamp_all: bool) -> 
     )
 
 
-def _fgn_to_path(grid, hurst, fgn, spectrum, rng, method):
-    return SamplePath(
-        grid=grid,
-        values=np.cumsum(fgn),
-        method=method,
-        process="fbm",
-        hurst=hurst,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        info={
-            "clamped_count": spectrum.clamped_count,
-            "doublings": spectrum.doublings,
-            "embedding_size": spectrum.m,
-        },
-    )
+def fgn_sampler(
+    grid: GridSpec, hurst: float, method: str = "davies-harte", max_doublings: int = MAX_DOUBLINGS
+) -> LinearSampler:
+    """fBm as the cumulative sum of circulant-embedded fGn: "davies-harte"
+    clamps at the minimal embedding, "circulant" doubles it up to
+    `max_doublings` times."""
+    hurst = float(hurst)
+    davies = method == "davies-harte"
+
+    def plan():
+        if grid.n < 2:
+            name = "Davies-Harte" if davies else "circulant embedding"
+            raise ParameterError(f"{name} needs n >= 2")
+        spectrum = _fgn_spectrum(grid.n, hurst, 0 if davies else int(max_doublings), davies)
+        return _circulant_plan(spectrum, grid.n, lambda y: np.cumsum(y, axis=1))
+
+    return LinearSampler(grid, method, "fbm", hurst, plan)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
@@ -242,22 +264,14 @@ def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath
     Negative eigenvalues are clamped to zero rather than repaired by
     enlarging the embedding; the clamped count is surfaced in the metadata.
     """
-    if grid.n < 2:
-        raise ParameterError("Davies-Harte needs n >= 2")
-    spectrum = _fgn_spectrum(grid.n, float(hurst), 0, True)
-    fgn = circulant_sample(spectrum, grid.n, rng)
-    return _fgn_to_path(grid, float(hurst), fgn, spectrum, rng, "davies-harte")
+    return fgn_sampler(grid, hurst)(rng)
 
 
 def wood_chan_fbm(
     grid: GridSpec, hurst: float, rng: RngStream, max_doublings: int = MAX_DOUBLINGS
 ) -> SamplePath:
     """fBm via circulant embedding with the size-doubling repair policy."""
-    if grid.n < 2:
-        raise ParameterError("circulant embedding needs n >= 2")
-    spectrum = _fgn_spectrum(grid.n, float(hurst), int(max_doublings), False)
-    fgn = circulant_sample(spectrum, grid.n, rng)
-    return _fgn_to_path(grid, float(hurst), fgn, spectrum, rng, "circulant")
+    return fgn_sampler(grid, hurst, "circulant", max_doublings)(rng)
 
 
 @functools.lru_cache(maxsize=32)
@@ -299,6 +313,27 @@ def _ma_weights(n: int, hurst: float, truncation: float, substeps: int) -> np.nd
     return normalizing_constant_CH(hurst) * math.sqrt(step) * kernel
 
 
+def ma_sampler(
+    grid: GridSpec,
+    hurst: float,
+    truncation: float = MA_DEFAULT_TRUNCATION,
+    substeps: int = MA_DEFAULT_SUBSTEPS,
+) -> LinearSampler:
+    """The map x = W z of `ma_truncated_fbm`."""
+
+    def plan():
+        checked = _check_hurst(hurst)
+        if truncation < 1.0:
+            raise ParameterError("truncation horizon must be >= 1")
+        if substeps < 1:
+            raise ParameterError("substeps must be >= 1")
+        weights = _ma_weights(grid.n, checked, float(truncation), int(substeps))
+        info = {"truncation": float(truncation), "substeps": int(substeps)}
+        return weights.shape[1], _rowwise(weights), info
+
+    return LinearSampler(grid, "ma-truncated", "fbm", float(hurst), plan)
+
+
 def ma_truncated_fbm(
     grid: GridSpec,
     hurst: float,
@@ -320,20 +355,4 @@ def ma_truncated_fbm(
     approximation gives 0.0491 of Var X(1) = 1, against 0.0489 exactly;
     at T = 2 the exact loss is 0.163.
     """
-    hurst = _check_hurst(hurst)
-    if truncation < 1.0:
-        raise ParameterError("truncation horizon must be >= 1")
-    if substeps < 1:
-        raise ParameterError("substeps must be >= 1")
-    weights = _ma_weights(grid.n, hurst, float(truncation), int(substeps))
-    z = rng.normals(weights.shape[1])
-    return SamplePath(
-        grid=grid,
-        values=weights @ z,
-        method="ma-truncated",
-        process="fbm",
-        hurst=hurst,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-        info={"truncation": float(truncation), "substeps": int(substeps)},
-    )
+    return ma_sampler(grid, hurst, truncation, substeps)(rng)

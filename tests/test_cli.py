@@ -337,6 +337,10 @@ MALFORMED = [
     (["simulate", "--n", "16"], "hurts = 0.7\n"),
     (["simulate", "--n", "16"], b"hurst = 0.7 # \xe9t\xe9\n"),
     (["verify", "--suite", "error-bound", "--n", "256"], None),
+    (["verify", "--n", "16", "--paths", "50", "--out", "/nonexistent/dir/r.json"], None),
+    (["bench", "--n", "16", "--paths", "3", "--out", "/nonexistent/dir/b.csv"], None),
+    (["verify", "--suite", "marginals", "--n", "16,512"], None),
+    (["simulate", "--n", "16", "--paths", "0"], None),
 ]
 
 
@@ -355,6 +359,10 @@ MALFORMED = [
         "cfg-unknown-key",
         "cfg-not-utf8",
         "error-bound-one-n",
+        "verify-out-unwritable",
+        "bench-out-unwritable",
+        "verify-n-list",
+        "paths-zero",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -389,6 +397,12 @@ class TestOutputFile:
     def test_unwritable_out_fails_before_sampling(self, sampling, tmp_path):
         out = tmp_path / "missing" / "x.csv"
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 2
+        assert sampling.calls == 0
+
+    @pytest.mark.parametrize("command", ["verify", "bench"])
+    def test_unwritable_out_fails_before_verify_or_bench(self, command, sampling, tmp_path):
+        out = tmp_path / "missing" / "r.json"
+        assert run([command, "--n", "16", "--paths", "50", "--out", str(out)]) == 2
         assert sampling.calls == 0
 
     def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path):

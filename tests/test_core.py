@@ -5,6 +5,7 @@ import pytest
 
 from selfsim.core import (
     GridSpec,
+    LinearSampler,
     ParameterError,
     RngStream,
     SamplePath,
@@ -78,3 +79,56 @@ class TestGenerateBatch:
         a = generate_batch(sampler, 4, 7).values_matrix()
         b = generate_batch(sampler, 4, 7).values_matrix()
         assert np.array_equal(a, b)
+
+
+def identity_sampler(k):
+    """A LinearSampler whose paths are its k normals."""
+    return LinearSampler(GridSpec(k), "identity", "bm", 0.5, lambda: (k, lambda z: z, {"k": k}))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestLinearBatch:
+    SEEDS = (0, 3, 2**64 - 1, -1, 2**70 + 5)
+    STREAMS = (0, 1, 2**63, 2**64 + 3)
+
+    # one block of 4 rows (k = 5), and one row per block (k = 2**16 + 1)
+    @pytest.mark.parametrize("k", [5, 2**16 + 1])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_normals_match_stream(self, seed, k):
+        batch = generate_batch(identity_sampler(k), 4, seed, stream_ids=self.STREAMS)
+        for path, stream_id in zip(batch.paths, self.STREAMS):
+            expected = RngStream(seed, stream_id)
+            assert same_bits(path.values, expected.normals(k))
+            assert (path.seed, path.stream_id) == (expected.seed, expected.stream_id)
+
+    def test_paths_are_rows_with_own_info(self):
+        batch = generate_batch(identity_sampler(3), 3, 8)
+        base = batch.paths[0].values.base
+        assert base is not None and all(p.values.base is base for p in batch.paths)
+        infos = [p.info for p in batch.paths]
+        assert infos == [{"k": 3}] * 3 and len({id(i) for i in infos}) == 3
+
+    def test_call_is_one_row_of_the_batch(self):
+        sampler = identity_sampler(6)
+        path = sampler(RngStream(9, 4))
+        batch = generate_batch(sampler, 1, 9, stream_ids=[4])
+        assert same_bits(path.values, batch.paths[0].values)
+        assert path.info == batch.paths[0].info and path.info is not batch.paths[0].info
+
+    def test_empty_batch_rejected_before_plan(self):
+        def plan():
+            raise AssertionError("plan built for an empty batch")
+
+        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, plan)
+        with pytest.raises(ParameterError):
+            generate_batch(sampler, 0, 1)
+
+    def test_nonfinite_row_rejected(self):
+        sampler = LinearSampler(
+            GridSpec(2), "identity", "bm", 0.5, lambda: (2, lambda z: z / 0.0, {})
+        )
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
+            generate_batch(sampler, 3, 1)

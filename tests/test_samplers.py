@@ -264,3 +264,66 @@ class TestMovingAverage:
         assert abs(est_tight - target) > 4 * se_tight
         assert abs(est_wide - target) < abs(est_tight - target) / 2
         assert abs(est_wide - target) <= 0.10 * target
+
+
+def _public_sampler(method, process, hurst, grid):
+    """The per-path public sampler of a METHOD_TABLE pair, with the CLI defaults."""
+    from selfsim.covmodels import make_kernel
+    from selfsim.lamperti import simulate_lamperti
+
+    return {
+        "bm-cumsum": lambda rng: sample_bm(grid, rng),
+        "cholesky": lambda rng: cholesky_sample(make_kernel(process, hurst), grid, rng),
+        "davies-harte": lambda rng: davies_harte_fbm(grid, hurst, rng),
+        "circulant": lambda rng: wood_chan_fbm(grid, hurst, rng),
+        "ma-truncated": lambda rng: ma_truncated_fbm(grid, hurst, rng),
+        "lamperti": lambda rng: simulate_lamperti(process, hurst, grid, rng),
+    }[method]
+
+
+def _table_pairs():
+    from selfsim.cli import METHOD_TABLE
+
+    return [(m, p) for m, (processes, _) in METHOD_TABLE.items() for p in processes]
+
+
+class TestLinearSamplers:
+    """generate_batch of each METHOD_TABLE sampler equals its public per-path sampler."""
+
+    SEED = -3  # masked to 2**64 - 3, as RngStream does
+
+    @staticmethod
+    def _pair(method, process):
+        import argparse
+
+        from selfsim.cli import _build_sampler
+
+        hurst = 0.5 if process == "bm" else 0.7
+        n = 8 if method == "ma-truncated" else 64
+        sampler = _build_sampler(argparse.Namespace(), process, method, hurst, n)
+        return sampler, _public_sampler(method, process, hurst, GridSpec(n))
+
+    def _assert_same(self, batch, public, stream_ids):
+        infos = set()
+        for path, stream_id in zip(batch.paths, stream_ids, strict=True):
+            expected = public(RngStream(self.SEED, stream_id))
+            assert np.array_equal(path.values.view(np.uint64), expected.values.view(np.uint64))
+            for field in ("method", "process", "hurst", "seed", "stream_id", "info"):
+                assert getattr(path, field) == getattr(expected, field), field
+            infos.add(id(path.info))
+        assert len(infos) == len(batch.paths)
+
+    @pytest.mark.parametrize("method, process", _table_pairs())
+    def test_batch_counts_around_block_size(self, method, process):
+        sampler, public = self._pair(method, process)
+        rows = max(1, 2**16 // sampler.plan()[0])
+        for count in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1}):
+            batch = generate_batch(sampler, count, self.SEED)
+            self._assert_same(batch, public, range(count))
+
+    @pytest.mark.parametrize("method, process", _table_pairs())
+    def test_batch_stream_ids(self, method, process):
+        sampler, public = self._pair(method, process)
+        ids = [7, 0, 7, 2**64 + 1]
+        batch = generate_batch(sampler, len(ids), self.SEED, stream_ids=ids)
+        self._assert_same(batch, public, [7, 0, 7, 1])
