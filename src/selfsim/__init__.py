@@ -50,12 +50,13 @@ from .samplers import (
     circulant_sample,
     circulant_spectrum,
     davies_harte_fbm,
-    fgn_sampler,
+    davies_harte_sampler,
     ma_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,
     wood_chan_fbm,
+    wood_chan_sampler,
 )
 from .verify import (
     VerificationReport,

@@ -39,8 +39,9 @@ from .samplers import (
     NotPositiveDefiniteError,
     bm_sampler,
     cholesky_sampler,
-    fgn_sampler,
+    davies_harte_sampler,
     ma_sampler,
+    wood_chan_sampler,
 )
 from .verify import covariance_match, method_equivalence, normality_check
 
@@ -57,11 +58,14 @@ METHOD_TABLE = {
         ("fbm", "sfbm"),
         lambda args, process, hurst, grid: cholesky_sampler(make_kernel(process, hurst), grid),
     ),
-    "davies-harte": (("fbm",), lambda args, process, hurst, grid: fgn_sampler(grid, hurst)),
+    "davies-harte": (
+        ("fbm",),
+        lambda args, process, hurst, grid: davies_harte_sampler(grid, hurst),
+    ),
     "circulant": (
         ("fbm",),
-        lambda args, process, hurst, grid: fgn_sampler(
-            grid, hurst, "circulant", _resolve(args, "embedding_cap", int)
+        lambda args, process, hurst, grid: wood_chan_sampler(
+            grid, hurst, _resolve(args, "embedding_cap", int)
         ),
     ),
     "ma-truncated": (
@@ -296,23 +300,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     reports: list[dict] = []
     with _open_out(out) as stream:
-        batch = None if suite == "error-bound" else generate_batch(sampler, paths, seed)
         if suite == "error-bound":
             reports.append(_error_bound_report(n_values, hurst))
-        elif suite == "marginals":
-            reports.append(marginal_variance_profile(batch, process, hurst).to_dict())
-        elif suite == "covariance":
-            kernel = make_kernel("fbm" if process == "bm" else process, hurst)
-            reports.append(covariance_match(batch, kernel).to_dict())
-        elif suite == "normality":
-            for node in sorted({max(1, n // 4), max(1, n // 2), n}):
-                reports.append(normality_check(batch, node).to_dict())
-        elif suite == "equivalence":
-            base_batch = generate_batch(base_sampler, paths, seed + 1)
-            diagonal_only = "lamperti" in (method, baseline)
-            reports.append(
-                method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
-            )
+        else:
+            batch = generate_batch(sampler, paths, seed)
+            if suite == "marginals":
+                reports.append(marginal_variance_profile(batch, process, hurst).to_dict())
+            elif suite == "covariance":
+                kernel = make_kernel("fbm" if process == "bm" else process, hurst)
+                reports.append(covariance_match(batch, kernel).to_dict())
+            elif suite == "normality":
+                for node in sorted({max(1, n // 4), max(1, n // 2), n}):
+                    reports.append(normality_check(batch, node).to_dict())
+            elif suite == "equivalence":
+                base_batch = generate_batch(base_sampler, paths, seed + 1)
+                diagonal_only = "lamperti" in (method, baseline)
+                reports.append(
+                    method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
+                )
         json.dump(reports if len(reports) > 1 else reports[0], stream, indent=2)
         stream.write("\n")
     all_pass = all(r["verdict"] == "pass" for r in reports)

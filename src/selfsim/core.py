@@ -10,6 +10,7 @@ same path. Every built-in sampler is a :class:`LinearSampler` x = A z, which
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -107,8 +108,8 @@ class LinearSampler:
 
     `plan()` returns (k, draw, info): `draw` maps a (rows, k) block of
     normals to the (rows, n) paths row by row, and `info` is the record
-    every path carries. It is called when paths are drawn, so the spectrum
-    or factor behind it (cached by its builder) is not built before then.
+    every path carries. It is called once, when paths are first drawn, so
+    the spectrum or factor behind it is not built before then.
     """
 
     grid: GridSpec
@@ -117,8 +118,12 @@ class LinearSampler:
     hurst: float
     plan: Callable[[], tuple[int, Callable[[np.ndarray], np.ndarray], dict]]
 
+    @functools.cached_property
+    def _planned(self) -> tuple[int, Callable[[np.ndarray], np.ndarray], dict]:
+        return self.plan()
+
     def __call__(self, rng: RngStream) -> SamplePath:
-        k, draw, info = self.plan()
+        k, draw, info = self._planned
         return self._path(draw(rng.normals(k)[None, :])[0], rng.seed, rng.stream_id, info)
 
     def _path(self, values, seed, stream_id, info) -> SamplePath:
@@ -164,11 +169,13 @@ def generate_batch(
     holds the bits of RngStream(base_seed, i).normals(k), and each path is a
     row of one (count, n) array.
     """
+    if count < 1:
+        raise ParameterError("replicate count must be positive")
     ids = range(count) if stream_ids is None else stream_ids
-    if not isinstance(sampler, LinearSampler) or not len(ids):
+    if not isinstance(sampler, LinearSampler):
         paths = tuple(sampler(RngStream(base_seed, i)) for i in ids)
         return ReplicateBatch(count=count, base_seed=base_seed, paths=paths)
-    k, draw, info = sampler.plan()
+    k, draw, info = sampler._planned
     seed, ids = base_seed & _MASK64, [i & _MASK64 for i in ids]
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream

@@ -80,6 +80,7 @@ def _lamperti_spectrum(process: str, hurst: float, n: int):
     )
 
 
+@functools.lru_cache(maxsize=64)
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
     """The map of `simulate_lamperti`: circulant draw, gather, t^H scaling."""
     hurst = float(hurst)

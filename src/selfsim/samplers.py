@@ -24,7 +24,8 @@ __all__ = [
     "NotPositiveDefiniteError",
     "bm_sampler",
     "cholesky_sampler",
-    "fgn_sampler",
+    "davies_harte_sampler",
+    "wood_chan_sampler",
     "ma_sampler",
     "sample_bm",
     "cholesky_factor",
@@ -94,6 +95,7 @@ def _rowwise(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return lambda z: np.array([matrix @ row for row in z])
 
 
+@functools.lru_cache(maxsize=64)
 def bm_sampler(grid: GridSpec) -> LinearSampler:
     """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
     n = grid.n
@@ -136,6 +138,7 @@ def _cached_factor(process: str, hurst: float, n: int) -> CholeskyFactor:
     return cholesky_factor(kernel.gram(GridSpec(n).times()))
 
 
+@functools.lru_cache(maxsize=64)
 def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
     """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
 
@@ -217,7 +220,7 @@ def _circulant_plan(spectrum: CirculantSpectrum, length: int, finish=lambda y: y
             w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
             w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
         w *= weights
-        return finish(np.fft.fft(w, axis=1, out=w).real[:, :length])
+        return finish(np.fft.fft(w, axis=1).real[:, :length])
 
     return m, draw, {
         "clamped_count": spectrum.clamped_count,
@@ -239,12 +242,9 @@ def _fgn_spectrum(n: int, hurst: float, max_doublings: int, clamp_all: bool) -> 
     )
 
 
-def fgn_sampler(
-    grid: GridSpec, hurst: float, method: str = "davies-harte", max_doublings: int = MAX_DOUBLINGS
-) -> LinearSampler:
-    """fBm as the cumulative sum of circulant-embedded fGn: "davies-harte"
-    clamps at the minimal embedding, "circulant" doubles it up to
-    `max_doublings` times."""
+def _fgn_sampler(grid: GridSpec, hurst: float, method: str, doublings: int) -> LinearSampler:
+    """fBm as the cumulative sum of circulant-embedded fGn; "davies-harte"
+    clamps at the minimal embedding, the others double it up to `doublings` times."""
     hurst = float(hurst)
     davies = method == "davies-harte"
 
@@ -252,10 +252,24 @@ def fgn_sampler(
         if grid.n < 2:
             name = "Davies-Harte" if davies else "circulant embedding"
             raise ParameterError(f"{name} needs n >= 2")
-        spectrum = _fgn_spectrum(grid.n, hurst, 0 if davies else int(max_doublings), davies)
+        spectrum = _fgn_spectrum(grid.n, hurst, int(doublings), davies)
         return _circulant_plan(spectrum, grid.n, lambda y: np.cumsum(y, axis=1))
 
     return LinearSampler(grid, method, "fbm", hurst, plan)
+
+
+@functools.lru_cache(maxsize=64)
+def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
+    """The map of `davies_harte_fbm`."""
+    return _fgn_sampler(grid, hurst, "davies-harte", 0)
+
+
+@functools.lru_cache(maxsize=64)
+def wood_chan_sampler(
+    grid: GridSpec, hurst: float, max_doublings: int = MAX_DOUBLINGS
+) -> LinearSampler:
+    """The map of `wood_chan_fbm`."""
+    return _fgn_sampler(grid, hurst, "circulant", max_doublings)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
@@ -264,14 +278,14 @@ def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath
     Negative eigenvalues are clamped to zero rather than repaired by
     enlarging the embedding; the clamped count is surfaced in the metadata.
     """
-    return fgn_sampler(grid, hurst)(rng)
+    return davies_harte_sampler(grid, hurst)(rng)
 
 
 def wood_chan_fbm(
     grid: GridSpec, hurst: float, rng: RngStream, max_doublings: int = MAX_DOUBLINGS
 ) -> SamplePath:
     """fBm via circulant embedding with the size-doubling repair policy."""
-    return fgn_sampler(grid, hurst, "circulant", max_doublings)(rng)
+    return wood_chan_sampler(grid, hurst, max_doublings)(rng)
 
 
 @functools.lru_cache(maxsize=32)

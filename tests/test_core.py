@@ -126,6 +126,19 @@ class TestLinearBatch:
         with pytest.raises(ParameterError):
             generate_batch(sampler, 0, 1)
 
+    def test_plan_built_once(self):
+        calls = []
+
+        def plan():
+            calls.append(1)
+            return 2, lambda z: z, {}
+
+        sampler = LinearSampler(GridSpec(2), "identity", "bm", 0.5, plan)
+        sampler(RngStream(1, 0))
+        generate_batch(sampler, 3, 1)
+        sampler(RngStream(1, 5))
+        assert len(calls) == 1
+
     def test_nonfinite_row_rejected(self):
         sampler = LinearSampler(
             GridSpec(2), "identity", "bm", 0.5, lambda: (2, lambda z: z / 0.0, {})

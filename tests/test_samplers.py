@@ -9,15 +9,19 @@ from selfsim.covmodels import fbm_kernel, fgn_acf, sfbm_kernel
 from selfsim.samplers import (
     EmbeddingError,
     NotPositiveDefiniteError,
+    bm_sampler,
     cholesky_factor,
     cholesky_sample,
+    cholesky_sampler,
     circulant_sample,
     circulant_spectrum,
     davies_harte_fbm,
+    davies_harte_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,
     wood_chan_fbm,
+    wood_chan_sampler,
 )
 
 
@@ -327,3 +331,17 @@ class TestLinearSamplers:
         ids = [7, 0, 7, 2**64 + 1]
         batch = generate_batch(sampler, len(ids), self.SEED, stream_ids=ids)
         self._assert_same(batch, public, [7, 0, 7, 1])
+
+    def test_builders_are_reused(self):
+        from selfsim.lamperti import lamperti_sampler
+
+        builds = {
+            "bm-cumsum": lambda: bm_sampler(GridSpec(16)),
+            "cholesky": lambda: cholesky_sampler(fbm_kernel(0.7), GridSpec(16)),
+            "davies-harte": lambda: davies_harte_sampler(GridSpec(16), 0.7),
+            "circulant": lambda: wood_chan_sampler(GridSpec(16), 0.7),
+            "lamperti": lambda: lamperti_sampler("sfbm", 0.7, GridSpec(16)),
+        }
+        for method, build in builds.items():
+            sampler = build()
+            assert build() is sampler and sampler.method == method
