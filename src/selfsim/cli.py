@@ -199,23 +199,23 @@ def _write_csv(batch: ReplicateBatch, stream) -> None:
     n = batch.n
     times = [f"{j / n!r}," for j in range(1, n + 1)]
     stream.write("path_id,t,value\n")
-    for i, path in enumerate(batch.paths):
+    for i, row in enumerate(batch.values):
         sep = f"\n{i},"
-        cells = map(operator.add, times, map(repr, path.values.tolist()))
+        cells = map(operator.add, times, map(repr, row.tolist()))
         stream.write(f"{i},0.0,0.0{sep}{sep.join(cells)}\n")
 
 
 def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
     """The layout of json.dump({"meta": ..., "paths": ...}, indent=2), one write per path.
 
-    repr equals the JSON token only for finite floats; SamplePath rejects
+    repr equals the JSON token only for finite floats; ReplicateBatch rejects
     non-finite values, and this writer relies on that.
     """
     head = json.dumps({"meta": {**meta, "artifact_version": __version__}}, indent=2)
     stream.write(f'{head[:-2]},\n  "paths": [\n')
     sep = ""
-    for path in batch.paths:
-        values = ",\n      ".join(map(repr, path.values.tolist()))
+    for row in batch.values:
+        values = ",\n      ".join(map(repr, row.tolist()))
         stream.write(f"{sep}    [\n      0.0,\n      {values}\n    ]")
         sep = ",\n"
     stream.write("\n  ]\n}\n")
@@ -249,7 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "format": fmt,
             }
             if method == "ma-truncated":
-                meta.update(batch.paths[0].info)
+                meta.update(batch.info)
             _write_json(batch, meta, stream)
     return EXIT_OK
 

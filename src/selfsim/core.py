@@ -5,7 +5,7 @@ All samplers in this package are deterministic functions of their parameters
 and an :class:`RngStream`. Streams are counter-based (Philox), so replicate i
 of a batch can be generated in any order, on any worker, and always yields the
 same path. Every built-in sampler is a :class:`LinearSampler` x = A z, which
-`generate_batch` draws a block of paths at a time.
+`generate_batch` draws a block of paths at a time into one (count, n) array.
 """
 
 from __future__ import annotations
@@ -107,9 +107,9 @@ class LinearSampler:
     """A sampler x = A z that maps k standard normals to one path.
 
     `plan()` returns (k, draw, info): `draw` maps a (rows, k) block of
-    normals to the (rows, n) paths row by row, and `info` is the record
-    every path carries. It is called once, when paths are first drawn, so
-    the spectrum or factor behind it is not built before then.
+    normals to the (rows, n) paths row by row, and `info` is its record
+    (repairs, embedding size). It is called once, when paths are first
+    drawn, so the spectrum or factor behind it is not built before then.
     """
 
     grid: GridSpec
@@ -124,69 +124,83 @@ class LinearSampler:
 
     def __call__(self, rng: RngStream) -> SamplePath:
         k, draw, info = self._planned
-        return self._path(draw(rng.normals(k)[None, :])[0], rng.seed, rng.stream_id, info)
-
-    def _path(self, values, seed, stream_id, info) -> SamplePath:
+        values = draw(rng.normals(k)[None, :])[0]
         return SamplePath(
-            self.grid, values, self.method, self.process, self.hurst, seed, stream_id, dict(info)
+            self.grid, values, self.method, self.process, self.hurst,
+            rng.seed, rng.stream_id, dict(info),
         )
 
 
 @dataclass(frozen=True)
 class ReplicateBatch:
-    """A batch of M independent paths; path i comes from stream (base_seed, i)."""
+    """M paths as the rows of one (M, n) array: row i comes from
+    RngStream(seed, stream_ids[i]), and `info` is the sampler's record."""
 
-    count: int
-    base_seed: int
-    paths: tuple[SamplePath, ...]
+    grid: GridSpec
+    values: np.ndarray
+    method: str
+    process: str
+    hurst: float
+    seed: int
+    stream_ids: tuple[int, ...]
+    info: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.count < 1:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 2 or values.shape[1] != self.grid.n:
+            raise ValueError(f"values must have shape (count, {self.grid.n}), got {values.shape}")
+        if values.shape[0] < 1:
             raise ParameterError("replicate count must be positive")
-        if len(self.paths) != self.count:
-            raise ValueError("paths length does not match count")
+        if len(self.stream_ids) != values.shape[0]:
+            raise ValueError("stream_ids length does not match the number of rows")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("batch contains non-finite values")
+
+    @property
+    def count(self) -> int:
+        return self.values.shape[0]
 
     @property
     def n(self) -> int:
-        return self.paths[0].grid.n
-
-    def values_matrix(self) -> np.ndarray:
-        """Stack path values into an (M, n) matrix."""
-        return np.stack([p.values for p in self.paths])
+        return self.grid.n
 
 
 def generate_batch(
-    sampler: Callable[[RngStream], SamplePath],
+    sampler: LinearSampler,
     count: int,
     base_seed: int,
     stream_ids: Sequence[int] | None = None,
 ) -> ReplicateBatch:
-    """Run `sampler` once per replicate, each on its own stream.
+    """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]).
 
     The result is independent of generation order because stream i is fully
-    determined by (base_seed, i). A LinearSampler is drawn in blocks of at
-    most 2**16 normals: one Generator is re-keyed to each stream, so row i
-    holds the bits of RngStream(base_seed, i).normals(k), and each path is a
-    row of one (count, n) array.
+    determined by (base_seed, i). The paths are drawn in blocks of at most
+    2**16 normals: one Generator is re-keyed to each stream, so row i holds
+    the bits of RngStream(base_seed, i).normals(k), and equals
+    sampler(RngStream(base_seed, i)).values.
     """
+    if not isinstance(sampler, LinearSampler):
+        raise TypeError(f"generate_batch takes a LinearSampler, not {type(sampler).__name__}")
     if count < 1:
         raise ParameterError("replicate count must be positive")
-    ids = range(count) if stream_ids is None else stream_ids
-    if not isinstance(sampler, LinearSampler):
-        paths = tuple(sampler(RngStream(base_seed, i)) for i in ids)
-        return ReplicateBatch(count=count, base_seed=base_seed, paths=paths)
+    ids = tuple(i & _MASK64 for i in (range(count) if stream_ids is None else stream_ids))
+    if len(ids) != count:
+        raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
     k, draw, info = sampler._planned
-    seed, ids = base_seed & _MASK64, [i & _MASK64 for i in ids]
+    seed = base_seed & _MASK64
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
     z = np.empty((max(1, 2**16 // k), k))
-    values = np.empty((len(ids), sampler.grid.n))
-    for start in range(0, len(ids), len(z)):
+    values = np.empty((count, sampler.grid.n))
+    for start in range(0, count, len(z)):
         block = ids[start : start + len(z)]
         for row, stream_id in zip(z, block):
             state["state"]["key"][:] = (seed, stream_id)
             gen.bit_generator.state = state
             gen.standard_normal(out=row)
         values[start : start + len(block)] = draw(z[: len(block)])
-    paths = tuple(sampler._path(row, seed, i, info) for row, i in zip(values, ids))
-    return ReplicateBatch(count=count, base_seed=base_seed, paths=paths)
+    return ReplicateBatch(
+        sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
+        seed, ids, dict(info),
+    )

@@ -62,25 +62,6 @@ def grid_map(n: int) -> LampertiGridMap:
 
 
 @functools.lru_cache(maxsize=64)
-def _lamperti_spectrum(process: str, hurst: float, n: int):
-    # The stationary sequence is sampled at indices 0..n: the map sends
-    # j = 1 to index 0, so one extra lag of the autocovariance is needed.
-    #
-    # The rescaled autocovariance grows with the lag, so enlarging the
-    # embedding only makes it more indefinite; the negative eigenvalues
-    # are clamped to zero at the minimal embedding instead (the
-    # nonnegative-definite part of the circulant). For fbm the clamp fires
-    # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
-    # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U
-    # (the clamped mass / m) by 2.3e-4 and 1.3e-3. For sfbm the relative
-    # rise shrinks with n: 2.1e-3 at n = 16 and 2.5e-5 at n = 256 (H = 0.99).
-    acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
-    return circulant_spectrum(
-        lambda k: acf(k, n, hurst), n + 1, max_doublings=0, clamp_all=True
-    )
-
-
-@functools.lru_cache(maxsize=64)
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
     """The map of `simulate_lamperti`: circulant draw, gather, t^H scaling."""
     hurst = float(hurst)
@@ -92,7 +73,21 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         if n < 2:
             raise ParameterError("lamperti method needs n >= 2")
         index, scale = grid_map(n).index, grid.times() ** hurst
-        spectrum = _lamperti_spectrum(process, hurst, n)
+        # The stationary sequence is sampled at indices 0..n: the map sends
+        # j = 1 to index 0, so one extra lag of the autocovariance is needed.
+        #
+        # The rescaled autocovariance grows with the lag, so enlarging the
+        # embedding only makes it more indefinite; the negative eigenvalues
+        # are clamped to zero at the minimal embedding instead (the
+        # nonnegative-definite part of the circulant). For fbm the clamp fires
+        # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
+        # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U
+        # (the clamped mass / m) by 2.3e-4 and 1.3e-3. For sfbm the relative
+        # rise shrinks with n: 2.1e-3 at n = 16 and 2.5e-5 at n = 256 (H = 0.99).
+        acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
+        spectrum = circulant_spectrum(
+            lambda k: acf(k, n, hurst), n + 1, max_doublings=0, clamp_all=True
+        )
         return _circulant_plan(spectrum, n + 1, lambda u: scale * u[:, index])
 
     return LinearSampler(grid, "lamperti", process, hurst, plan)
@@ -137,7 +132,7 @@ def marginal_variance_profile(
     """
     from .verify import VerificationReport  # local import to avoid a cycle
 
-    values = batch.values_matrix()
+    values = batch.values
     m, n = values.shape
     t = np.arange(1, n + 1, dtype=float) / n
     target = theoretical_variance(process, hurst, t)
@@ -158,7 +153,7 @@ def marginal_variance_profile(
     worst = float(deviation.max())
     return VerificationReport(
         check="marginal-variance",
-        method=batch.paths[0].method,
+        method=batch.method,
         process=process,
         hurst=hurst,
         n=n,

@@ -133,17 +133,12 @@ def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_factor(process: str, hurst: float, n: int) -> CholeskyFactor:
-    kernel = make_kernel(process, hurst)
-    return cholesky_factor(kernel.gram(GridSpec(n).times()))
-
-
-@functools.lru_cache(maxsize=64)
 def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
     """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
 
     def plan():
-        factor = _cached_factor(kernel.process, kernel.hurst, grid.n)
+        # make_kernel validates a kernel built directly from CovarianceKernel
+        factor = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
         return grid.n, _rowwise(factor.lower), {"jitter": factor.jitter}
 
     return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, plan)
@@ -235,13 +230,6 @@ def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -
     return draw(rng.normals(spectrum.m)[None, :])[0]
 
 
-@functools.lru_cache(maxsize=64)
-def _fgn_spectrum(n: int, hurst: float, max_doublings: int, clamp_all: bool) -> CirculantSpectrum:
-    return circulant_spectrum(
-        lambda k: fgn_acf(k, n, hurst), n, max_doublings=max_doublings, clamp_all=clamp_all
-    )
-
-
 def _fgn_sampler(grid: GridSpec, hurst: float, method: str, doublings: int) -> LinearSampler:
     """fBm as the cumulative sum of circulant-embedded fGn; "davies-harte"
     clamps at the minimal embedding, the others double it up to `doublings` times."""
@@ -249,11 +237,14 @@ def _fgn_sampler(grid: GridSpec, hurst: float, method: str, doublings: int) -> L
     davies = method == "davies-harte"
 
     def plan():
-        if grid.n < 2:
+        n = grid.n
+        if n < 2:
             name = "Davies-Harte" if davies else "circulant embedding"
             raise ParameterError(f"{name} needs n >= 2")
-        spectrum = _fgn_spectrum(grid.n, hurst, int(doublings), davies)
-        return _circulant_plan(spectrum, grid.n, lambda y: np.cumsum(y, axis=1))
+        spectrum = circulant_spectrum(
+            lambda k: fgn_acf(k, n, hurst), n, max_doublings=int(doublings), clamp_all=davies
+        )
+        return _circulant_plan(spectrum, n, lambda y: np.cumsum(y, axis=1))
 
     return LinearSampler(grid, method, "fbm", hurst, plan)
 
@@ -320,11 +311,11 @@ def _ma_weights(n: int, hurst: float, truncation: float, substeps: int) -> np.nd
     u = np.arange(-n_neg, substeps * n, dtype=float) * step
     t = (np.arange(1, n + 1, dtype=float) / n)[:, None]
     uu = u[None, :]
-    with np.errstate(invalid="ignore"):
+    # for H < 1/2 the powers are infinite at u = t and u = 0, where np.where masks them
+    with np.errstate(divide="ignore", invalid="ignore"):
         forward = np.where(uu < t - step / 2, (t - uu) ** (hurst - 0.5), 0.0)
         backward = np.where(uu < 0.0, np.abs(uu) ** (hurst - 0.5), 0.0)
-    kernel = np.nan_to_num(forward) - backward
-    return normalizing_constant_CH(hurst) * math.sqrt(step) * kernel
+    return normalizing_constant_CH(hurst) * math.sqrt(step) * (forward - backward)
 
 
 def ma_sampler(

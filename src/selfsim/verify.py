@@ -78,7 +78,7 @@ def empirical_covariance(batch: ReplicateBatch, node_pairs):
     """Sample covariance and standard error at 1-based (j, k) node pairs."""
     if batch.count < 100:
         raise ParameterError("need at least 100 replicates for covariance estimates")
-    values = batch.values_matrix()
+    values = batch.values
     cov = _sample_cov(values)
     se = _cov_se(cov, batch.count)
     idx = np.array([(j - 1, k - 1) for j, k in node_pairs])
@@ -112,17 +112,16 @@ def covariance_match(
         raise ParameterError("need at least 100 replicates")
     n = batch.n
     nodes = _grid_nodes(n, stride)
-    values = batch.values_matrix()[:, nodes]
+    values = batch.values[:, nodes]
     cov = _sample_cov(values)
     se = _cov_se(cov, batch.count)
     times = (nodes + 1) / n
     target = kernel.gram(times)
     deviation = np.abs(cov - target) / se
     verdict, worst = _band_verdict(deviation, tol_multiplier)
-    path0 = batch.paths[0]
     return VerificationReport(
         check="covariance-match",
-        method=path0.method,
+        method=batch.method,
         process=kernel.process,
         hurst=kernel.hurst,
         n=n,
@@ -153,15 +152,14 @@ def normality_check(batch: ReplicateBatch, node: int) -> VerificationReport:
     """Marginal Gaussianity at a 1-based node, at the asymptotic 1% level."""
     if batch.count < 1000:
         raise ParameterError("need at least 1000 replicates for the KS check")
-    values = batch.values_matrix()[:, node - 1]
+    values = batch.values[:, node - 1]
     distance = ks_distance(values)
     tolerance = KS_CRIT_1PCT / math.sqrt(batch.count)
-    path0 = batch.paths[0]
     return VerificationReport(
         check="normality",
-        method=path0.method,
-        process=path0.process,
-        hurst=path0.hurst,
+        method=batch.method,
+        process=batch.process,
+        hurst=batch.hurst,
         n=batch.n,
         m_replicates=batch.count,
         verdict=bool(distance <= tolerance),
@@ -188,19 +186,18 @@ def method_equivalence(
         raise ParameterError("batches must share the same grid")
     n = batch_a.n
     nodes = _grid_nodes(n, stride)
-    cov_a = _sample_cov(batch_a.values_matrix()[:, nodes])
-    cov_b = _sample_cov(batch_b.values_matrix()[:, nodes])
+    cov_a = _sample_cov(batch_a.values[:, nodes])
+    cov_b = _sample_cov(batch_b.values[:, nodes])
     se = np.sqrt(_cov_se(cov_a, batch_a.count) ** 2 + _cov_se(cov_b, batch_b.count) ** 2)
     deviation = np.abs(cov_a - cov_b) / se
     if diagonal_only:
         deviation = np.diag(deviation)
     verdict, worst = _band_verdict(deviation, tol_multiplier)
-    pa, pb = batch_a.paths[0], batch_b.paths[0]
     return VerificationReport(
         check="method-equivalence",
-        method=f"{pa.method} vs {pb.method}",
-        process=pa.process,
-        hurst=pa.hurst,
+        method=f"{batch_a.method} vs {batch_b.method}",
+        process=batch_a.process,
+        hurst=batch_a.hurst,
         n=n,
         m_replicates=batch_a.count,
         verdict=verdict,
@@ -208,7 +205,7 @@ def method_equivalence(
         tolerance=tol_multiplier,
         details=[
             {
-                "baseline": pb.method,
+                "baseline": batch_b.method,
                 "diagonal_only": bool(diagonal_only),
                 "fraction_within": float(np.mean(deviation <= tol_multiplier)),
             }
@@ -236,7 +233,7 @@ def quantile_scaling_check(
         raise ParameterError(f"scale {scale} does not land on a grid node of n={n}")
     if quantiles is None:
         quantiles = np.arange(0.05, 0.951, 0.05)
-    values = batch.values_matrix()
+    values = batch.values
     x_scaled = values[:, j - 1] / scale**hurst
     x_ref = values[:, n - 1]
     q_scaled = np.quantile(x_scaled, quantiles)
@@ -254,11 +251,10 @@ def quantile_scaling_check(
     se = boot_diffs.std(axis=0, ddof=1)
     deviation = np.abs(diff) / se
     worst = float(deviation.max())
-    path0 = batch.paths[0]
     return VerificationReport(
         check="quantile-scaling",
-        method=path0.method,
-        process=path0.process,
+        method=batch.method,
+        process=batch.process,
         hurst=hurst,
         n=n,
         m_replicates=m,

@@ -21,14 +21,14 @@ from selfsim.covmodels import (
     fgn_acf,
     sfbm_cov,
 )
-from selfsim.lamperti import error_bound_diagnostics, simulate_lamperti
+from selfsim.lamperti import error_bound_diagnostics, lamperti_sampler
 from selfsim.samplers import (
     MA_DEFAULT_SUBSTEPS,
     _ma_weights,
-    cholesky_sample,
+    cholesky_sampler,
     circulant_spectrum,
-    davies_harte_fbm,
-    ma_truncated_fbm,
+    davies_harte_sampler,
+    ma_sampler,
     normalizing_constant_CH,
 )
 from selfsim.verify import (
@@ -50,27 +50,25 @@ def report(criterion, ok, detail):
 @functools.lru_cache(maxsize=16)
 def lamperti_batch(process, hurst, n, count, seed):
     grid = GridSpec(n)
-    return generate_batch(
-        lambda r: simulate_lamperti(process, hurst, grid, r), count, seed
-    )
+    return generate_batch(lamperti_sampler(process, hurst, grid), count, seed)
 
 
 @functools.lru_cache(maxsize=8)
 def dh_batch(hurst, n, count, seed):
     grid = GridSpec(n)
-    return generate_batch(lambda r: davies_harte_fbm(grid, hurst, r), count, seed)
+    return generate_batch(davies_harte_sampler(grid, hurst), count, seed)
 
 
 @functools.lru_cache(maxsize=8)
 def cholesky_batch(hurst, n, count, seed):
     grid = GridSpec(n)
     kernel = fbm_kernel(hurst)
-    return generate_batch(lambda r: cholesky_sample(kernel, grid, r), count, seed)
+    return generate_batch(cholesky_sampler(kernel, grid), count, seed)
 
 
 def marginal_variance_worst(process, hurst, nodes, n=256, count=20_000, seed=101):
     batch = lamperti_batch(process, hurst, n, count, seed)
-    values = batch.values_matrix()
+    values = batch.values
     worst = 0.0
     for j in nodes:
         t = j / n
@@ -165,7 +163,7 @@ class TestAcceptance:
             batch = lamperti_batch("fbm", 0.5, n, count, 101)
         else:
             batch = dh_batch(0.5, n, count, 105)
-        values = batch.values_matrix()
+        values = batch.values
         incr = np.diff(np.hstack([np.zeros((count, 1)), values]), axis=1)
         # pooled across nodes and replicates; SE stated at the single-node scale
         var_est = float(np.mean(incr**2))
@@ -198,11 +196,7 @@ class TestAcceptance:
         pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1)]
         results, law, bias = {}, {}, {}
         for truncation, seed in ((2.0, 106), (50.0, 107)):
-            batch = generate_batch(
-                lambda r: ma_truncated_fbm(grid, hurst, r, truncation=truncation),
-                count,
-                seed,
-            )
+            batch = generate_batch(ma_sampler(grid, hurst, truncation=truncation), count, seed)
             results[truncation] = covariance_match(batch, kernel)
             weights = _ma_weights(n, hurst, truncation, MA_DEFAULT_SUBSTEPS)
             implied = weights @ weights.T

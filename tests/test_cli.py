@@ -243,9 +243,9 @@ def _reference_csv(batch, stream):
     """The per-value CSV writer the bulk writer replaced: the format oracle."""
     n = batch.n
     stream.write("path_id,t,value\n")
-    for i, path in enumerate(batch.paths):
+    for i, row in enumerate(batch.values):
         stream.write(f"{i},0.0,0.0\n")
-        for j, value in enumerate(path.values, start=1):
+        for j, value in enumerate(row, start=1):
             stream.write(f"{i},{j / n!r},{float(value)!r}\n")
 
 
@@ -255,7 +255,7 @@ def _reference_json(batch, meta, stream):
 
     payload = {
         "meta": {**meta, "artifact_version": __version__},
-        "paths": [[0.0] + [float(v) for v in path.values] for path in batch.paths],
+        "paths": [[0.0] + [float(v) for v in row] for row in batch.values],
     }
     json.dump(payload, stream, indent=2)
     stream.write("\n")
@@ -293,15 +293,11 @@ class TestWriters:
 
     def test_edge_reprs_match_reference(self):
         from selfsim.cli import _write_csv, _write_json
-        from selfsim.core import GridSpec, ReplicateBatch, SamplePath
+        from selfsim.core import GridSpec, ReplicateBatch
 
         edge = [1e-05, 1.5e16, 5e-324, -0.0, 1e300, 0.1, -2.5e-7, 123456789.0, 1e16, 1e22, -1e-300]
         grid = GridSpec(len(edge))
-        paths = tuple(
-            SamplePath(grid, np.array(values), method="x", process="fbm", hurst=0.7, seed=1)
-            for values in (edge, edge[::-1])
-        )
-        batch = ReplicateBatch(count=2, base_seed=1, paths=paths)
+        batch = ReplicateBatch(grid, np.array([edge, edge[::-1]]), "x", "fbm", 0.7, 1, (0, 0))
         csv_text = _rendered(_write_csv, batch)
         assert csv_text == _rendered(_reference_csv, batch)
         assert "0,1.0,-1e-300\n" in csv_text and "1,0.8181818181818182,5e-324\n" in csv_text
@@ -310,13 +306,16 @@ class TestWriters:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_reference(self, fmt, capsys):
-        from selfsim.core import GridSpec, generate_batch
+        from selfsim.core import GridSpec, ReplicateBatch, RngStream
         from selfsim.samplers import davies_harte_fbm
 
         argv = ["simulate", "--method", "davies-harte", "--hurst", "0.3", "--n", "257"]
         assert run(argv + ["--paths", "3", "--seed", "17", "--format", fmt]) == 0
         text = capsys.readouterr().out
-        batch = generate_batch(lambda r: davies_harte_fbm(GridSpec(257), 0.3, r), 3, 17)
+        # the reference rows come from one per-path call each, not from generate_batch
+        grid = GridSpec(257)
+        rows = [davies_harte_fbm(grid, 0.3, RngStream(17, i)).values for i in range(3)]
+        batch = ReplicateBatch(grid, np.array(rows), "davies-harte", "fbm", 0.3, 17, (0, 1, 2))
         if fmt == "csv":
             assert text == _rendered(_reference_csv, batch)
         else:

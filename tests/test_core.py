@@ -7,11 +7,12 @@ from selfsim.core import (
     GridSpec,
     LinearSampler,
     ParameterError,
+    ReplicateBatch,
     RngStream,
     SamplePath,
     generate_batch,
 )
-from selfsim.samplers import sample_bm
+from selfsim.samplers import bm_sampler, sample_bm
 
 
 class TestGridSpec:
@@ -66,18 +67,18 @@ class TestSamplePath:
 class TestGenerateBatch:
     def test_order_independence(self):
         grid = GridSpec(16)
-        sampler = lambda rng: sample_bm(grid, rng)
+        sampler = bm_sampler(grid)
         forward = generate_batch(sampler, 8, 99)
         backward = generate_batch(sampler, 8, 99, stream_ids=range(7, -1, -1))
-        by_id = {p.stream_id: p.values for p in backward.paths}
-        for path in forward.paths:
-            assert np.array_equal(path.values, by_id[path.stream_id])
+        by_id = dict(zip(backward.stream_ids, backward.values))
+        for stream_id, values in zip(forward.stream_ids, forward.values):
+            assert np.array_equal(values, by_id[stream_id])
 
     def test_reproducible_across_runs(self):
         grid = GridSpec(32)
-        sampler = lambda rng: sample_bm(grid, rng)
-        a = generate_batch(sampler, 4, 7).values_matrix()
-        b = generate_batch(sampler, 4, 7).values_matrix()
+        sampler = bm_sampler(grid)
+        a = generate_batch(sampler, 4, 7).values
+        b = generate_batch(sampler, 4, 7).values
         assert np.array_equal(a, b)
 
 
@@ -99,24 +100,26 @@ class TestLinearBatch:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_block_normals_match_stream(self, seed, k):
         batch = generate_batch(identity_sampler(k), 4, seed, stream_ids=self.STREAMS)
-        for path, stream_id in zip(batch.paths, self.STREAMS):
+        for values, batch_stream_id, stream_id in zip(batch.values, batch.stream_ids, self.STREAMS):
             expected = RngStream(seed, stream_id)
-            assert same_bits(path.values, expected.normals(k))
-            assert (path.seed, path.stream_id) == (expected.seed, expected.stream_id)
+            assert same_bits(values, expected.normals(k))
+            assert (batch.seed, batch_stream_id) == (expected.seed, expected.stream_id)
 
-    def test_paths_are_rows_with_own_info(self):
-        batch = generate_batch(identity_sampler(3), 3, 8)
-        base = batch.paths[0].values.base
-        assert base is not None and all(p.values.base is base for p in batch.paths)
-        infos = [p.info for p in batch.paths]
-        assert infos == [{"k": 3}] * 3 and len({id(i) for i in infos}) == 3
+    def test_batch_is_one_array_with_one_info(self):
+        sampler = identity_sampler(3)
+        batch = generate_batch(sampler, 3, 8)
+        assert type(batch.values) is np.ndarray and batch.values.shape == (3, 3)
+        assert (batch.count, batch.n, batch.stream_ids) == (3, 3, (0, 1, 2))
+        assert batch.info == {"k": 3} and batch.info is not sampler._planned[2]
+        assert (batch.method, batch.process, batch.hurst, batch.seed) == ("identity", "bm", 0.5, 8)
 
     def test_call_is_one_row_of_the_batch(self):
         sampler = identity_sampler(6)
         path = sampler(RngStream(9, 4))
         batch = generate_batch(sampler, 1, 9, stream_ids=[4])
-        assert same_bits(path.values, batch.paths[0].values)
-        assert path.info == batch.paths[0].info and path.info is not batch.paths[0].info
+        assert same_bits(path.values, batch.values[0])
+        assert (path.seed, path.stream_id) == (batch.seed, batch.stream_ids[0])
+        assert path.info == batch.info and path.info is not batch.info
 
     def test_empty_batch_rejected_before_plan(self):
         def plan():
@@ -145,3 +148,47 @@ class TestLinearBatch:
         )
         with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
             generate_batch(sampler, 3, 1)
+
+    def test_callable_rejected(self):
+        grid = GridSpec(4)
+        with pytest.raises(TypeError, match="LinearSampler"):
+            generate_batch(lambda rng: sample_bm(grid, rng), 3, 1)
+
+    def test_stream_ids_length_checked_before_plan(self):
+        def plan():
+            raise AssertionError("plan built for a batch with the wrong stream ids")
+
+        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, plan)
+        with pytest.raises(ValueError, match="stream_ids"):
+            generate_batch(sampler, 3, 1, stream_ids=[0, 1])
+
+
+class TestReplicateBatch:
+    @staticmethod
+    def make(values, stream_ids=None):
+        ids = tuple(range(len(values))) if stream_ids is None else stream_ids
+        return ReplicateBatch(GridSpec(4), values, "identity", "bm", 0.5, 0, ids)
+
+    def test_accepts_a_finite_matrix(self):
+        batch = self.make(np.ones((2, 4)))
+        assert (batch.count, batch.n, batch.info) == (2, 4, {})
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,), (1, 2, 4)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="shape"):
+            self.make(np.zeros(shape), stream_ids=(0, 1))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ParameterError):
+            self.make(np.zeros((0, 4)))
+
+    def test_stream_ids_must_match_rows(self):
+        with pytest.raises(ValueError, match="stream_ids"):
+            self.make(np.zeros((2, 4)), stream_ids=(0,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        values = np.zeros((3, 4))
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            self.make(values)

@@ -10,6 +10,7 @@ from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
 from selfsim.lamperti import (
     error_bound_diagnostics,
     grid_map,
+    lamperti_sampler,
     marginal_variance_profile,
     simulate_lamperti,
     theoretical_variance,
@@ -61,28 +62,22 @@ class TestSimulateLamperti:
 
     def test_fbm_terminal_variance(self):
         grid = GridSpec(128)
-        batch = generate_batch(
-            lambda r: simulate_lamperti("fbm", 0.7, grid, r), 20_000, 50
-        )
-        var = batch.values_matrix()[:, -1].var(ddof=1)
+        batch = generate_batch(lamperti_sampler("fbm", 0.7, grid), 20_000, 50)
+        var = batch.values[:, -1].var(ddof=1)
         assert abs(var - 1.0) <= 4 * math.sqrt(2 / 20_000)
 
     def test_sfbm_terminal_variance(self):
         grid = GridSpec(128)
-        batch = generate_batch(
-            lambda r: simulate_lamperti("sfbm", 0.7, grid, r), 20_000, 51
-        )
+        batch = generate_batch(lamperti_sampler("sfbm", 0.7, grid), 20_000, 51)
         target = 2.0 - 2.0**0.4
-        var = batch.values_matrix()[:, -1].var(ddof=1)
+        var = batch.values[:, -1].var(ddof=1)
         assert abs(var - target) <= 4 * target * math.sqrt(2 / 20_000)
 
     def test_marginal_scaling_uses_grid_value(self):
         # X(j/n) must equal (j/n)^H times a stationary value: the path at a
         # dyadic node j with theta = 0 has variance (j/n)^{2H} exactly in law
         grid = GridSpec(256)
-        batch = generate_batch(
-            lambda r: simulate_lamperti("fbm", 0.2, grid, r), 20_000, 52
-        )
+        batch = generate_batch(lamperti_sampler("fbm", 0.2, grid), 20_000, 52)
         report = marginal_variance_profile(batch, "fbm", 0.2)
         assert report.verdict
 
@@ -90,9 +85,7 @@ class TestSimulateLamperti:
 class TestVarianceProfile:
     def test_brownian_midpoint(self):
         grid = GridSpec(64)
-        batch = generate_batch(
-            lambda r: simulate_lamperti("fbm", 0.5, grid, r), 20_000, 53
-        )
+        batch = generate_batch(lamperti_sampler("fbm", 0.5, grid), 20_000, 53)
         report = marginal_variance_profile(batch, "fbm", 0.5)
         mid = report.details[31]
         assert mid["target"] == pytest.approx(0.5)
@@ -105,16 +98,11 @@ class TestVarianceProfile:
 
     def test_constant_zero_batch_fails(self):
         # negative control: degenerate paths violate the variance profile
-        from selfsim.core import SamplePath
-
-        grid = GridSpec(8)
-        paths = tuple(
-            SamplePath(grid, np.zeros(8), "lamperti", "fbm", 0.5, 0, i)
-            for i in range(200)
-        )
         from selfsim.core import ReplicateBatch
 
-        batch = ReplicateBatch(200, 0, paths)
+        batch = ReplicateBatch(
+            GridSpec(8), np.zeros((200, 8)), "lamperti", "fbm", 0.5, 0, tuple(range(200))
+        )
         assert not marginal_variance_profile(batch, "fbm", 0.5).verdict
 
 

@@ -1,6 +1,8 @@
 """Sampler tests: Monte Carlo moments against exact kernels, embedding
 repair behavior, and Cholesky jitter handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from selfsim.samplers import (
     circulant_spectrum,
     davies_harte_fbm,
     davies_harte_sampler,
+    ma_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,
@@ -26,13 +29,13 @@ from selfsim.samplers import (
 
 
 def batch_values(sampler, count, seed):
-    return generate_batch(sampler, count, seed).values_matrix()
+    return generate_batch(sampler, count, seed).values
 
 
 class TestSampleBm:
     def test_terminal_variance_and_midpoint_covariance(self):
         grid = GridSpec(16)
-        values = batch_values(lambda r: sample_bm(grid, r), 100_000, 2024)
+        values = batch_values(bm_sampler(grid), 100_000, 2024)
         assert values[:, -1].var(ddof=1) == pytest.approx(1.0, abs=0.02)
         cov = np.cov(values[:, 7], values[:, -1])[0, 1]
         assert cov == pytest.approx(0.5, abs=0.02)
@@ -41,7 +44,7 @@ class TestSampleBm:
         grid = GridSpec(1)
         path = sample_bm(grid, RngStream(5, 0))
         assert path.values.shape == (1,)
-        values = batch_values(lambda r: sample_bm(grid, r), 20_000, 6)
+        values = batch_values(bm_sampler(grid), 20_000, 6)
         assert values[:, 0].var(ddof=1) == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
@@ -83,7 +86,7 @@ class TestCholeskySample:
     def test_covariance_matches_kernel(self):
         grid = GridSpec(16)
         kernel = fbm_kernel(0.7)
-        values = batch_values(lambda r: cholesky_sample(kernel, grid, r), 50_000, 31)
+        values = batch_values(cholesky_sampler(kernel, grid), 50_000, 31)
         emp = np.cov(values, rowvar=False)
         target = kernel.gram(grid.times())
         m = values.shape[0]
@@ -93,14 +96,22 @@ class TestCholeskySample:
     def test_brownian_reduction_increment_variance(self):
         grid = GridSpec(32)
         kernel = fbm_kernel(0.5)
-        values = batch_values(lambda r: cholesky_sample(kernel, grid, r), 20_000, 32)
+        values = batch_values(cholesky_sampler(kernel, grid), 20_000, 32)
         incr = np.diff(np.hstack([np.zeros((values.shape[0], 1)), values]), axis=1)
         assert incr.var(ddof=1) == pytest.approx(1 / 32, rel=0.05)
+
+    def test_kernel_built_directly_is_validated(self):
+        from selfsim.core import ParameterError
+        from selfsim.covmodels import CovarianceKernel
+
+        for kernel in (CovarianceKernel("bm", 0.5), CovarianceKernel("fbm", 1.5)):
+            with pytest.raises(ParameterError):
+                cholesky_sample(kernel, GridSpec(4), RngStream(0, 0))
 
     def test_sfbm_terminal_variance(self):
         grid = GridSpec(16)
         kernel = sfbm_kernel(0.7)
-        values = batch_values(lambda r: cholesky_sample(kernel, grid, r), 20_000, 33)
+        values = batch_values(cholesky_sampler(kernel, grid), 20_000, 33)
         target = 2.0 - 2.0**0.4
         assert values[:, -1].var(ddof=1) == pytest.approx(target, rel=0.05)
 
@@ -172,7 +183,7 @@ class TestCirculantSample:
 class TestDaviesHarte:
     def test_midpoint_covariance(self):
         grid = GridSpec(64)
-        values = batch_values(lambda r: davies_harte_fbm(grid, 0.7, r), 100_000, 8)
+        values = batch_values(davies_harte_sampler(grid, 0.7), 100_000, 8)
         emp = np.cov(values[:, 31], values[:, -1])[0, 1]
         from selfsim.covmodels import fbm_cov
 
@@ -182,7 +193,7 @@ class TestDaviesHarte:
 
     def test_brownian_reduction(self):
         grid = GridSpec(64)
-        values = batch_values(lambda r: davies_harte_fbm(grid, 0.5, r), 20_000, 9)
+        values = batch_values(davies_harte_sampler(grid, 0.5), 20_000, 9)
         incr = np.diff(np.hstack([np.zeros((values.shape[0], 1)), values]), axis=1)
         assert incr.var(ddof=1) == pytest.approx(1 / 64, rel=0.05)
 
@@ -190,14 +201,15 @@ class TestDaviesHarte:
         grid = GridSpec(32)
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
-        from selfsim.samplers import _fgn_spectrum
-
-        fgn = circulant_sample(_fgn_spectrum(32, 0.6, 0, True), 32, RngStream(10, 3))
+        spectrum = circulant_spectrum(
+            lambda k: fgn_acf(k, 32, 0.6), 32, max_doublings=0, clamp_all=True
+        )
+        fgn = circulant_sample(spectrum, 32, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
 
     def test_wood_chan_matches_target_covariance(self):
         grid = GridSpec(32)
-        values = batch_values(lambda r: wood_chan_fbm(grid, 0.8, r), 50_000, 12)
+        values = batch_values(wood_chan_sampler(grid, 0.8), 50_000, 12)
         assert values[:, -1].var(ddof=1) == pytest.approx(1.0, rel=0.05)
 
 
@@ -215,6 +227,20 @@ class TestMovingAverage:
             ref = (integral + 1 / (2 * hurst)) ** -0.5
             assert normalizing_constant_CH(hurst) == pytest.approx(ref, abs=1e-8)
 
+    def test_weights_below_half_raise_no_warning(self):
+        # for H < 1/2 the kernel's powers are infinite at u = t and u = 0,
+        # where they are masked; that must not print RuntimeWarnings
+        from selfsim.samplers import MA_DEFAULT_SUBSTEPS, MA_DEFAULT_TRUNCATION, _ma_weights
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, hurst in ((2, 0.3), (16, 0.1)):
+                # the uncached function, so an earlier test's weights are not reused
+                weights = _ma_weights.__wrapped__(
+                    n, hurst, MA_DEFAULT_TRUNCATION, MA_DEFAULT_SUBSTEPS
+                )
+                assert np.all(np.isfinite(weights))
+
     def test_variance_roundtrip_with_long_horizon(self):
         # deterministic reconstruction of Var(B^H(1)) from the discretized
         # kernel with the normalization applied
@@ -226,20 +252,12 @@ class TestMovingAverage:
 
     def test_brownian_reduction(self):
         grid = GridSpec(32)
-        values = batch_values(
-            lambda r: ma_truncated_fbm(grid, 0.5, r, truncation=2.0, substeps=4),
-            20_000,
-            21,
-        )
+        values = batch_values(ma_sampler(grid, 0.5, truncation=2.0, substeps=4), 20_000, 21)
         assert values[:, -1].var(ddof=1) == pytest.approx(1.0, rel=0.05)
 
     def test_terminal_variance_normalized(self):
         grid = GridSpec(32)
-        values = batch_values(
-            lambda r: ma_truncated_fbm(grid, 0.7, r, truncation=50.0, substeps=8),
-            20_000,
-            22,
-        )
+        values = batch_values(ma_sampler(grid, 0.7, truncation=50.0, substeps=8), 20_000, 22)
         assert values[:, -1].var(ddof=1) == pytest.approx(1.0, abs=0.05)
 
     def test_truncation_bias_on_increment_covariance(self):
@@ -252,11 +270,7 @@ class TestMovingAverage:
         target = fgn_acf(lag, n, hurst)
 
         def lag_cov(truncation, seed):
-            values = batch_values(
-                lambda r: ma_truncated_fbm(grid, hurst, r, truncation=truncation),
-                m_rep,
-                seed,
-            )
+            values = batch_values(ma_sampler(grid, hurst, truncation=truncation), m_rep, seed)
             incr = np.diff(np.hstack([np.zeros((m_rep, 1)), values]), axis=1)
             # average products within each path first; replicates are the
             # independent unit for the standard error
@@ -308,14 +322,14 @@ class TestLinearSamplers:
         return sampler, _public_sampler(method, process, hurst, GridSpec(n))
 
     def _assert_same(self, batch, public, stream_ids):
-        infos = set()
-        for path, stream_id in zip(batch.paths, stream_ids, strict=True):
+        assert batch.values.shape == (len(stream_ids), batch.n)
+        rows = zip(batch.values, batch.stream_ids, stream_ids, strict=True)
+        for row, batch_stream_id, stream_id in rows:
             expected = public(RngStream(self.SEED, stream_id))
-            assert np.array_equal(path.values.view(np.uint64), expected.values.view(np.uint64))
-            for field in ("method", "process", "hurst", "seed", "stream_id", "info"):
-                assert getattr(path, field) == getattr(expected, field), field
-            infos.add(id(path.info))
-        assert len(infos) == len(batch.paths)
+            assert np.array_equal(row.view(np.uint64), expected.values.view(np.uint64))
+            for field in ("method", "process", "hurst", "seed", "info"):
+                assert getattr(batch, field) == getattr(expected, field), field
+            assert batch_stream_id == expected.stream_id
 
     @pytest.mark.parametrize("method, process", _table_pairs())
     def test_batch_counts_around_block_size(self, method, process):

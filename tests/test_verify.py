@@ -9,11 +9,10 @@ from selfsim.core import (
     ParameterError,
     ReplicateBatch,
     RngStream,
-    SamplePath,
     generate_batch,
 )
 from selfsim.covmodels import fbm_cov, fbm_kernel
-from selfsim.samplers import cholesky_sample, davies_harte_fbm, sample_bm
+from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
 from selfsim.verify import (
     covariance_match,
     empirical_covariance,
@@ -26,18 +25,14 @@ from selfsim.verify import (
 
 def synthetic_batch(values, method="cholesky", process="fbm", hurst=0.5):
     m, n = values.shape
-    grid = GridSpec(n)
-    paths = tuple(
-        SamplePath(grid, values[i], method, process, hurst, 0, i) for i in range(m)
-    )
-    return ReplicateBatch(m, 0, paths)
+    return ReplicateBatch(GridSpec(n), values, method, process, hurst, 0, tuple(range(m)))
 
 
 class TestEmpiricalCovariance:
     def test_exact_sampler_vs_kernel(self):
         grid = GridSpec(16)
         kernel = fbm_kernel(0.7)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 50_000, 60)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 50_000, 60)
         est, se = empirical_covariance(batch, [(8, 16)])
         target = fbm_cov(0.5, 1.0, 0.7)
         assert abs(est[0] - target) <= 4 * se[0]
@@ -64,26 +59,26 @@ class TestCovarianceMatch:
     def test_exact_sampler_passes(self):
         grid = GridSpec(32)
         kernel = fbm_kernel(0.6)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 20_000, 61)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 61)
         assert covariance_match(batch, kernel).verdict
 
     def test_wrong_kernel_fails(self):
         # negative control: paths with H=0.8 against the H=0.5 kernel
         grid = GridSpec(32)
-        batch = generate_batch(lambda r: davies_harte_fbm(grid, 0.8, r), 20_000, 62)
+        batch = generate_batch(davies_harte_sampler(grid, 0.8), 20_000, 62)
         assert not covariance_match(batch, fbm_kernel(0.5)).verdict
 
     def test_stride_defaults(self):
         grid = GridSpec(128)
         kernel = fbm_kernel(0.5)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 5_000, 63)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 5_000, 63)
         report = covariance_match(batch, kernel)
         assert len(report.details[0]["nodes"]) == 32  # stride 4 above n=64
 
     def test_report_roundtrip(self):
         grid = GridSpec(16)
         kernel = fbm_kernel(0.5)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 1_000, 64)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 1_000, 64)
         report = covariance_match(batch, kernel)
         payload = report.to_dict()
         for key in (
@@ -105,7 +100,7 @@ class TestCovarianceMatch:
 class TestNormality:
     def test_gaussian_passes(self):
         grid = GridSpec(16)
-        batch = generate_batch(lambda r: sample_bm(grid, r), 10_000, 65)
+        batch = generate_batch(bm_sampler(grid), 10_000, 65)
         assert normality_check(batch, 16).verdict
 
     def test_uniform_noise_fails(self):
@@ -127,14 +122,14 @@ class TestMethodEquivalence:
     def test_same_law_passes(self):
         grid = GridSpec(32)
         kernel = fbm_kernel(0.7)
-        a = generate_batch(lambda r: davies_harte_fbm(grid, 0.7, r), 20_000, 66)
-        b = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 20_000, 67)
+        a = generate_batch(davies_harte_sampler(grid, 0.7), 20_000, 66)
+        b = generate_batch(cholesky_sampler(kernel, grid), 20_000, 67)
         assert method_equivalence(a, b).verdict
 
     def test_different_hurst_fails(self):
         grid = GridSpec(32)
-        a = generate_batch(lambda r: davies_harte_fbm(grid, 0.8, r), 20_000, 68)
-        b = generate_batch(lambda r: davies_harte_fbm(grid, 0.5, r), 20_000, 69)
+        a = generate_batch(davies_harte_sampler(grid, 0.8), 20_000, 68)
+        b = generate_batch(davies_harte_sampler(grid, 0.5), 20_000, 69)
         assert not method_equivalence(a, b).verdict
 
     def test_mismatched_grids_rejected(self):
@@ -145,8 +140,8 @@ class TestMethodEquivalence:
 
     def test_rerun_identical(self):
         grid = GridSpec(16)
-        a = generate_batch(lambda r: davies_harte_fbm(grid, 0.6, r), 2_000, 70)
-        b = generate_batch(lambda r: davies_harte_fbm(grid, 0.6, r), 2_000, 71)
+        a = generate_batch(davies_harte_sampler(grid, 0.6), 2_000, 70)
+        b = generate_batch(davies_harte_sampler(grid, 0.6), 2_000, 71)
         r1 = method_equivalence(a, b).to_dict()
         r2 = method_equivalence(a, b).to_dict()
         assert r1 == r2
@@ -156,14 +151,14 @@ class TestQuantileScaling:
     def test_self_similar_sampler_passes(self):
         grid = GridSpec(64)
         kernel = fbm_kernel(0.7)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 20_000, 72)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 72)
         assert quantile_scaling_check(batch, 0.5, 0.7).verdict
 
     def test_wrong_exponent_fails(self):
         # scaling by the wrong index breaks the quantile match
         grid = GridSpec(64)
         kernel = fbm_kernel(0.7)
-        batch = generate_batch(lambda r: cholesky_sample(kernel, grid, r), 20_000, 73)
+        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 73)
         assert not quantile_scaling_check(batch, 0.5, 0.2).verdict
 
     def test_off_grid_scale_rejected(self):
