@@ -107,9 +107,10 @@ class LinearSampler:
     """A sampler x = A z that maps k standard normals to one path.
 
     `plan()` returns (k, draw, info): `draw` maps a (rows, k) block of
-    normals to the (rows, n) paths row by row, and `info` is its record
-    (repairs, embedding size). It is called once, when paths are first
-    drawn, so the spectrum or factor behind it is not built before then.
+    normals to the (rows, n) paths, row by row or, for a dense map, in GEMMs
+    of `draw.gemm_rows` rows, so a row's bits never depend on its block; `info`
+    is its record (repairs, embedding size). It is called once, when paths are
+    first drawn, so the spectrum or factor behind it is not built before then.
     """
 
     grid: GridSpec
@@ -121,6 +122,13 @@ class LinearSampler:
     @functools.cached_property
     def _planned(self) -> tuple[int, Callable[[np.ndarray], np.ndarray], dict]:
         return self.plan()
+
+    @property
+    def _block_rows(self) -> int:
+        """Rows per block of `generate_batch`: 2**16 normals, or a multiple of the GEMM height."""
+        k, draw, _ = self._planned
+        height = getattr(draw, "gemm_rows", 1)
+        return max(height, 2**16 // k // height * height)
 
     def __call__(self, rng: RngStream) -> SamplePath:
         k, draw, info = self._planned
@@ -175,9 +183,9 @@ def generate_batch(
     """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]).
 
     The result is independent of generation order because stream i is fully
-    determined by (base_seed, i). The paths are drawn in blocks of at most
-    2**16 normals: one Generator is re-keyed to each stream, so row i holds
-    the bits of RngStream(base_seed, i).normals(k), and equals
+    determined by (base_seed, i). The paths are drawn in blocks of
+    `sampler._block_rows` rows: one Generator is re-keyed to each stream, so
+    row i holds the bits of RngStream(base_seed, i).normals(k), and equals
     sampler(RngStream(base_seed, i)).values.
     """
     if not isinstance(sampler, LinearSampler):
@@ -191,7 +199,7 @@ def generate_batch(
     seed = base_seed & _MASK64
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
-    z = np.empty((max(1, 2**16 // k), k))
+    z = np.empty((sampler._block_rows, k))
     values = np.empty((count, sampler.grid.n))
     for start in range(0, count, len(z)):
         block = ids[start : start + len(z)]

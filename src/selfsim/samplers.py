@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import lapack
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
@@ -48,6 +47,7 @@ JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
 MA_DEFAULT_TRUNCATION = 50.0
 MA_DEFAULT_SUBSTEPS = 8
+_GEMM_ROWS = 16  # height of every GEMM of a dense map x = A z (`_dense_map`)
 
 
 class EmbeddingError(RuntimeError):
@@ -90,9 +90,22 @@ class CholeskyFactor:
     jitter: float
 
 
-def _rowwise(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> matrix @ z one row at a time, so a path's bits do not depend on its block."""
-    return lambda z: np.array([matrix @ row for row in z])
+def _dense_map(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> z @ matrix.T as GEMMs of exactly _GEMM_ROWS rows, zero-padded.
+
+    OpenBLAS picks its kernel by the product's shape, so a row's bits change
+    with the height of its GEMM, but not with its position or neighbours at
+    one height (a BLAS property, not a numpy guarantee, that the tests pin).
+    """
+
+    def draw(z):
+        rows = len(z)
+        if rows % _GEMM_ROWS:
+            z = np.concatenate([z, np.zeros((-rows % _GEMM_ROWS, z.shape[1]))])
+        return np.concatenate([b @ matrix.T for b in np.split(z, len(z) // _GEMM_ROWS)])[:rows]
+
+    draw.gemm_rows = _GEMM_ROWS
+    return draw
 
 
 @functools.lru_cache(maxsize=64)
@@ -139,7 +152,7 @@ def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
     def plan():
         # make_kernel validates a kernel built directly from CovarianceKernel
         factor = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
-        return grid.n, _rowwise(factor.lower), {"jitter": factor.jitter}
+        return grid.n, _dense_map(factor.lower), {"jitter": factor.jitter}
 
     return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, plan)
 
@@ -279,25 +292,14 @@ def wood_chan_fbm(
     return wood_chan_sampler(grid, hurst, max_doublings)(rng)
 
 
-@functools.lru_cache(maxsize=32)
 def normalizing_constant_CH(hurst: float) -> float:
     """The moving-average normalization making Var(B^H(1)) = 1.
 
-    C_H = (I + 1/(2H))^{-1/2} with
-    I = integral over v > 0 of ((1+v)^{H-1/2} - v^{H-1/2})^2 dv.
+    C_H = (I + 1/(2H))^{-1/2}, I = integral over v > 0 of ((1+v)^{H-1/2} - v^{H-1/2})^2 dv;
+    in closed form, C_H = sqrt(Gamma(2H+1) sin(pi H)) / Gamma(H+1/2).
     """
-    hurst = _check_hurst(hurst)
-    if hurst == 0.5:
-        return 1.0
-    f = lambda v: ((1.0 + v) ** (hurst - 0.5) - v ** (hurst - 0.5)) ** 2
-    head, err1 = integrate.quad(f, 0.0, 1.0, limit=400, epsabs=1e-12, epsrel=1e-11)
-    tail, err2 = integrate.quad(f, 1.0, np.inf, limit=400, epsabs=1e-12, epsrel=1e-11)
-    total = head + tail
-    if err1 + err2 > 1e-6 * max(1.0, total):
-        raise ArithmeticError(
-            f"normalization quadrature did not converge (error {err1 + err2:.3e})"
-        )
-    return (total + 0.5 / hurst) ** -0.5
+    h = _check_hurst(hurst)
+    return math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)) / math.gamma(h + 0.5)
 
 
 @functools.lru_cache(maxsize=16)
@@ -334,7 +336,7 @@ def ma_sampler(
             raise ParameterError("substeps must be >= 1")
         weights = _ma_weights(grid.n, checked, float(truncation), int(substeps))
         info = {"truncation": float(truncation), "substeps": int(substeps)}
-        return weights.shape[1], _rowwise(weights), info
+        return weights.shape[1], _dense_map(weights), info
 
     return LinearSampler(grid, "ma-truncated", "fbm", float(hurst), plan)
 

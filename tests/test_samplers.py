@@ -227,6 +227,21 @@ class TestMovingAverage:
             ref = (integral + 1 / (2 * hurst)) ** -0.5
             assert normalizing_constant_CH(hurst) == pytest.approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("hurst", [0.85, 0.9, 0.95, 0.99])
+    def test_normalizing_constant_high_hurst(self, hurst):
+        # the equivalent form sqrt(2H Gamma(3/2-H) / (Gamma(H+1/2) Gamma(2-2H))),
+        # in high precision; the integral's slow tail defeats quadrature here
+        import mpmath
+
+        h = mpmath.mpf(hurst)
+        gammas = mpmath.gamma(1.5 - h) / (mpmath.gamma(h + 0.5) * mpmath.gamma(2 - 2 * h))
+        ref = float(mpmath.sqrt(2 * h * gammas))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert normalizing_constant_CH(hurst) == pytest.approx(ref, rel=1e-13)
+            path = ma_truncated_fbm(GridSpec(2), hurst, RngStream(0), truncation=2.0)
+        assert np.all(np.isfinite(path.values))
+
     def test_weights_below_half_raise_no_warning(self):
         # for H < 1/2 the kernel's powers are infinite at u = t and u = 0,
         # where they are masked; that must not print RuntimeWarnings
@@ -334,7 +349,7 @@ class TestLinearSamplers:
     @pytest.mark.parametrize("method, process", _table_pairs())
     def test_batch_counts_around_block_size(self, method, process):
         sampler, public = self._pair(method, process)
-        rows = max(1, 2**16 // sampler.plan()[0])
+        rows = sampler._block_rows  # the height of generate_batch's blocks of normals
         for count in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 1}):
             batch = generate_batch(sampler, count, self.SEED)
             self._assert_same(batch, public, range(count))
@@ -359,3 +374,37 @@ class TestLinearSamplers:
         for method, build in builds.items():
             sampler = build()
             assert build() is sampler and sampler.method == method
+
+
+class TestDenseMapRows:
+    """Each row of a dense map's batch has the bits of its per-path call.
+
+    OpenBLAS picks its GEMM kernel by the product's shape, so these shapes
+    fail if `_dense_map` multiplies a whole block in one GEMM of variable
+    height. That rows of a fixed-height GEMM do not depend on their position
+    or neighbours is a property of the BLAS, not a numpy guarantee.
+    """
+
+    SEED = 31
+
+    @staticmethod
+    def _stream_ids(count):
+        # out of order, and repeated in the larger batches
+        return [2**63 + 5] + [(7 * i) % (count // 2 + 1) for i in range(count - 1, 0, -1)]
+
+    SAMPLERS = {
+        **{
+            f"ma-{n}-T{t:g}": ma_sampler(GridSpec(n), 0.7, truncation=t)
+            for n, t in ((2, 2.0), (16, 1.0), (32, 2.0), (64, 50.0))
+        },
+        **{f"chol-{n}": cholesky_sampler(fbm_kernel(0.7), GridSpec(n)) for n in (32, 64, 256)},
+    }
+
+    @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    def test_rows_equal_per_path_calls(self, sampler, count):
+        ids = self._stream_ids(count)
+        batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
+        for row, stream_id in zip(batch.values, ids, strict=True):
+            expected = sampler(RngStream(self.SEED, stream_id)).values
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), stream_id
