@@ -247,9 +247,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "paths": paths,
                 "seed": seed,
                 "format": fmt,
+                **batch.info,
             }
-            if method == "ma-truncated":
-                meta.update(batch.info)
             _write_json(batch, meta, stream)
     return EXIT_OK
 

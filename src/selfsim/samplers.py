@@ -302,31 +302,35 @@ def normalizing_constant_CH(hurst: float) -> float:
     return math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)) / math.gamma(h + 0.5)
 
 
-@functools.lru_cache(maxsize=16)
 def _ma_weights(n: int, hurst: float, truncation: float, substeps: int) -> np.ndarray:
-    """Linear map from the white-noise vector to (X(1/n), ..., X(1)).
+    """The (n, k) Riemann weights W: (X(1/n), ..., X(1)) = W z for k white noises.
 
-    Left-point Riemann rule with step 1/(substeps*n) on [-truncation, 1).
+    Left-point rule with step 1/(substeps*n) on [-truncation, 1). Not cached:
+    `ma_sampler` keeps only the n x n factor of W W^T, so W is freed after it.
     """
     step = 1.0 / (substeps * n)
     n_neg = int(round(truncation * substeps * n))
     u = np.arange(-n_neg, substeps * n, dtype=float) * step
     t = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    uu = u[None, :]
-    # for H < 1/2 the powers are infinite at u = t and u = 0, where np.where masks them
+    # built in place; from u = t on the powers are infinite or NaN, and the mask zeroes them
+    weights = t - u
     with np.errstate(divide="ignore", invalid="ignore"):
-        forward = np.where(uu < t - step / 2, (t - uu) ** (hurst - 0.5), 0.0)
-        backward = np.where(uu < 0.0, np.abs(uu) ** (hurst - 0.5), 0.0)
-    return normalizing_constant_CH(hurst) * math.sqrt(step) * (forward - backward)
+        weights **= hurst - 0.5
+    weights[u >= t - step / 2] = 0.0
+    weights[:, :n_neg] -= (-u[:n_neg]) ** (hurst - 0.5)
+    weights *= normalizing_constant_CH(hurst) * math.sqrt(step)
+    return weights
 
 
+@functools.lru_cache(maxsize=64)
 def ma_sampler(
     grid: GridSpec,
     hurst: float,
     truncation: float = MA_DEFAULT_TRUNCATION,
     substeps: int = MA_DEFAULT_SUBSTEPS,
 ) -> LinearSampler:
-    """The map x = W z of `ma_truncated_fbm`."""
+    """The law N(0, W W^T) of `ma_truncated_fbm`, drawn as L z from n normals per path:
+    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`)."""
 
     def plan():
         checked = _check_hurst(hurst)
@@ -335,8 +339,9 @@ def ma_sampler(
         if substeps < 1:
             raise ParameterError("substeps must be >= 1")
         weights = _ma_weights(grid.n, checked, float(truncation), int(substeps))
-        info = {"truncation": float(truncation), "substeps": int(substeps)}
-        return weights.shape[1], _dense_map(weights), info
+        factor = cholesky_factor(weights @ weights.T)
+        info = {"truncation": float(truncation), "substeps": int(substeps), "jitter": factor.jitter}
+        return grid.n, _dense_map(factor.lower), info
 
     return LinearSampler(grid, "ma-truncated", "fbm", float(hurst), plan)
 
@@ -354,8 +359,8 @@ def ma_truncated_fbm(
     visibly for H > 1/2, where the discarded tail decays slowly); this
     sampler exists to make that bias measurable, not to be exact.
 
-    The draw has exactly the covariance W W^T of its weight matrix W, up
-    to the Riemann rule. With T = truncation, it lacks
+    The draw is L z with L L^T = W W^T, the covariance of the Riemann-rule
+    weight matrix W, from n normals per path. With T = truncation, it lacks
     C_H^2 * integral over v > T of ((s+v)^{H-1/2} - v^{H-1/2}) *
     ((t+v)^{H-1/2} - v^{H-1/2}) dv at (s, t). For large T this is about
     C_H^2 (H-1/2)^2 s t T^{2H-2} / (2-2H). At H = 0.8, T = 50 the

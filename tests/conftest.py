@@ -8,10 +8,7 @@ import pytest
 
 # Above 5 s in `pytest --durations=15` on a 2-vCPU VM (Python 3.11, numpy 2.4).
 SLOW = {
-    "tests/test_acceptance.py::TestAcceptance::test_08_truncation_bias",
     "tests/test_samplers.py::TestCirculantSample::test_empirical_acf_matches_input",
-    "tests/test_samplers.py::TestMovingAverage::test_terminal_variance_normalized",
-    "tests/test_samplers.py::TestMovingAverage::test_truncation_bias_on_increment_covariance",
 }
 
 

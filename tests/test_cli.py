@@ -126,6 +126,14 @@ class TestSimulate:
         assert len(payload["paths"][0]) == 33
         assert payload["paths"][0][0] == 0.0
 
+    def test_json_meta_carries_sampler_info(self, tmp_path):
+        # the clamp of the lamperti fBm spectrum at H = 0.8 is in the output itself
+        out = tmp_path / "p.json"
+        argv = "simulate --process fbm --method lamperti --hurst 0.8 --n 256 --format json"
+        assert run([*argv.split(), "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["clamped_count"] == 209 and meta["embedding_size"] == 512
+
     def test_invalid_combination_exits_2(self):
         assert (
             run(

@@ -250,10 +250,7 @@ class TestMovingAverage:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for n, hurst in ((2, 0.3), (16, 0.1)):
-                # the uncached function, so an earlier test's weights are not reused
-                weights = _ma_weights.__wrapped__(
-                    n, hurst, MA_DEFAULT_TRUNCATION, MA_DEFAULT_SUBSTEPS
-                )
+                weights = _ma_weights(n, hurst, MA_DEFAULT_TRUNCATION, MA_DEFAULT_SUBSTEPS)
                 assert np.all(np.isfinite(weights))
 
     def test_variance_roundtrip_with_long_horizon(self):
@@ -297,6 +294,33 @@ class TestMovingAverage:
         assert abs(est_tight - target) > 4 * se_tight
         assert abs(est_wide - target) < abs(est_tight - target) / 2
         assert abs(est_wide - target) <= 0.10 * target
+
+    def test_factor_reproduces_weight_gram(self, monkeypatch):
+        # deterministic exactness: the map is the n x n factor L of W W^T, so
+        # the draw has W's law from n normals; no jitter fires on this sweep.
+        # W is the one the plan builds, recorded rather than built twice.
+        from selfsim import samplers
+
+        built, build = [], samplers._ma_weights
+
+        def record(*args):
+            built.append((args, build(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(samplers, "_ma_weights", record)
+        for n in (2, 16, 64, 128):
+            eye = np.eye(n)
+            for truncation in (1.0, 2.0, 50.0):
+                for hurst in (0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95, 0.99):
+                    case = (n, hurst, truncation, samplers.MA_DEFAULT_SUBSTEPS)
+                    built.clear()
+                    k, draw, info = ma_sampler(GridSpec(n), hurst, truncation=truncation).plan()
+                    [(args, weights)] = built
+                    lower = draw(eye).T  # the rows of I L^T, exactly
+                    gram = weights @ weights.T
+                    assert args == case and k == n and info["jitter"] == 0.0, case
+                    error = np.abs(lower @ lower.T - gram).max()
+                    assert error <= 1e-14 * np.abs(gram).max(), case
 
 
 def _public_sampler(method, process, hurst, grid):
@@ -369,6 +393,7 @@ class TestLinearSamplers:
             "cholesky": lambda: cholesky_sampler(fbm_kernel(0.7), GridSpec(16)),
             "davies-harte": lambda: davies_harte_sampler(GridSpec(16), 0.7),
             "circulant": lambda: wood_chan_sampler(GridSpec(16), 0.7),
+            "ma-truncated": lambda: ma_sampler(GridSpec(16), 0.7),
             "lamperti": lambda: lamperti_sampler("sfbm", 0.7, GridSpec(16)),
         }
         for method, build in builds.items():
