@@ -330,7 +330,8 @@ def ma_sampler(
     substeps: int = MA_DEFAULT_SUBSTEPS,
 ) -> LinearSampler:
     """The law N(0, W W^T) of `ma_truncated_fbm`, drawn as L z from n normals per path:
-    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`)."""
+    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`).
+    The plan's W W^T costs n^2 k / 2 multiply-adds, n / 2 paths' worth of W z."""
 
     def plan():
         checked = _check_hurst(hurst)
