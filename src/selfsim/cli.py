@@ -1,6 +1,9 @@
 """Command-line front end: simulate path batches, run verification suites,
 and benchmark methods, with reproducible seeds and CSV/JSON output.
 
+Every option is resolved and checked once, from `_OPTIONS`, before a command
+runs, so a malformed option is a usage error even where it is not used.
+
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
 (including invalid process/method combinations, malformed values, bad
 config files and an unwritable output path), 3 numerical failure (e.g.
@@ -43,68 +46,83 @@ from .samplers import (
     ma_sampler,
     wood_chan_sampler,
 )
-from .verify import covariance_match, method_equivalence, normality_check
+from .verify import VerificationReport, covariance_match, method_equivalence, normality_check
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-# Each method once: the processes it samples, and a builder that takes
-# (args, process, hurst, grid) and returns its LinearSampler.
+# Each method once: the processes it samples, and a builder that takes the
+# resolved options and a grid and returns its LinearSampler.
 METHOD_TABLE = {
-    "bm-cumsum": (("bm",), lambda args, process, hurst, grid: bm_sampler(grid)),
+    "bm-cumsum": (("bm",), lambda o, grid: bm_sampler(grid)),
     "cholesky": (
         ("fbm", "sfbm"),
-        lambda args, process, hurst, grid: cholesky_sampler(make_kernel(process, hurst), grid),
+        lambda o, grid: cholesky_sampler(make_kernel(o.process, o.hurst), grid),
     ),
-    "davies-harte": (
-        ("fbm",),
-        lambda args, process, hurst, grid: davies_harte_sampler(grid, hurst),
-    ),
-    "circulant": (
-        ("fbm",),
-        lambda args, process, hurst, grid: wood_chan_sampler(
-            grid, hurst, _resolve(args, "embedding_cap", int)
-        ),
-    ),
+    "davies-harte": (("fbm",), lambda o, grid: davies_harte_sampler(grid, o.hurst)),
+    "circulant": (("fbm",), lambda o, grid: wood_chan_sampler(grid, o.hurst, o.embedding_cap)),
     "ma-truncated": (
         ("fbm",),
-        lambda args, process, hurst, grid: ma_sampler(
-            grid,
-            hurst,
-            truncation=_resolve(args, "truncation", float),
-            substeps=_resolve(args, "substeps", int),
-        ),
+        lambda o, grid: ma_sampler(grid, o.hurst, truncation=o.truncation, substeps=o.substeps),
     ),
-    "lamperti": (
-        ("fbm", "sfbm"),
-        lambda args, process, hurst, grid: lamperti_sampler(process, hurst, grid),
-    ),
+    "lamperti": (("fbm", "sfbm"), lambda o, grid: lamperti_sampler(o.process, o.hurst, grid)),
 }
 PROCESSES = tuple(sorted({p for processes, _ in METHOD_TABLE.values() for p in processes}))
 
 SUITES = ("marginals", "covariance", "normality", "equivalence", "error-bound")
-
-_DEFAULTS = {
-    "process": "fbm",
-    "method": "davies-harte",
-    "hurst": 0.5,
-    "n": 256,
-    "paths": 1,
-    "seed": DEFAULT_SEED,
-    "out": None,
-    "format": "csv",
-    "truncation": MA_DEFAULT_TRUNCATION,
-    "substeps": MA_DEFAULT_SUBSTEPS,
-    "embedding_cap": MAX_DOUBLINGS,
-    "suite": "marginals",
-    "baseline": "cholesky",
-}
+FORMATS = ("csv", "json")
 
 
 class UsageError(Exception):
     pass
+
+
+def _int_list(value) -> list[int]:
+    return [int(part) for part in str(value).split(",")]
+
+
+def _positive_int(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(value)
+    return count
+
+
+def _methods(value) -> str:
+    """A comma list of METHOD_TABLE names: bench times each, the others take one."""
+    if not set(value.split(",")) <= METHOD_TABLE.keys():
+        raise ValueError(value)
+    return value
+
+
+def _choice(*allowed):
+    def cast(value):
+        if value not in allowed:
+            raise ValueError(value)
+        return value
+
+    return cast
+
+
+# Every option once: its default and the cast that checks it. A cast raises
+# ValueError on a malformed value; `main` turns that into a usage error.
+_OPTIONS = {
+    "process": ("fbm", _choice(*PROCESSES)),
+    "method": ("davies-harte", _methods),
+    "hurst": (0.5, float),
+    "n": (256, _int_list),
+    "paths": (1, _positive_int),
+    "seed": (DEFAULT_SEED, int),
+    "out": (None, str),
+    "format": ("csv", _choice(*FORMATS)),
+    "truncation": (MA_DEFAULT_TRUNCATION, float),
+    "substeps": (MA_DEFAULT_SUBSTEPS, int),
+    "embedding_cap": (MAX_DOUBLINGS, int),
+    "suite": ("marginals", _choice(*SUITES)),
+    "baseline": ("cholesky", _choice(*METHOD_TABLE)),
+}
 
 
 def _read_config(path: str) -> dict:
@@ -125,42 +143,39 @@ def _read_config(path: str) -> dict:
             raise UsageError(f"bad config line: {raw.strip()!r}")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = val
     return values
 
 
-def _resolve(args: argparse.Namespace, key: str, cast=None):
-    """Precedence: command-line flag > config file > SELFSIM_SEED environment
-    variable (seed only) > defaults. A value that `cast` rejects is a usage error."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = getattr(args, "_config", {}).get(key)
-    if value is None and key == "seed":
-        value = os.environ.get("SELFSIM_SEED")
-    if value is None:
-        value = _DEFAULTS[key]
-    if value is not None and cast is not None:
+def _options(args: argparse.Namespace, config: dict) -> argparse.Namespace:
+    """Each `_OPTIONS` key, used or not: flag > config file > SELFSIM_SEED environment
+    variable (seed only) > default, through its cast; a ValueError is a usage error."""
+    o = argparse.Namespace()
+    for key, (default, cast) in _OPTIONS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key)
+        if value is None and key == "seed":
+            value = os.environ.get("SELFSIM_SEED")
+        if value is None:
+            value = default
         try:
-            value = cast(value)
+            setattr(o, key, None if value is None else cast(value))
         except ValueError:
             raise UsageError(f"invalid value for {key}: {value!r}") from None
-    return value
+    return o
 
 
-def _int_list(value) -> list[int]:
-    return [int(part) for part in str(value).split(",")]
-
-
-def _build_sampler(args: argparse.Namespace, process, method, hurst, n):
-    """The LinearSampler of a (process, method) pair on GridSpec(n)."""
+def _build_sampler(o: argparse.Namespace, method, n):
+    """The LinearSampler of the (o.process, method) pair on GridSpec(n)."""
     processes, build = METHOD_TABLE.get(method, ((), None))
-    if process not in processes:
-        raise UsageError(f"method {method!r} is not valid for process {process!r}")
-    if process == "bm" and hurst != 0.5:
-        raise UsageError(f"process 'bm' has Hurst index 0.5, got {hurst}")
-    return build(args, process, hurst, GridSpec(n))
+    if o.process not in processes:
+        raise UsageError(f"method {method!r} is not valid for process {o.process!r}")
+    if o.process == "bm" and o.hurst != 0.5:
+        raise UsageError(f"process 'bm' has Hurst index 0.5, got {o.hurst}")
+    return build(o, GridSpec(n))
 
 
 @contextmanager
@@ -221,32 +236,22 @@ def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
     stream.write("\n  ]\n}\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    process = _resolve(args, "process")
-    method = _resolve(args, "method")
-    hurst = _resolve(args, "hurst", float)
-    n = _resolve(args, "n", int)
-    paths = _resolve(args, "paths", int)
-    seed = _resolve(args, "seed", int)
-    out = _resolve(args, "out")
-    fmt = _resolve(args, "format")
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"unknown format {fmt!r}")
-
-    sampler = _build_sampler(args, process, method, hurst, n)
-    with _open_out(out) as stream:
-        batch = generate_batch(sampler, paths, seed)
-        if fmt == "csv":
+def cmd_simulate(o: argparse.Namespace) -> int:
+    n = o.n[0]
+    sampler = _build_sampler(o, o.method, n)
+    with _open_out(o.out) as stream:
+        batch = generate_batch(sampler, o.paths, o.seed)
+        if o.format == "csv":
             _write_csv(batch, stream)
         else:
             meta = {
-                "process": process,
-                "method": method,
-                "hurst": hurst,
+                "process": o.process,
+                "method": o.method,
+                "hurst": o.hurst,
                 "n": n,
-                "paths": paths,
-                "seed": seed,
-                "format": fmt,
+                "paths": o.paths,
+                "seed": o.seed,
+                "format": o.format,
                 **batch.info,
             }
             _write_json(batch, meta, stream)
@@ -262,58 +267,37 @@ def _error_bound_report(n_values, hurst) -> dict:
     expected_ratio = (np.log(last["n"]) / last["n"]) / (np.log(first["n"]) / first["n"])
     rate_ok = last["a"] / first["a"] < expected_ratio * 1.5
     verdict = diag["a_decreasing"] and diag["b_decreasing"] and rate_ok
-    return {
-        "check": "error-bound",
-        "method": "lamperti",
-        "process": "any",
-        "hurst": hurst,
-        "n": int(last["n"]),
-        "m_replicates": 0,
-        "verdict": "pass" if verdict else "fail",
-        "worst_deviation": diag["c1_fitted"],
-        "tolerance": diag["c1_fitted"],
-        "details": diag["entries"],
-    }
+    c1 = diag["c1_fitted"]
+    report = VerificationReport(
+        "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, diag["entries"]
+    )
+    return report.to_dict()
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    suite = _resolve(args, "suite")
-    process = _resolve(args, "process")
-    method = _resolve(args, "method")
-    hurst = _resolve(args, "hurst", float)
-    paths = _resolve(args, "paths", int)
-    seed = _resolve(args, "seed", int)
-    out = _resolve(args, "out")
-    n_values = _resolve(args, "n", _int_list)
-    n = n_values[0]
-
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    if suite != "error-bound":
-        if len(n_values) > 1:
-            raise UsageError(f"the {suite} suite takes one grid size in --n, got {len(n_values)}")
-        sampler = _build_sampler(args, process, method, hurst, n)
-    if suite == "equivalence":
-        baseline = _resolve(args, "baseline")
-        base_sampler = _build_sampler(args, process, baseline, hurst, n)
+def cmd_verify(o: argparse.Namespace) -> int:
+    n = o.n[0]
+    if o.suite != "error-bound":
+        sampler = _build_sampler(o, o.method, n)
+    if o.suite == "equivalence":
+        base_sampler = _build_sampler(o, o.baseline, n)
 
     reports: list[dict] = []
-    with _open_out(out) as stream:
-        if suite == "error-bound":
-            reports.append(_error_bound_report(n_values, hurst))
+    with _open_out(o.out) as stream:
+        if o.suite == "error-bound":
+            reports.append(_error_bound_report(o.n, o.hurst))
         else:
-            batch = generate_batch(sampler, paths, seed)
-            if suite == "marginals":
-                reports.append(marginal_variance_profile(batch, process, hurst).to_dict())
-            elif suite == "covariance":
-                kernel = make_kernel("fbm" if process == "bm" else process, hurst)
+            batch = generate_batch(sampler, o.paths, o.seed)
+            if o.suite == "marginals":
+                reports.append(marginal_variance_profile(batch, o.process, o.hurst).to_dict())
+            elif o.suite == "covariance":
+                kernel = make_kernel("fbm" if o.process == "bm" else o.process, o.hurst)
                 reports.append(covariance_match(batch, kernel).to_dict())
-            elif suite == "normality":
+            elif o.suite == "normality":
                 for node in sorted({max(1, n // 4), max(1, n // 2), n}):
                     reports.append(normality_check(batch, node).to_dict())
-            elif suite == "equivalence":
-                base_batch = generate_batch(base_sampler, paths, seed + 1)
-                diagonal_only = "lamperti" in (method, baseline)
+            elif o.suite == "equivalence":
+                base_batch = generate_batch(base_sampler, o.paths, o.seed + 1)
+                diagonal_only = "lamperti" in (o.method, o.baseline)
                 reports.append(
                     method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
                 )
@@ -323,26 +307,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_VERDICT
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    process = _resolve(args, "process")
-    hurst = _resolve(args, "hurst", float)
-    seed = _resolve(args, "seed", int)
-    out = _resolve(args, "out")
-    fmt = _resolve(args, "format")
-    paths = _resolve(args, "paths", int)
-    methods = str(_resolve(args, "method")).split(",")
-    n_values = _resolve(args, "n", _int_list)
-
+def cmd_bench(o: argparse.Namespace) -> int:
     rows = []
-    with _open_out(out) as stream:
-        for method in methods:
+    with _open_out(o.out) as stream:
+        for method in o.method.split(","):
             previous = None
-            for n in n_values:
-                sampler = _build_sampler(args, process, method, hurst, n)
-                sampler(RngStream(seed, 0))  # warmup: builds cached spectra/factors
-                count = max(3, paths)
+            for n in o.n:
+                sampler = _build_sampler(o, method, n)
+                sampler(RngStream(o.seed, 0))  # warmup: builds cached spectra/factors
+                count = max(3, o.paths)
                 start = time.perf_counter()
-                generate_batch(sampler, count, seed)
+                generate_batch(sampler, count, o.seed)
                 elapsed = time.perf_counter() - start
                 per_path = elapsed / count
                 row = {
@@ -356,7 +331,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 previous = per_path
                 rows.append(row)
 
-        if fmt == "json":
+        if o.format == "json":
             json.dump(rows, stream, indent=2)
             stream.write("\n")
         else:
@@ -380,15 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--process", choices=PROCESSES)
         p.add_argument("--method")
-        p.add_argument("--hurst", type=float)
+        p.add_argument("--hurst")
         p.add_argument("--n")
-        p.add_argument("--paths", type=int)
-        p.add_argument("--seed", type=int)
+        p.add_argument("--paths")
+        p.add_argument("--seed")
         p.add_argument("--out")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--truncation", type=float)
-        p.add_argument("--substeps", type=int)
-        p.add_argument("--embedding-cap", dest="embedding_cap", type=int)
+        p.add_argument("--format", choices=FORMATS)
+        p.add_argument("--truncation")
+        p.add_argument("--substeps")
+        p.add_argument("--embedding-cap", dest="embedding_cap")
         p.add_argument("--config")
 
     p_sim = sub.add_parser("simulate", help="write a batch of sample paths")
@@ -412,8 +387,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args._config = _read_config(args.config) if args.config else {}
-        return args.func(args)
+        o = _options(args, _read_config(args.config) if args.config else {})
+        takes_list = args.command == "bench" or (args.command, o.suite) == ("verify", "error-bound")
+        if len(o.n) > 1 and not takes_list:
+            raise UsageError(f"{args.command} takes one grid size in --n, got {len(o.n)}")
+        return args.func(o)
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

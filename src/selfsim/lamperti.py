@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
-from .covmodels import lamperti_acf_fbm, lamperti_acf_sfbm
+from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
 from .samplers import _circulant_plan, circulant_spectrum
 
 __all__ = [
@@ -171,9 +171,9 @@ def error_bound_diagnostics(n_list, hurst: float) -> dict:
     For each n: a(n) = max_j |n^{H theta(j)/n} - 1| and
     b(n) = max_j |n^{-theta(j)/n} - 1|, both O(log(n)/n) by the mean value
     theorem. Reports the fitted constants sup_n a(n) n / log n (and the b
-    analogue) and whether a, b decrease along the list.
+    analogue) and whether a, b decrease along the list. H must lie in (0, 1).
     """
-    hurst = float(hurst)
+    hurst = _check_hurst(hurst)
     entries = []
     for n in n_list:
         n = int(n)

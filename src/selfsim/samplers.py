@@ -182,6 +182,8 @@ def circulant_spectrum(
     """
     if length < 2:
         raise ParameterError("stationary sequence length must be >= 2")
+    if max_doublings < 0:
+        raise ParameterError(f"max_doublings must be >= 0, got {max_doublings}")
     m_min = 2 * (length - 1)
     for doublings in range(max_doublings + 1):
         m = m_min << doublings
@@ -335,8 +337,8 @@ def ma_sampler(
 
     def plan():
         checked = _check_hurst(hurst)
-        if truncation < 1.0:
-            raise ParameterError("truncation horizon must be >= 1")
+        if not 1.0 <= truncation < math.inf:
+            raise ParameterError(f"truncation horizon must be finite and >= 1, got {truncation}")
         if substeps < 1:
             raise ParameterError("substeps must be >= 1")
         weights = _ma_weights(grid.n, checked, float(truncation), int(substeps))

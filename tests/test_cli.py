@@ -281,15 +281,15 @@ class TestWriters:
     META = {"process": "fbm", "method": "x", "hurst": 0.7, "n": 2, "paths": 3, "seed": 17}
 
     def test_every_pair_matches_reference(self):
-        from selfsim.cli import METHOD_TABLE, _build_sampler, _write_csv, _write_json
+        from selfsim.cli import METHOD_TABLE, _build_sampler, _options, _write_csv, _write_json
         from selfsim.core import generate_batch
 
-        args = argparse.Namespace()
         for method, (processes, _) in METHOD_TABLE.items():
             for process in processes:
                 hurst = 0.5 if process == "bm" else 0.7
+                o = _options(argparse.Namespace(process=process, hurst=hurst), {})
                 for n in (2, 257):
-                    batch = generate_batch(_build_sampler(args, process, method, hurst, n), 3, 17)
+                    batch = generate_batch(_build_sampler(o, method, n), 3, 17)
                     assert _rendered(_write_csv, batch) == _rendered(_reference_csv, batch), (
                         process,
                         method,
@@ -348,6 +348,13 @@ MALFORMED = [
     (["bench", "--n", "16", "--paths", "3", "--out", "/nonexistent/dir/b.csv"], None),
     (["verify", "--suite", "marginals", "--n", "16,512"], None),
     (["simulate", "--n", "16", "--paths", "0"], None),
+    (["verify", "--suite", "error-bound", "--n", "16,64", "--hurst", "1.5"], None),
+    (["bench", "--n", "16", "--paths", "-4"], None),
+    (["bench", "--n", "16"], "format = xml\n"),
+    (["simulate", "--n", "16"], "truncation = x\n"),
+    (["verify", "--suite", "error-bound", "--n", "16,64", "--method", "nope"], None),
+    (["simulate", "--method", "circulant", "--n", "16", "--embedding-cap", "-1"], None),
+    (["simulate", "--method", "ma-truncated", "--n", "16", "--truncation", "nan"], None),
 ]
 
 
@@ -370,6 +377,13 @@ MALFORMED = [
         "bench-out-unwritable",
         "verify-n-list",
         "paths-zero",
+        "error-bound-hurst",
+        "bench-paths-negative",
+        "bench-cfg-format",
+        "cfg-unused-malformed",
+        "unused-method-unknown",
+        "embedding-cap-negative",
+        "truncation-nan",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -381,6 +395,20 @@ def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
         argv = argv + ["--out", str(tmp_path / "out")]
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_option_table_matches_parser():
+    # every flag is resolved and checked through _OPTIONS, and every table key is a flag
+    from selfsim.cli import _OPTIONS, build_parser
+
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {
+        action.dest
+        for parser in commands.values()
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    assert flags == set(_OPTIONS)
 
 
 class TestOutputFile:

@@ -124,6 +124,11 @@ class TestErrorBoundDiagnostics:
         expected = (math.log(2**14) / 2**14) / (math.log(2**8) / 2**8)
         assert a14 / a8 < expected * 1.5
 
+    @pytest.mark.parametrize("hurst", [0.0, 1.0, 1.5, -0.3, float("nan")])
+    def test_rejects_hurst_outside_unit_interval(self, hurst):
+        with pytest.raises(ParameterError):
+            error_bound_diagnostics([16, 64], hurst)
+
     def test_dyadic_nodes_contribute_zero(self):
         n = 16
         gm = grid_map(n)

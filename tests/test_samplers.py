@@ -155,6 +155,12 @@ class TestCirculantSpectrum:
         with pytest.raises(EmbeddingError):
             circulant_spectrum(acf, n)
 
+    def test_negative_doubling_cap_rejected(self):
+        from selfsim.core import ParameterError
+
+        with pytest.raises(ParameterError):
+            circulant_spectrum(white_noise_acf(16), 16, max_doublings=-1)
+
 
 class TestCirculantSample:
     def test_empirical_acf_matches_input(self):
@@ -214,6 +220,13 @@ class TestDaviesHarte:
 
 
 class TestMovingAverage:
+    @pytest.mark.parametrize("truncation", [0.5, float("nan"), float("inf")])
+    def test_truncation_outside_range_rejected(self, truncation):
+        from selfsim.core import ParameterError
+
+        with pytest.raises(ParameterError):
+            ma_truncated_fbm(GridSpec(8), 0.7, RngStream(0, 0), truncation=truncation)
+
     def test_normalizing_constant_at_half(self):
         assert normalizing_constant_CH(0.5) == 1.0
 
@@ -344,11 +357,12 @@ class TestLinearSamplers:
     def _pair(method, process):
         import argparse
 
-        from selfsim.cli import _build_sampler
+        from selfsim.cli import _build_sampler, _options
 
         hurst = 0.5 if process == "bm" else 0.7
-        n = 8 if method == "ma-truncated" else 64
-        sampler = _build_sampler(argparse.Namespace(), process, method, hurst, n)
+        n = 64
+        o = _options(argparse.Namespace(process=process, hurst=hurst), {})
+        sampler = _build_sampler(o, method, n)
         return sampler, _public_sampler(method, process, hurst, GridSpec(n))
 
     def _assert_same(self, batch, public, stream_ids):
