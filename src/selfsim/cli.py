@@ -13,6 +13,7 @@ indefinite circulant embedding).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -40,6 +41,10 @@ from .samplers import (
     MAX_DOUBLINGS,
     EmbeddingError,
     NotPositiveDefiniteError,
+    _check_doublings,
+    _check_substeps,
+    _check_truncation,
+    _in_range,
     bm_sampler,
     cholesky_sampler,
     davies_harte_sampler,
@@ -83,13 +88,6 @@ def _int_list(value) -> list[int]:
     return [int(part) for part in str(value).split(",")]
 
 
-def _positive_int(value) -> int:
-    count = int(value)
-    if count < 1:
-        raise ValueError(value)
-    return count
-
-
 def _methods(value) -> str:
     """A comma list of METHOD_TABLE names: bench times each, the others take one."""
     if not set(value.split(",")) <= METHOD_TABLE.keys():
@@ -113,13 +111,13 @@ _OPTIONS = {
     "method": ("davies-harte", _methods),
     "hurst": (0.5, float),
     "n": (256, _int_list),
-    "paths": (1, _positive_int),
+    "paths": (1, functools.partial(_in_range, "paths", int, 1)),
     "seed": (DEFAULT_SEED, int),
     "out": (None, str),
     "format": ("csv", _choice(*FORMATS)),
-    "truncation": (MA_DEFAULT_TRUNCATION, float),
-    "substeps": (MA_DEFAULT_SUBSTEPS, int),
-    "embedding_cap": (MAX_DOUBLINGS, int),
+    "truncation": (MA_DEFAULT_TRUNCATION, _check_truncation),
+    "substeps": (MA_DEFAULT_SUBSTEPS, _check_substeps),
+    "embedding_cap": (MAX_DOUBLINGS, _check_doublings),
     "suite": ("marginals", _choice(*SUITES)),
     "baseline": ("cholesky", _choice(*METHOD_TABLE)),
 }
@@ -238,9 +236,8 @@ def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
 
 def cmd_simulate(o: argparse.Namespace) -> int:
     n = o.n[0]
-    sampler = _build_sampler(o, o.method, n)
     with _open_out(o.out) as stream:
-        batch = generate_batch(sampler, o.paths, o.seed)
+        batch = generate_batch(_build_sampler(o, o.method, n), o.paths, o.seed)
         if o.format == "csv":
             _write_csv(batch, stream)
         else:
@@ -276,16 +273,14 @@ def _error_bound_report(n_values, hurst) -> dict:
 
 def cmd_verify(o: argparse.Namespace) -> int:
     n = o.n[0]
-    if o.suite != "error-bound":
-        sampler = _build_sampler(o, o.method, n)
-    if o.suite == "equivalence":
-        base_sampler = _build_sampler(o, o.baseline, n)
-
     reports: list[dict] = []
     with _open_out(o.out) as stream:
         if o.suite == "error-bound":
             reports.append(_error_bound_report(o.n, o.hurst))
         else:
+            sampler = _build_sampler(o, o.method, n)
+            if o.suite == "equivalence":
+                base_sampler = _build_sampler(o, o.baseline, n)
             batch = generate_batch(sampler, o.paths, o.seed)
             if o.suite == "marginals":
                 reports.append(marginal_variance_profile(batch, o.process, o.hurst).to_dict())
@@ -314,7 +309,7 @@ def cmd_bench(o: argparse.Namespace) -> int:
             previous = None
             for n in o.n:
                 sampler = _build_sampler(o, method, n)
-                sampler(RngStream(o.seed, 0))  # warmup: builds cached spectra/factors
+                sampler(RngStream(o.seed, 0))  # warm-up: the first draw's one-off costs go untimed
                 count = max(3, o.paths)
                 start = time.perf_counter()
                 generate_batch(sampler, count, o.seed)

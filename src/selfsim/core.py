@@ -4,13 +4,13 @@ linear samplers, and replicate batches.
 All samplers in this package are deterministic functions of their parameters
 and an :class:`RngStream`. Streams are counter-based (Philox), so replicate i
 of a batch can be generated in any order, on any worker, and always yields the
-same path. Every built-in sampler is a :class:`LinearSampler` x = A z, which
-`generate_batch` draws a block of paths at a time into one (count, n) array.
+same path. Every built-in sampler is a :class:`LinearSampler` x = A z whose
+cached builder computes the map A once, and `generate_batch` draws a block of
+paths at a time through it into one (count, n) array.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -106,36 +106,32 @@ class RngStream:
 class LinearSampler:
     """A sampler x = A z that maps k standard normals to one path.
 
-    `plan()` returns (k, draw, info): `draw` maps a (rows, k) block of
-    normals to the (rows, n) paths, row by row or, for a dense map, in GEMMs
-    of `draw.gemm_rows` rows, so a row's bits never depend on its block; `info`
-    is its record (repairs, embedding size). It is called once, when paths are
-    first drawn, so the spectrum or factor behind it is not built before then.
+    `draw` maps a (rows, k) block of normals to the (rows, n) paths, row by
+    row or, for a dense map, in GEMMs of `draw.gemm_rows` rows, so a row's
+    bits never depend on its block; `info` is its record (repairs, embedding
+    size). The builders fill these in, so the spectrum or factor behind
+    `draw` exists once the sampler does.
     """
 
     grid: GridSpec
     method: str
     process: str
     hurst: float
-    plan: Callable[[], tuple[int, Callable[[np.ndarray], np.ndarray], dict]]
-
-    @functools.cached_property
-    def _planned(self) -> tuple[int, Callable[[np.ndarray], np.ndarray], dict]:
-        return self.plan()
+    k: int
+    draw: Callable[[np.ndarray], np.ndarray]
+    info: dict
 
     @property
     def _block_rows(self) -> int:
         """Rows per block of `generate_batch`: 2**16 normals, or a multiple of the GEMM height."""
-        k, draw, _ = self._planned
-        height = getattr(draw, "gemm_rows", 1)
-        return max(height, 2**16 // k // height * height)
+        height = getattr(self.draw, "gemm_rows", 1)
+        return max(height, 2**16 // self.k // height * height)
 
     def __call__(self, rng: RngStream) -> SamplePath:
-        k, draw, info = self._planned
-        values = draw(rng.normals(k)[None, :])[0]
+        values = self.draw(rng.normals(self.k)[None, :])[0]
         return SamplePath(
             self.grid, values, self.method, self.process, self.hurst,
-            rng.seed, rng.stream_id, dict(info),
+            rng.seed, rng.stream_id, dict(self.info),
         )
 
 
@@ -195,11 +191,10 @@ def generate_batch(
     ids = tuple(i & _MASK64 for i in (range(count) if stream_ids is None else stream_ids))
     if len(ids) != count:
         raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
-    k, draw, info = sampler._planned
     seed = base_seed & _MASK64
     gen = np.random.Generator(np.random.Philox(0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
-    z = np.empty((sampler._block_rows, k))
+    z = np.empty((sampler._block_rows, sampler.k))
     values = np.empty((count, sampler.grid.n))
     for start in range(0, count, len(z)):
         block = ids[start : start + len(z)]
@@ -207,8 +202,8 @@ def generate_batch(
             state["state"]["key"][:] = (seed, stream_id)
             gen.bit_generator.state = state
             gen.standard_normal(out=row)
-        values[start : start + len(block)] = draw(z[: len(block)])
+        values[start : start + len(block)] = sampler.draw(z[: len(block)])
     return ReplicateBatch(
         sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
-        seed, ids, dict(info),
+        seed, ids, dict(sampler.info),
     )

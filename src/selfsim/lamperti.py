@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
 from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
-from .samplers import _circulant_plan, circulant_spectrum
+from .samplers import _circulant_sampler
+from .verify import VerificationReport
 
 __all__ = [
     "LampertiGridMap",
@@ -65,32 +66,23 @@ def grid_map(n: int) -> LampertiGridMap:
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
     """The map of `simulate_lamperti`: circulant draw, gather, t^H scaling."""
     hurst = float(hurst)
-
-    def plan():
-        if process not in ("fbm", "sfbm"):
-            raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
-        n = grid.n
-        if n < 2:
-            raise ParameterError("lamperti method needs n >= 2")
-        index, scale = grid_map(n).index, grid.times() ** hurst
-        # The stationary sequence is sampled at indices 0..n: the map sends
-        # j = 1 to index 0, so one extra lag of the autocovariance is needed.
-        #
-        # The rescaled autocovariance grows with the lag, so enlarging the
-        # embedding only makes it more indefinite; the negative eigenvalues
-        # are clamped to zero at the minimal embedding instead (the
-        # nonnegative-definite part of the circulant). For fbm the clamp fires
-        # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
-        # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U
-        # (the clamped mass / m) by 2.3e-4 and 1.3e-3. For sfbm the relative
-        # rise shrinks with n: 2.1e-3 at n = 16 and 2.5e-5 at n = 256 (H = 0.99).
-        acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
-        spectrum = circulant_spectrum(
-            lambda k: acf(k, n, hurst), n + 1, max_doublings=0, clamp_all=True
-        )
-        return _circulant_plan(spectrum, n + 1, lambda u: scale * u[:, index])
-
-    return LinearSampler(grid, "lamperti", process, hurst, plan)
+    if process not in ("fbm", "sfbm"):
+        raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
+    index, scale = grid_map(grid.n).index, grid.times() ** hurst
+    # The stationary sequence is sampled at indices 0..n: the map sends
+    # j = 1 to index 0, so one extra lag of the autocovariance is needed.
+    #
+    # The rescaled autocovariance grows with the lag, so enlarging the
+    # embedding only makes it more indefinite; the negative eigenvalues
+    # are clamped to zero at the minimal embedding instead (the
+    # nonnegative-definite part of the circulant). For fbm the clamp fires
+    # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
+    # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U
+    # (the clamped mass / m) by 2.3e-4 and 1.3e-3. For sfbm the relative
+    # rise shrinks with n: 2.1e-3 at n = 16 and 2.5e-5 at n = 256 (H = 0.99).
+    acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
+    finish = lambda u: scale * u[:, index]
+    return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish, None)
 
 
 def simulate_lamperti(
@@ -128,12 +120,13 @@ def marginal_variance_profile(
     """Empirical per-node variance against the exact marginal profile.
 
     Returns a VerificationReport whose details carry one record per node
-    with the estimate, target, and standard error Var * sqrt(2/M).
+    with the estimate, target, and standard error Var * sqrt(2/M); a sample
+    variance needs at least 2 replicates.
     """
-    from .verify import VerificationReport  # local import to avoid a cycle
-
     values = batch.values
     m, n = values.shape
+    if m < 2:
+        raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
     t = np.arange(1, n + 1, dtype=float) / n
     target = theoretical_variance(process, hurst, t)
     estimate = values.var(axis=0, ddof=1)

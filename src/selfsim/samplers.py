@@ -50,6 +50,19 @@ MA_DEFAULT_SUBSTEPS = 8
 _GEMM_ROWS = 16  # height of every GEMM of a dense map x = A z (`_dense_map`)
 
 
+def _in_range(name: str, cast, low: float, value):
+    """cast(value) if finite and >= low; CLI casts use it too: a ParameterError is a ValueError."""
+    value = cast(value)
+    if not low <= value < math.inf:
+        raise ParameterError(f"{name} must be finite and >= {low}, got {value}")
+    return value
+
+
+_check_doublings = functools.partial(_in_range, "max_doublings", int, 0)
+_check_truncation = functools.partial(_in_range, "truncation horizon", float, 1.0)
+_check_substeps = functools.partial(_in_range, "substeps", int, 1)
+
+
 class EmbeddingError(RuntimeError):
     """Circulant embedding stayed indefinite up to the size cap."""
 
@@ -113,7 +126,7 @@ def bm_sampler(grid: GridSpec) -> LinearSampler:
     """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
     n = grid.n
     draw = lambda z: np.cumsum(z / math.sqrt(n), axis=1)
-    return LinearSampler(grid, "bm-cumsum", "bm", 0.5, lambda: (n, draw, {}))
+    return LinearSampler(grid, "bm-cumsum", "bm", 0.5, n, draw, {})
 
 
 def sample_bm(grid: GridSpec, rng: RngStream) -> SamplePath:
@@ -148,13 +161,10 @@ def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
 @functools.lru_cache(maxsize=64)
 def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
     """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
-
-    def plan():
-        # make_kernel validates a kernel built directly from CovarianceKernel
-        factor = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
-        return grid.n, _dense_map(factor.lower), {"jitter": factor.jitter}
-
-    return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, plan)
+    # make_kernel validates a kernel built directly from CovarianceKernel
+    factor = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
+    draw, info = _dense_map(factor.lower), {"jitter": factor.jitter}
+    return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, grid.n, draw, info)
 
 
 def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) -> SamplePath:
@@ -166,9 +176,7 @@ def circulant_spectrum(
     rho: Callable[[int], float],
     length: int,
     *,
-    rel_tol: float = EIG_REL_TOL,
-    max_doublings: int = MAX_DOUBLINGS,
-    clamp_all: bool = False,
+    max_doublings: int | None = MAX_DOUBLINGS,
 ) -> CirculantSpectrum:
     """Embed the Toeplitz covariance of a length-`length` stationary sequence
     in a circulant and return its (repaired) eigenvalue vector.
@@ -176,24 +184,24 @@ def circulant_spectrum(
     The first circulant row folds the lag function: c_j = rho(j) for
     j <= m/2 and c_j = rho(m - j) above; rho must extend past lag `length`
     by its formula, since doubling grows m.
-    Eigenvalues below -rel_tol * max trigger doubling of m (unless
-    `clamp_all`, which clamps every negative, as the fixed-size Davies-Harte
-    variant does); residual negatives within tolerance are clamped to zero.
+    With `max_doublings=None` every negative eigenvalue is clamped to zero at
+    the minimal m, as the fixed-size Davies-Harte variant does. With an int,
+    eigenvalues below -EIG_REL_TOL * max double m, up to that many times, and
+    then raise EmbeddingError; residual negatives within tolerance are clamped.
     """
     if length < 2:
         raise ParameterError("stationary sequence length must be >= 2")
-    if max_doublings < 0:
-        raise ParameterError(f"max_doublings must be >= 0, got {max_doublings}")
+    cap = 0 if max_doublings is None else _check_doublings(max_doublings)
     m_min = 2 * (length - 1)
-    for doublings in range(max_doublings + 1):
+    for doublings in range(cap + 1):
         m = m_min << doublings
         half = m // 2
         lags = np.minimum(np.arange(m), m - np.arange(m))
         row = np.array([rho(int(k)) for k in range(half + 1)])
         eig = np.fft.fft(row[lags]).real
         eig_max = float(eig.max())
-        floor = -rel_tol * eig_max
-        if clamp_all or eig.min() >= floor:
+        floor = -EIG_REL_TOL * eig_max
+        if max_doublings is None or eig.min() >= floor:
             negative = eig < 0.0
             clamped = int(np.count_nonzero(negative))
             eig = np.where(negative, 0.0, eig)
@@ -206,8 +214,8 @@ def circulant_spectrum(
     )
 
 
-def _circulant_plan(spectrum: CirculantSpectrum, length: int, finish=lambda y: y):
-    """(k, draw, info) of `finish` applied to circulant draws of `length` values.
+def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=lambda y: y):
+    """The map of (rows, m) normals to `finish` of (rows, length) circulant draws.
 
     Each row of m normals becomes a Hermitian-symmetric complex Gaussian
     vector, weighted by the square roots of the eigenvalues and passed
@@ -232,50 +240,46 @@ def _circulant_plan(spectrum: CirculantSpectrum, length: int, finish=lambda y: y
         w *= weights
         return finish(np.fft.fft(w, axis=1).real[:, :length])
 
-    return m, draw, {
-        "clamped_count": spectrum.clamped_count,
-        "doublings": spectrum.doublings,
-        "embedding_size": m,
-    }
+    return draw
 
 
 def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -> np.ndarray:
-    """Draw a stationary Gaussian sequence of the given length (`_circulant_plan`)."""
-    _, draw, _ = _circulant_plan(spectrum, length)
-    return draw(rng.normals(spectrum.m)[None, :])[0]
+    """Draw a stationary Gaussian sequence of the given length (`_circulant_draw`)."""
+    return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
 
 
-def _fgn_sampler(grid: GridSpec, hurst: float, method: str, doublings: int) -> LinearSampler:
-    """fBm as the cumulative sum of circulant-embedded fGn; "davies-harte"
-    clamps at the minimal embedding, the others double it up to `doublings` times."""
+def _circulant_sampler(grid, method, process, hurst, acf, length, finish, max_doublings):
+    """`finish` of `length` circulant draws of the lag function k -> acf(k, grid.n, hurst),
+    whose spectrum `circulant_spectrum` repairs by `max_doublings`."""
     hurst = float(hurst)
-    davies = method == "davies-harte"
+    rho = lambda k: acf(k, grid.n, hurst)
+    spectrum = circulant_spectrum(rho, length, max_doublings=max_doublings)
+    draw = _circulant_draw(spectrum, length, finish)
+    info = {
+        "clamped_count": spectrum.clamped_count,
+        "doublings": spectrum.doublings,
+        "embedding_size": spectrum.m,
+    }
+    return LinearSampler(grid, method, process, hurst, spectrum.m, draw, info)
 
-    def plan():
-        n = grid.n
-        if n < 2:
-            name = "Davies-Harte" if davies else "circulant embedding"
-            raise ParameterError(f"{name} needs n >= 2")
-        spectrum = circulant_spectrum(
-            lambda k: fgn_acf(k, n, hurst), n, max_doublings=int(doublings), clamp_all=davies
-        )
-        return _circulant_plan(spectrum, n, lambda y: np.cumsum(y, axis=1))
 
-    return LinearSampler(grid, method, "fbm", hurst, plan)
+_cumsum = functools.partial(np.cumsum, axis=1)  # fGn rows to fBm rows
 
 
 @functools.lru_cache(maxsize=64)
 def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
-    """The map of `davies_harte_fbm`."""
-    return _fgn_sampler(grid, hurst, "davies-harte", 0)
+    """The map of `davies_harte_fbm`: summed fGn, clamped at the minimal embedding."""
+    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, grid.n, _cumsum, None)
 
 
 @functools.lru_cache(maxsize=64)
 def wood_chan_sampler(
     grid: GridSpec, hurst: float, max_doublings: int = MAX_DOUBLINGS
 ) -> LinearSampler:
-    """The map of `wood_chan_fbm`."""
-    return _fgn_sampler(grid, hurst, "circulant", max_doublings)
+    """The map of `wood_chan_fbm`: summed fGn, the embedding doubled up to `max_doublings` times."""
+    return _circulant_sampler(
+        grid, "circulant", "fbm", hurst, fgn_acf, grid.n, _cumsum, max_doublings
+    )
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
@@ -333,20 +337,13 @@ def ma_sampler(
 ) -> LinearSampler:
     """The law N(0, W W^T) of `ma_truncated_fbm`, drawn as L z from n normals per path:
     W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`).
-    The plan's W W^T costs n^2 k / 2 multiply-adds, n / 2 paths' worth of W z."""
-
-    def plan():
-        checked = _check_hurst(hurst)
-        if not 1.0 <= truncation < math.inf:
-            raise ParameterError(f"truncation horizon must be finite and >= 1, got {truncation}")
-        if substeps < 1:
-            raise ParameterError("substeps must be >= 1")
-        weights = _ma_weights(grid.n, checked, float(truncation), int(substeps))
-        factor = cholesky_factor(weights @ weights.T)
-        info = {"truncation": float(truncation), "substeps": int(substeps), "jitter": factor.jitter}
-        return grid.n, _dense_map(factor.lower), info
-
-    return LinearSampler(grid, "ma-truncated", "fbm", float(hurst), plan)
+    The build's W W^T costs n^2 k / 2 multiply-adds, n / 2 paths' worth of W z."""
+    hurst = _check_hurst(hurst)
+    truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
+    weights = _ma_weights(grid.n, hurst, truncation, substeps)
+    factor = cholesky_factor(weights @ weights.T)
+    info = {"truncation": truncation, "substeps": substeps, "jitter": factor.jitter}
+    return LinearSampler(grid, "ma-truncated", "fbm", hurst, grid.n, _dense_map(factor.lower), info)
 
 
 def ma_truncated_fbm(

@@ -355,6 +355,11 @@ MALFORMED = [
     (["verify", "--suite", "error-bound", "--n", "16,64", "--method", "nope"], None),
     (["simulate", "--method", "circulant", "--n", "16", "--embedding-cap", "-1"], None),
     (["simulate", "--method", "ma-truncated", "--n", "16", "--truncation", "nan"], None),
+    (["verify", "--suite", "marginals", "--n", "16"], None),
+    (["simulate", "--n", "16", "--embedding-cap", "-1"], None),
+    (["simulate", "--n", "16", "--substeps", "0"], None),
+    (["simulate", "--n", "16", "--truncation", "0.5"], None),
+    (["simulate", "--n", "16"], "truncation = nan\n"),
 ]
 
 
@@ -384,6 +389,11 @@ MALFORMED = [
         "unused-method-unknown",
         "embedding-cap-negative",
         "truncation-nan",
+        "marginals-one-path",
+        "unused-embedding-cap-negative",
+        "unused-substeps-zero",
+        "unused-truncation-below-1",
+        "cfg-unused-truncation-nan",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -439,6 +449,16 @@ class TestOutputFile:
         out = tmp_path / "missing" / "r.json"
         assert run([command, "--n", "16", "--paths", "50", "--out", str(out)]) == 2
         assert sampling.calls == 0
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_unwritable_out_fails_before_building(self, command, monkeypatch, tmp_path):
+        import selfsim.cli
+
+        builds = []
+        monkeypatch.setattr(selfsim.cli, "davies_harte_sampler", lambda *a: builds.append(a))
+        out = tmp_path / "missing" / "x.json"
+        assert run([command, "--n", "16", "--paths", "50", "--out", str(out)]) == 2
+        assert builds == []
 
     def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path):
         from selfsim.samplers import EmbeddingError

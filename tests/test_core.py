@@ -84,7 +84,7 @@ class TestGenerateBatch:
 
 def identity_sampler(k):
     """A LinearSampler whose paths are its k normals."""
-    return LinearSampler(GridSpec(k), "identity", "bm", 0.5, lambda: (k, lambda z: z, {"k": k}))
+    return LinearSampler(GridSpec(k), "identity", "bm", 0.5, k, lambda z: z, {"k": k})
 
 
 def same_bits(a, b):
@@ -110,7 +110,7 @@ class TestLinearBatch:
         batch = generate_batch(sampler, 3, 8)
         assert type(batch.values) is np.ndarray and batch.values.shape == (3, 3)
         assert (batch.count, batch.n, batch.stream_ids) == (3, 3, (0, 1, 2))
-        assert batch.info == {"k": 3} and batch.info is not sampler._planned[2]
+        assert batch.info == {"k": 3} and batch.info is not sampler.info
         assert (batch.method, batch.process, batch.hurst, batch.seed) == ("identity", "bm", 0.5, 8)
 
     def test_call_is_one_row_of_the_batch(self):
@@ -122,30 +122,15 @@ class TestLinearBatch:
         assert path.info == batch.info and path.info is not batch.info
 
     def test_empty_batch_rejected_before_plan(self):
-        def plan():
-            raise AssertionError("plan built for an empty batch")
+        def draw(z):
+            raise AssertionError("drawn for an empty batch")
 
-        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, plan)
+        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, 4, draw, {})
         with pytest.raises(ParameterError):
             generate_batch(sampler, 0, 1)
 
-    def test_plan_built_once(self):
-        calls = []
-
-        def plan():
-            calls.append(1)
-            return 2, lambda z: z, {}
-
-        sampler = LinearSampler(GridSpec(2), "identity", "bm", 0.5, plan)
-        sampler(RngStream(1, 0))
-        generate_batch(sampler, 3, 1)
-        sampler(RngStream(1, 5))
-        assert len(calls) == 1
-
     def test_nonfinite_row_rejected(self):
-        sampler = LinearSampler(
-            GridSpec(2), "identity", "bm", 0.5, lambda: (2, lambda z: z / 0.0, {})
-        )
+        sampler = LinearSampler(GridSpec(2), "identity", "bm", 0.5, 2, lambda z: z / 0.0, {})
         with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
             generate_batch(sampler, 3, 1)
 
@@ -155,10 +140,10 @@ class TestLinearBatch:
             generate_batch(lambda rng: sample_bm(grid, rng), 3, 1)
 
     def test_stream_ids_length_checked_before_plan(self):
-        def plan():
-            raise AssertionError("plan built for a batch with the wrong stream ids")
+        def draw(z):
+            raise AssertionError("drawn for a batch with the wrong stream ids")
 
-        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, plan)
+        sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, 4, draw, {})
         with pytest.raises(ValueError, match="stream_ids"):
             generate_batch(sampler, 3, 1, stream_ids=[0, 1])
 

@@ -208,7 +208,7 @@ class TestDaviesHarte:
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
         spectrum = circulant_spectrum(
-            lambda k: fgn_acf(k, 32, 0.6), 32, max_doublings=0, clamp_all=True
+            lambda k: fgn_acf(k, 32, 0.6), 32, max_doublings=None
         )
         fgn = circulant_sample(spectrum, 32, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
@@ -318,7 +318,8 @@ class TestMovingAverage:
             for truncation in (1.0, 2.0, 50.0):
                 for hurst in (0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95, 0.99):
                     case = (n, hurst, truncation)
-                    k, draw, info = ma_sampler(GridSpec(n), hurst, truncation=truncation).plan()
+                    sampler = ma_sampler(GridSpec(n), hurst, truncation=truncation)
+                    k, draw, info = sampler.k, sampler.draw, sampler.info
                     lower = draw(eye).T  # the rows of I L^T, exactly
                     weights = _ma_weights(n, hurst, truncation, MA_DEFAULT_SUBSTEPS)
                     gram = weights @ weights.T
