@@ -2,9 +2,9 @@
 
 Samplers for Brownian motion, fractional Brownian motion, and
 sub-fractional Brownian motion (cumulative sum, exact Cholesky,
-Davies-Harte FFT, Wood-Chan circulant embedding, truncated moving
-average, and the inverse-Lamperti rescaling method), together with a
-statistical verification harness and a CLI.
+Davies-Harte FFT, truncated moving average, and the inverse-Lamperti
+rescaling method), together with a statistical verification harness and
+a CLI.
 """
 
 __version__ = "0.1.0"
@@ -41,7 +41,6 @@ from .lamperti import (
 from .samplers import (
     CholeskyFactor,
     CirculantSpectrum,
-    EmbeddingError,
     NotPositiveDefiniteError,
     bm_sampler,
     cholesky_factor,
@@ -55,8 +54,6 @@ from .samplers import (
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,
-    wood_chan_fbm,
-    wood_chan_sampler,
 )
 from .verify import (
     VerificationReport,

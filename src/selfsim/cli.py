@@ -6,8 +6,8 @@ runs, so a malformed option is a usage error even where it is not used.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
 (including invalid process/method combinations, malformed values, bad
-config files and an unwritable output path), 3 numerical failure (e.g.
-indefinite circulant embedding).
+config files and an unwritable output path), 3 numerical failure (a
+Cholesky factor that stays indefinite through the whole jitter ladder).
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ from .lamperti import error_bound_diagnostics, lamperti_sampler, marginal_varian
 from .samplers import (
     MA_DEFAULT_SUBSTEPS,
     MA_DEFAULT_TRUNCATION,
-    MAX_DOUBLINGS,
-    EmbeddingError,
     NotPositiveDefiniteError,
-    _check_doublings,
     _check_substeps,
     _check_truncation,
     _in_range,
@@ -49,7 +46,6 @@ from .samplers import (
     cholesky_sampler,
     davies_harte_sampler,
     ma_sampler,
-    wood_chan_sampler,
 )
 from .verify import VerificationReport, covariance_match, method_equivalence, normality_check
 
@@ -67,7 +63,6 @@ METHOD_TABLE = {
         lambda o, grid: cholesky_sampler(make_kernel(o.process, o.hurst), grid),
     ),
     "davies-harte": (("fbm",), lambda o, grid: davies_harte_sampler(grid, o.hurst)),
-    "circulant": (("fbm",), lambda o, grid: wood_chan_sampler(grid, o.hurst, o.embedding_cap)),
     "ma-truncated": (
         ("fbm",),
         lambda o, grid: ma_sampler(grid, o.hurst, truncation=o.truncation, substeps=o.substeps),
@@ -88,17 +83,12 @@ def _int_list(value) -> list[int]:
     return [int(part) for part in str(value).split(",")]
 
 
-def _methods(value) -> str:
-    """A comma list of METHOD_TABLE names: bench times each, the others take one."""
-    if not set(value.split(",")) <= METHOD_TABLE.keys():
-        raise ValueError(value)
-    return value
+def _choice(*allowed, sep=None):
+    """A cast to one of `allowed`, or with `sep` to a `sep`-separated list of them."""
 
-
-def _choice(*allowed):
     def cast(value):
-        if value not in allowed:
-            raise ValueError(value)
+        if not set(value.split(sep) if sep else [value]) <= set(allowed):
+            raise ValueError(f"valid: {', '.join(allowed)}")
         return value
 
     return cast
@@ -108,7 +98,7 @@ def _choice(*allowed):
 # ValueError on a malformed value; `main` turns that into a usage error.
 _OPTIONS = {
     "process": ("fbm", _choice(*PROCESSES)),
-    "method": ("davies-harte", _methods),
+    "method": ("davies-harte", _choice(*METHOD_TABLE, sep=",")),  # bench takes a list
     "hurst": (0.5, float),
     "n": (256, _int_list),
     "paths": (1, functools.partial(_in_range, "paths", int, 1)),
@@ -117,7 +107,6 @@ _OPTIONS = {
     "format": ("csv", _choice(*FORMATS)),
     "truncation": (MA_DEFAULT_TRUNCATION, _check_truncation),
     "substeps": (MA_DEFAULT_SUBSTEPS, _check_substeps),
-    "embedding_cap": (MAX_DOUBLINGS, _check_doublings),
     "suite": ("marginals", _choice(*SUITES)),
     "baseline": ("cholesky", _choice(*METHOD_TABLE)),
 }
@@ -140,7 +129,6 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"bad config line: {raw.strip()!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
         if key not in _OPTIONS:
             raise UsageError(f"unknown config key {key!r}")
         values[key] = val
@@ -161,14 +149,14 @@ def _options(args: argparse.Namespace, config: dict) -> argparse.Namespace:
             value = default
         try:
             setattr(o, key, None if value is None else cast(value))
-        except ValueError:
-            raise UsageError(f"invalid value for {key}: {value!r}") from None
+        except ValueError as exc:
+            raise UsageError(f"invalid value for {key}: {value!r} ({exc})") from None
     return o
 
 
 def _build_sampler(o: argparse.Namespace, method, n):
     """The LinearSampler of the (o.process, method) pair on GridSpec(n)."""
-    processes, build = METHOD_TABLE.get(method, ((), None))
+    processes, build = METHOD_TABLE.get(method, ((), None))  # bench alone takes a list
     if o.process not in processes:
         raise UsageError(f"method {method!r} is not valid for process {o.process!r}")
     if o.process == "bm" and o.hurst != 0.5:
@@ -358,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS)
         p.add_argument("--truncation")
         p.add_argument("--substeps")
-        p.add_argument("--embedding-cap", dest="embedding_cap")
         p.add_argument("--config")
 
     p_sim = sub.add_parser("simulate", help="write a batch of sample paths")
@@ -390,7 +377,7 @@ def main(argv=None) -> int:
     except (UsageError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (EmbeddingError, NotPositiveDefiniteError, ArithmeticError) as exc:
+    except (NotPositiveDefiniteError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,6 +1,6 @@
 """Gaussian path samplers: Brownian cumulative sum, exact Cholesky,
-Davies-Harte FFT, Wood-Chan circulant embedding, and the truncated
-moving-average baseline.
+Davies-Harte FFT (the circulant embedding, clamped at its minimal size),
+and the truncated moving-average baseline.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
 __all__ = [
     "CirculantSpectrum",
     "CholeskyFactor",
-    "EmbeddingError",
     "NotPositiveDefiniteError",
     "bm_sampler",
     "cholesky_sampler",
     "davies_harte_sampler",
-    "wood_chan_sampler",
     "ma_sampler",
     "sample_bm",
     "cholesky_factor",
@@ -32,15 +30,9 @@ __all__ = [
     "circulant_spectrum",
     "circulant_sample",
     "davies_harte_fbm",
-    "wood_chan_fbm",
     "ma_truncated_fbm",
     "normalizing_constant_CH",
 ]
-
-# Roundoff eigenvalues down to -EIG_REL_TOL * max are clamped to zero;
-# anything lower is treated as genuine indefiniteness and triggers doubling.
-EIG_REL_TOL = 1e-9
-MAX_DOUBLINGS = 6
 
 # Jitter escalation (times max diagonal) before Cholesky gives up.
 JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
@@ -58,13 +50,8 @@ def _in_range(name: str, cast, low: float, value):
     return value
 
 
-_check_doublings = functools.partial(_in_range, "max_doublings", int, 0)
 _check_truncation = functools.partial(_in_range, "truncation horizon", float, 1.0)
 _check_substeps = functools.partial(_in_range, "substeps", int, 1)
-
-
-class EmbeddingError(RuntimeError):
-    """Circulant embedding stayed indefinite up to the size cap."""
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -77,12 +64,17 @@ class NotPositiveDefiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class CirculantSpectrum:
-    """Nonnegative eigenvalues of the embedding circulant, plus repair info."""
+    """Nonnegative eigenvalues of the embedding circulant, and the clamp's size.
+
+    `clamped_mass` is the sum of the clamped eigenvalues' magnitudes over m:
+    clamping adds ifft(|negative part|) to the implied autocovariance, so this
+    is that error's exact max norm, reached at lag 0.
+    """
 
     m: int
     eigenvalues: np.ndarray
     clamped_count: int
-    doublings: int
+    clamped_mass: float
 
     def __post_init__(self) -> None:
         eig = np.asarray(self.eigenvalues, dtype=float)
@@ -172,45 +164,26 @@ def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) ->
     return cholesky_sampler(kernel, grid)(rng)
 
 
-def circulant_spectrum(
-    rho: Callable[[int], float],
-    length: int,
-    *,
-    max_doublings: int | None = MAX_DOUBLINGS,
-) -> CirculantSpectrum:
+def circulant_spectrum(rho: Callable[[int], float], length: int) -> CirculantSpectrum:
     """Embed the Toeplitz covariance of a length-`length` stationary sequence
-    in a circulant and return its (repaired) eigenvalue vector.
+    in the minimal circulant, m = 2 (length - 1), and clamp its negative
+    eigenvalues to zero.
 
     The first circulant row folds the lag function: c_j = rho(j) for
-    j <= m/2 and c_j = rho(m - j) above; rho must extend past lag `length`
-    by its formula, since doubling grows m.
-    With `max_doublings=None` every negative eigenvalue is clamped to zero at
-    the minimal m, as the fixed-size Davies-Harte variant does. With an int,
-    eigenvalues below -EIG_REL_TOL * max double m, up to that many times, and
-    then raise EmbeddingError; residual negatives within tolerance are clamped.
+    j <= m/2 and c_j = rho(m - j) above.
     """
     if length < 2:
         raise ParameterError("stationary sequence length must be >= 2")
-    cap = 0 if max_doublings is None else _check_doublings(max_doublings)
-    m_min = 2 * (length - 1)
-    for doublings in range(cap + 1):
-        m = m_min << doublings
-        half = m // 2
-        lags = np.minimum(np.arange(m), m - np.arange(m))
-        row = np.array([rho(int(k)) for k in range(half + 1)])
-        eig = np.fft.fft(row[lags]).real
-        eig_max = float(eig.max())
-        floor = -EIG_REL_TOL * eig_max
-        if max_doublings is None or eig.min() >= floor:
-            negative = eig < 0.0
-            clamped = int(np.count_nonzero(negative))
-            eig = np.where(negative, 0.0, eig)
-            return CirculantSpectrum(
-                m=m, eigenvalues=eig, clamped_count=clamped, doublings=doublings
-            )
-    raise EmbeddingError(
-        f"circulant embedding still indefinite at m = {m} "
-        f"(most negative eigenvalue {eig.min():.3e}, tolerance {floor:.3e})"
+    m = 2 * (length - 1)
+    lags = np.minimum(np.arange(m), m - np.arange(m))
+    row = np.array([rho(int(k)) for k in range(m // 2 + 1)])
+    eig = np.fft.fft(row[lags]).real
+    negative = eig < 0.0
+    return CirculantSpectrum(
+        m=m,
+        eigenvalues=np.where(negative, 0.0, eig),
+        clamped_count=int(np.count_nonzero(negative)),
+        clamped_mass=float(np.abs(eig[negative]).sum() / m),
     )
 
 
@@ -248,18 +221,12 @@ def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -
     return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
 
 
-def _circulant_sampler(grid, method, process, hurst, acf, length, finish, max_doublings):
-    """`finish` of `length` circulant draws of the lag function k -> acf(k, grid.n, hurst),
-    whose spectrum `circulant_spectrum` repairs by `max_doublings`."""
+def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
+    """`finish` of `length` circulant draws of the lag function k -> acf(k, grid.n, hurst)."""
     hurst = float(hurst)
-    rho = lambda k: acf(k, grid.n, hurst)
-    spectrum = circulant_spectrum(rho, length, max_doublings=max_doublings)
+    spectrum = circulant_spectrum(lambda k: acf(k, grid.n, hurst), length)
     draw = _circulant_draw(spectrum, length, finish)
-    info = {
-        "clamped_count": spectrum.clamped_count,
-        "doublings": spectrum.doublings,
-        "embedding_size": spectrum.m,
-    }
+    info = {"clamped_count": spectrum.clamped_count, "embedding_size": spectrum.m}
     return LinearSampler(grid, method, process, hurst, spectrum.m, draw, info)
 
 
@@ -269,33 +236,17 @@ _cumsum = functools.partial(np.cumsum, axis=1)  # fGn rows to fBm rows
 @functools.lru_cache(maxsize=64)
 def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
     """The map of `davies_harte_fbm`: summed fGn, clamped at the minimal embedding."""
-    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, grid.n, _cumsum, None)
-
-
-@functools.lru_cache(maxsize=64)
-def wood_chan_sampler(
-    grid: GridSpec, hurst: float, max_doublings: int = MAX_DOUBLINGS
-) -> LinearSampler:
-    """The map of `wood_chan_fbm`: summed fGn, the embedding doubled up to `max_doublings` times."""
-    return _circulant_sampler(
-        grid, "circulant", "fbm", hurst, fgn_acf, grid.n, _cumsum, max_doublings
-    )
+    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, grid.n, _cumsum)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
     """fBm via FFT synthesis of fGn at the minimal embedding size.
 
-    Negative eigenvalues are clamped to zero rather than repaired by
-    enlarging the embedding; the clamped count is surfaced in the metadata.
+    The minimal embedding of fGn is nonnegative definite for every H
+    (Craigmile 2003), so in exact arithmetic nothing is clamped; a roundoff
+    negative would be clamped to zero and counted in `info`.
     """
     return davies_harte_sampler(grid, hurst)(rng)
-
-
-def wood_chan_fbm(
-    grid: GridSpec, hurst: float, rng: RngStream, max_doublings: int = MAX_DOUBLINGS
-) -> SamplePath:
-    """fBm via circulant embedding with the size-doubling repair policy."""
-    return wood_chan_sampler(grid, hurst, max_doublings)(rng)
 
 
 def normalizing_constant_CH(hurst: float) -> float:

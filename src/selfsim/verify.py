@@ -184,6 +184,8 @@ def method_equivalence(
     """
     if batch_a.n != batch_b.n:
         raise ParameterError("batches must share the same grid")
+    if min(batch_a.count, batch_b.count) < 2:
+        raise ParameterError("need at least 2 replicates in each batch for sample covariances")
     n = batch_a.n
     nodes = _grid_nodes(n, stride)
     cov_a = _sample_cov(batch_a.values[:, nodes])

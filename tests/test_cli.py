@@ -152,6 +152,11 @@ class TestSimulate:
             == 2
         )
 
+    def test_embedding_cap_flag_exits_2(self):
+        with pytest.raises(SystemExit) as err:
+            run(["simulate", "--n", "16", "--embedding-cap", "6"])
+        assert err.value.code == 2
+
     def test_every_pair_matches_public_sampler(self, tmp_path):
         from selfsim.cli import METHOD_TABLE, PROCESSES
         from selfsim.core import GridSpec, RngStream
@@ -162,7 +167,6 @@ class TestSimulate:
             davies_harte_fbm,
             ma_truncated_fbm,
             sample_bm,
-            wood_chan_fbm,
         )
 
         public = {
@@ -170,7 +174,6 @@ class TestSimulate:
             ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
             ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
             ("fbm", "davies-harte"): lambda p, h, g, r: davies_harte_fbm(g, h, r),
-            ("fbm", "circulant"): lambda p, h, g, r: wood_chan_fbm(g, h, r),
             ("fbm", "ma-truncated"): lambda p, h, g, r: ma_truncated_fbm(g, h, r),
             ("fbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
             ("sfbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
@@ -353,13 +356,16 @@ MALFORMED = [
     (["bench", "--n", "16"], "format = xml\n"),
     (["simulate", "--n", "16"], "truncation = x\n"),
     (["verify", "--suite", "error-bound", "--n", "16,64", "--method", "nope"], None),
-    (["simulate", "--method", "circulant", "--n", "16", "--embedding-cap", "-1"], None),
+    (["simulate", "--method", "circulant", "--n", "16"], None),
+    (["verify", "--suite", "equivalence", "--baseline", "circulant", "--n", "16"], None),
     (["simulate", "--method", "ma-truncated", "--n", "16", "--truncation", "nan"], None),
     (["verify", "--suite", "marginals", "--n", "16"], None),
-    (["simulate", "--n", "16", "--embedding-cap", "-1"], None),
+    (["simulate", "--n", "16"], "embedding_cap = 6\n"),
+    (["verify", "--suite", "equivalence", "--n", "16"], None),
     (["simulate", "--n", "16", "--substeps", "0"], None),
     (["simulate", "--n", "16", "--truncation", "0.5"], None),
     (["simulate", "--n", "16"], "truncation = nan\n"),
+    (["simulate", "--method", "davies-harte,cholesky", "--n", "16"], None),
 ]
 
 
@@ -387,13 +393,16 @@ MALFORMED = [
         "bench-cfg-format",
         "cfg-unused-malformed",
         "unused-method-unknown",
-        "embedding-cap-negative",
+        "method-circulant",
+        "baseline-circulant",
         "truncation-nan",
         "marginals-one-path",
-        "unused-embedding-cap-negative",
+        "cfg-embedding-cap",
+        "equivalence-one-path",
         "unused-substeps-zero",
         "unused-truncation-below-1",
         "cfg-unused-truncation-nan",
+        "simulate-method-list",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -404,7 +413,10 @@ def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
     if "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "out")]
     assert run(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "circulant" in argv:  # a method outside METHOD_TABLE: the error lists the valid ones
+        assert "davies-harte" in err
 
 
 def test_option_table_matches_parser():
@@ -461,9 +473,9 @@ class TestOutputFile:
         assert builds == []
 
     def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path):
-        from selfsim.samplers import EmbeddingError
+        from selfsim.samplers import NotPositiveDefiniteError
 
-        sampling.fail = EmbeddingError("indefinite")
+        sampling.fail = NotPositiveDefiniteError(0, "indefinite")
         out = tmp_path / "x.csv"
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
         assert not out.exists()

@@ -1,5 +1,5 @@
-"""Sampler tests: Monte Carlo moments against exact kernels, embedding
-repair behavior, and Cholesky jitter handling."""
+"""Sampler tests: Monte Carlo moments against exact kernels, the circulant
+clamp and its bound, and Cholesky jitter handling."""
 
 import warnings
 
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import fbm_kernel, fgn_acf, sfbm_kernel
+from selfsim.covmodels import fbm_kernel, fgn_acf, lamperti_acf_fbm, sfbm_kernel
 from selfsim.samplers import (
-    EmbeddingError,
     NotPositiveDefiniteError,
     bm_sampler,
     cholesky_factor,
@@ -23,8 +22,6 @@ from selfsim.samplers import (
     ma_truncated_fbm,
     normalizing_constant_CH,
     sample_bm,
-    wood_chan_fbm,
-    wood_chan_sampler,
 )
 
 
@@ -130,36 +127,35 @@ def white_noise_acf(n):
 class TestCirculantSpectrum:
     def test_white_noise_eigenvalues_all_one(self):
         spec = circulant_spectrum(white_noise_acf(16), 16)
-        assert spec.clamped_count == 0
-        assert spec.doublings == 0
+        assert spec.clamped_count == 0 and spec.clamped_mass == 0.0
         assert np.allclose(spec.eigenvalues, 1.0)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_fgn_embedding_nonnegative_at_minimal_size(self, hurst):
         n = 256
         spec = circulant_spectrum(lambda k: fgn_acf(k, n, hurst), n)
-        assert spec.doublings == 0
         assert spec.clamped_count == 0
         assert spec.m == 2 * (n - 1)
 
-    def test_squared_exponential_needs_doubling(self):
-        n = 32
-        acf = lambda k: float(np.exp(-((k / 8) ** 2)))
-        spec = circulant_spectrum(acf, n)
-        assert spec.doublings >= 1
-        assert spec.eigenvalues.min() >= 0.0
+    CLAMP_CASES = {
+        # (lag function, sequence length, clamped count)
+        "lamperti-fbm-0.8": (lambda k: lamperti_acf_fbm(k, 256, 0.8), 257, 209),
+        "squared-exponential": (lambda k: float(np.exp(-((k / 8) ** 2))), 32, 20),
+        "fgn-0.7": (lambda k: fgn_acf(k, 256, 0.7), 256, 0),
+    }
 
-    def test_truncated_acf_raises_after_cap(self):
-        n = 64
-        acf = lambda k: fgn_acf(k, n, 0.9) if k <= 16 else 0.0
-        with pytest.raises(EmbeddingError):
-            circulant_spectrum(acf, n)
-
-    def test_negative_doubling_cap_rejected(self):
-        from selfsim.core import ParameterError
-
-        with pytest.raises(ParameterError):
-            circulant_spectrum(white_noise_acf(16), 16, max_doublings=-1)
+    @pytest.mark.parametrize("rho, length, clamped", CLAMP_CASES.values(), ids=CLAMP_CASES)
+    def test_clamped_mass_is_the_implied_acf_error(self, rho, length, clamped):
+        # clamping adds ifft(|negative part|) to the implied ACF: its max is at lag 0
+        spec = circulant_spectrum(rho, length)
+        m = spec.m
+        row = np.array([rho(min(j, m - j)) for j in range(m)])
+        error = np.abs(np.fft.ifft(spec.eigenvalues).real - row)
+        tol = 1e-14 * row[0]
+        assert m == 2 * (length - 1) and spec.clamped_count == clamped
+        assert (spec.clamped_mass > 0.0) == (clamped > 0)
+        assert abs(error[0] - spec.clamped_mass) <= tol
+        assert error.max() <= error[0] + tol
 
 
 class TestCirculantSample:
@@ -207,16 +203,9 @@ class TestDaviesHarte:
         grid = GridSpec(32)
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
-        spectrum = circulant_spectrum(
-            lambda k: fgn_acf(k, 32, 0.6), 32, max_doublings=None
-        )
+        spectrum = circulant_spectrum(lambda k: fgn_acf(k, 32, 0.6), 32)
         fgn = circulant_sample(spectrum, 32, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
-
-    def test_wood_chan_matches_target_covariance(self):
-        grid = GridSpec(32)
-        values = batch_values(wood_chan_sampler(grid, 0.8), 50_000, 12)
-        assert values[:, -1].var(ddof=1) == pytest.approx(1.0, rel=0.05)
 
 
 class TestMovingAverage:
@@ -337,7 +326,6 @@ def _public_sampler(method, process, hurst, grid):
         "bm-cumsum": lambda rng: sample_bm(grid, rng),
         "cholesky": lambda rng: cholesky_sample(make_kernel(process, hurst), grid, rng),
         "davies-harte": lambda rng: davies_harte_fbm(grid, hurst, rng),
-        "circulant": lambda rng: wood_chan_fbm(grid, hurst, rng),
         "ma-truncated": lambda rng: ma_truncated_fbm(grid, hurst, rng),
         "lamperti": lambda rng: simulate_lamperti(process, hurst, grid, rng),
     }[method]
@@ -398,7 +386,6 @@ class TestLinearSamplers:
             "bm-cumsum": lambda: bm_sampler(GridSpec(16)),
             "cholesky": lambda: cholesky_sampler(fbm_kernel(0.7), GridSpec(16)),
             "davies-harte": lambda: davies_harte_sampler(GridSpec(16), 0.7),
-            "circulant": lambda: wood_chan_sampler(GridSpec(16), 0.7),
             "ma-truncated": lambda: ma_sampler(GridSpec(16), 0.7),
             "lamperti": lambda: lamperti_sampler("sfbm", 0.7, GridSpec(16)),
         }

@@ -138,6 +138,12 @@ class TestMethodEquivalence:
         with pytest.raises(ParameterError):
             method_equivalence(a, b)
 
+    def test_fewer_than_two_paths_rejected(self):
+        one, two = synthetic_batch(np.zeros((1, 4))), synthetic_batch(np.ones((2, 4)))
+        for a, b in ((one, two), (two, one)):
+            with pytest.raises(ParameterError):
+                method_equivalence(a, b)
+
     def test_rerun_identical(self):
         grid = GridSpec(16)
         a = generate_batch(davies_harte_sampler(grid, 0.6), 2_000, 70)
