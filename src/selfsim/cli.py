@@ -365,9 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         o = _options(args, _read_config(args.config) if args.config else {})
         takes_list = args.command == "bench" or (args.command, o.suite) == ("verify", "error-bound")

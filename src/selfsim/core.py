@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 __all__ = [
     "DEFAULT_SEED",
@@ -92,7 +93,7 @@ class RngStream:
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
         key = (self.stream_id << 64) | self.seed
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = Generator(Philox(key=key))
 
     def normals(self, size: int) -> np.ndarray:
         """Draw `size` standard normal variates, advancing the stream."""
@@ -192,7 +193,7 @@ def generate_batch(
     if len(ids) != count:
         raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
     seed = base_seed & _MASK64
-    gen = np.random.Generator(np.random.Philox(0))
+    gen = Generator(Philox(0))
     state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
     z = np.empty((sampler._block_rows, sampler.k))
     values = np.empty((count, sampler.grid.n))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lapack
+from numpy.fft import fft
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
@@ -126,8 +126,27 @@ def sample_bm(grid: GridSpec, rng: RngStream) -> SamplePath:
     return bm_sampler(grid)(rng)
 
 
+def _failing_pivot(target: np.ndarray) -> int:
+    """LAPACK's 1-based pivot of a failed factorization: the order of the smallest
+    leading block target[:k, :k] that is not positive definite, found by bisection."""
+    low, high = 0, len(target)  # target[:low, :low] factors, target[:high, :high] does not
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            np.linalg.cholesky(target[:mid, :mid])
+            low = mid
+        except np.linalg.LinAlgError:
+            high = mid
+    return high
+
+
 def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
-    """Factor a symmetric Gram matrix, escalating diagonal jitter on failure."""
+    """Factor a symmetric Gram matrix with `np.linalg.cholesky` (LAPACK potrf, lower
+    triangle), escalating diagonal jitter through `JITTER_LADDER` on failure.
+
+    If every level fails, `NotPositiveDefiniteError.pivot` is LAPACK's pivot at the
+    last level; it is searched for only on that error path.
+    """
     gram = np.asarray(gram, dtype=float)
     n = gram.shape[0]
     if gram.shape != (n, n):
@@ -135,14 +154,14 @@ def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
     if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(gram).max())):
         raise ParameterError("gram must be symmetric")
     max_diag = float(np.diag(gram).max(initial=0.0))
-    pivot = 0
     for level in JITTER_LADDER:
         jitter = level * max_diag
         target = gram if jitter == 0.0 else gram + jitter * np.eye(n)
-        c, info = lapack.dpotrf(target, lower=1)
-        if info == 0:
-            return CholeskyFactor(n=n, lower=np.tril(c), jitter=jitter)
-        pivot = int(info)
+        try:
+            return CholeskyFactor(n=n, lower=np.linalg.cholesky(target), jitter=jitter)
+        except np.linalg.LinAlgError:
+            pass
+    pivot = _failing_pivot(target)
     raise NotPositiveDefiniteError(
         pivot,
         f"matrix is not positive definite: pivot {pivot} failed even with "
@@ -177,7 +196,7 @@ def circulant_spectrum(rho: Callable[[int], float], length: int) -> CirculantSpe
     m = 2 * (length - 1)
     lags = np.minimum(np.arange(m), m - np.arange(m))
     row = np.array([rho(int(k)) for k in range(m // 2 + 1)])
-    eig = np.fft.fft(row[lags]).real
+    eig = fft(row[lags]).real
     negative = eig < 0.0
     return CirculantSpectrum(
         m=m,
@@ -211,7 +230,7 @@ def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=lambda y: y
             w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
             w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
         w *= weights
-        return finish(np.fft.fft(w, axis=1).real[:, :length])
+        return finish(fft(w, axis=1).real[:, :length])
 
     return draw
 
@@ -226,7 +245,11 @@ def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
     hurst = float(hurst)
     spectrum = circulant_spectrum(lambda k: acf(k, grid.n, hurst), length)
     draw = _circulant_draw(spectrum, length, finish)
-    info = {"clamped_count": spectrum.clamped_count, "embedding_size": spectrum.m}
+    info = {
+        "clamped_count": spectrum.clamped_count,
+        "clamped_mass": spectrum.clamped_mass,
+        "embedding_size": spectrum.m,
+    }
     return LinearSampler(grid, method, process, hurst, spectrum.m, draw, info)
 
 

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import ParameterError, ReplicateBatch
 from .covmodels import CovarianceKernel
@@ -139,10 +138,11 @@ def covariance_match(
 
 
 def ks_distance(sample: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance of standardized data to the standard normal."""
+    """Kolmogorov-Smirnov distance of standardized data to the standard normal,
+    whose CDF is Phi(z) = erfc(-z / sqrt 2) / 2."""
     z = np.sort((sample - sample.mean()) / sample.std(ddof=1))
     m = z.size
-    cdf = norm.cdf(z)
+    cdf = 0.5 * np.array([math.erfc(v) for v in (-z / math.sqrt(2.0)).tolist()])
     upper = np.max(np.arange(1, m + 1) / m - cdf)
     lower = np.max(cdf - np.arange(0, m) / m)
     return float(max(upper, lower))

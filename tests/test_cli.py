@@ -5,6 +5,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,7 @@ class TestSimulate:
         assert run([*argv.split(), "--out", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
         assert meta["clamped_count"] == 209 and meta["embedding_size"] == 512
+        assert meta["clamped_mass"] == pytest.approx(2.2984e-4, rel=1e-4)
 
     def test_invalid_combination_exits_2(self):
         assert (
@@ -431,6 +434,25 @@ def test_option_table_matches_parser():
         if action.option_strings and action.dest not in ("help", "config")
     }
     assert flags == set(_OPTIONS)
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    # `main` reuses one parser: each call in a sequence writes what the same
+    # command writes alone, in a fresh interpreter
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("process = sfbm\nmethod = cholesky\nhurst = 0.3\nn = 24\npaths = 2\nformat = json")
+    commands = [
+        "simulate --format json --paths 3 --process fbm --method lamperti --hurst 0.8 --n 32",
+        "simulate",
+        f"simulate --config {cfg}",
+    ]
+    for i, command in enumerate(commands):
+        assert run([*command.split(), "--out", str(tmp_path / f"seq{i}")]) == 0
+    for i, command in enumerate(commands):
+        alone = tmp_path / f"alone{i}"
+        argv = [sys.executable, "-m", "selfsim.cli", *command.split(), "--out", str(alone)]
+        subprocess.run(argv, check=True)
+        assert (tmp_path / f"seq{i}").read_bytes() == alone.read_bytes()
 
 
 class TestOutputFile:

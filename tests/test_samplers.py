@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import fbm_kernel, fgn_acf, lamperti_acf_fbm, sfbm_kernel
+from selfsim.covmodels import fbm_kernel, fgn_acf, lamperti_acf_fbm, make_kernel, sfbm_kernel
+from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
+    JITTER_LADDER,
     NotPositiveDefiniteError,
     bm_sampler,
     cholesky_factor,
@@ -77,6 +80,48 @@ class TestCholeskyFactor:
         with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky_factor(gram)
         assert err.value.pivot == 2
+
+    @staticmethod
+    def indefinite_at(n, pivot):
+        """A random positive definite matrix, with its diagonal entry at `pivot`
+        (1-based) lowered so that the Schur complement there is -1."""
+        b = np.random.Generator(np.random.Philox(key=n + pivot)).standard_normal((n, n))
+        gram = b @ b.T / n + np.eye(n)
+        head = gram[: pivot - 1, : pivot - 1]
+        column = gram[: pivot - 1, pivot - 1]
+        gram[pivot - 1, pivot - 1] = column @ np.linalg.solve(head, column) - 1.0
+        return gram
+
+    # the pivot first, mid-way and last; at n = 300, which LAPACK factors in
+    # blocks, also on both sides of block edges (64, n/4, 256)
+    PIVOT_CASES = [(3, 1), (3, 2), (3, 3), (50, 1), (50, 26), (50, 50)]
+    PIVOT_CASES += [(300, p) for p in (1, 2, 64, 65, 75, 76, 150, 151, 256, 257, 300)]
+
+    @pytest.mark.parametrize("n, pivot", PIVOT_CASES)
+    def test_pivot_matches_lapack_dpotrf(self, n, pivot):
+        gram = self.indefinite_at(n, pivot)
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            cholesky_factor(gram)
+        target = gram + JITTER_LADDER[-1] * np.diag(gram).max() * np.eye(n)
+        assert err.value.pivot == lapack.dpotrf(target, lower=1)[1] == pivot
+
+    @pytest.mark.parametrize("n", [2, 16, 100, 512])
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("process", ["fbm", "sfbm"])
+    def test_factor_matches_lapack_dpotrf(self, process, hurst, n):
+        # Both are backward stable: L L^T within 2e-15 of max|G|. Their L differ by
+        # up to about eps * cond(G), so the 1e-11 gate on L holds to H = 0.9; fBm at
+        # n = 512 differs by 2.3e-11 at H = 0.95 and 6.0e-11 at H = 0.99.
+        gram = make_kernel(process, hurst).gram(GridSpec(n).times())
+        factor = cholesky_factor(gram)
+        target = gram + factor.jitter * np.eye(n)
+        c, info = lapack.dpotrf(target, lower=1)
+        assert info == 0
+        assert np.array_equal(factor.lower, np.tril(factor.lower))
+        residual = np.abs(factor.lower @ factor.lower.T - target).max()
+        assert residual <= 2e-15 * np.abs(target).max()
+        if hurst <= 0.9:
+            assert np.abs(factor.lower - np.tril(c)).max() <= 1e-11
 
 
 class TestCholeskySample:
@@ -156,6 +201,21 @@ class TestCirculantSpectrum:
         assert (spec.clamped_mass > 0.0) == (clamped > 0)
         assert abs(error[0] - spec.clamped_mass) <= tol
         assert error.max() <= error[0] + tol
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.8])
+    def test_sampler_info_carries_clamped_mass(self, hurst):
+        grid = GridSpec(256)
+        lamperti = circulant_spectrum(lambda k: lamperti_acf_fbm(k, 256, hurst), 257)
+        fgn = circulant_spectrum(lambda k: fgn_acf(k, 256, hurst), 256)
+        for sampler, spec in [
+            (lamperti_sampler("fbm", hurst, grid), lamperti),
+            (davies_harte_sampler(grid, hurst), fgn),
+        ]:
+            assert sampler.info == {
+                "clamped_count": spec.clamped_count,
+                "clamped_mass": spec.clamped_mass,
+                "embedding_size": spec.m,
+            }
 
 
 class TestCirculantSample:

@@ -3,6 +3,7 @@ negative controls."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from selfsim.core import (
     GridSpec,
@@ -111,6 +112,12 @@ class TestNormality:
     def test_ks_distance_of_normal_sample_is_small(self):
         rng = np.random.Generator(np.random.Philox(key=10))
         assert ks_distance(rng.standard_normal(50_000)) <= 1.63 / np.sqrt(50_000)
+
+    @pytest.mark.parametrize("m", [1000, 50_000])
+    def test_ks_distance_matches_scipy_kstest(self, m):
+        x = 3.0 + 2.0 * np.random.Generator(np.random.Philox(key=m)).standard_normal(m)
+        expected = stats.kstest((x - x.mean()) / x.std(ddof=1), "norm").statistic
+        assert abs(ks_distance(x) - expected) <= 1e-14
 
     def test_requires_minimum_replicates(self):
         batch = synthetic_batch(np.zeros((500, 4)))
