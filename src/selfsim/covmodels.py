@@ -34,13 +34,6 @@ def _check_hurst(hurst: float) -> float:
     return float(hurst)
 
 
-def _npow(n: int, c: float) -> float:
-    # n**c as exp(c * ln n); exponents are assembled in full precision by
-    # callers, so cancellation-prone terms like n^{k/(2n)} - n^{-k/(2n)}
-    # lose at most one ulp each.
-    return math.exp(c * math.log(n))
-
-
 def fbm_cov(s, t, hurst: float):
     """Covariance of fBm: (|t|^2H + |s|^2H - |t-s|^2H) / 2.
 
@@ -59,40 +52,43 @@ def sfbm_cov(s, t, hurst: float):
     return t**h2 + s**h2 - 0.5 * ((t + s) ** h2 + abs(t - s) ** h2)
 
 
-def fgn_acf(k: int, n: int, hurst: float) -> float:
-    """Autocovariance of the fBm increment sequence on the 1/n grid at lag k."""
+def fgn_acf(k, n: int, hurst: float):
+    """Autocovariance of the fBm increment sequence on the 1/n grid at lag k (int or array).
+
+    For k >= 2 the second difference (k+1)^2H + (k-1)^2H - 2 k^2H is taken as
+    k^2H (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))), which does not cancel k^2H.
+    """
     h2 = 2.0 * _check_hurst(hurst)
-    k = abs(int(k))
-    return 0.5 * (abs(k + 1) ** h2 + abs(k - 1) ** h2 - 2.0 * k**h2) / n**h2
+    # numpy's scalar loops round unlike its array loops, so every ACF computes on a
+    # 1-d array of lags and returns k's shape: a lag alone gets the bits of its row entry
+    lag = np.abs(np.atleast_1d(k))
+    far = np.maximum(lag, 2.0)
+    tail = far**h2 * (np.expm1(h2 * np.log1p(1.0 / far)) + np.expm1(h2 * np.log1p(-1.0 / far)))
+    near = (lag + 1.0) ** h2 + np.abs(lag - 1.0) ** h2 - 2.0 * lag**h2
+    return (0.5 * np.where(lag < 2, near, tail) / n**h2).reshape(np.shape(k))[()]
 
 
-def lamperti_acf_fbm(k: int, n: int, hurst: float) -> float:
-    """Autocovariance at lag k of the inverse-Lamperti rescaling of fBm.
+def _lamperti_acf(process: str, k, n: int, hurst: float):
+    """Cov(U(0), U(k/n)) = c(n^-x, n^x) with x = k / (2n), c the process's covariance."""
+    x = np.abs(np.atleast_1d(k)) * (math.log(n) / (2.0 * n))
+    return _COVARIANCES[process](np.exp(-x), np.exp(x), hurst).reshape(np.shape(k))[()]
+
+
+def lamperti_acf_fbm(k, n: int, hurst: float):
+    """Autocovariance at lag k (int or array) of the inverse-Lamperti rescaling of fBm.
 
     rho(k) = ((n^{-Hk/n} + n^{Hk/n}) - (n^{k/(2n)} - n^{-k/(2n)})^{2H}) / 2,
     so rho(0) = 1 (the rescaled sequence has unit variance).
     """
-    hurst = _check_hurst(hurst)
-    k = abs(int(k))
-    x = k / (2.0 * n)
-    gap = _npow(n, x) - _npow(n, -x)
-    return 0.5 * (_npow(n, -2.0 * hurst * x) + _npow(n, 2.0 * hurst * x) - gap ** (2.0 * hurst))
+    return _lamperti_acf("fbm", k, n, hurst)
 
 
-def lamperti_acf_sfbm(k: int, n: int, hurst: float) -> float:
-    """Autocovariance at lag k of the inverse-Lamperti rescaling of sfBm.
+def lamperti_acf_sfbm(k, n: int, hurst: float):
+    """Autocovariance at lag k (int or array) of the inverse-Lamperti rescaling of sfBm.
 
     rho(0) = 2 - 2^{2H-1}, the variance of sfBm at t = 1.
     """
-    hurst = _check_hurst(hurst)
-    k = abs(int(k))
-    x = k / (2.0 * n)
-    lo, hi = _npow(n, -x), _npow(n, x)
-    return (
-        _npow(n, -2.0 * hurst * x)
-        + _npow(n, 2.0 * hurst * x)
-        - 0.5 * ((lo + hi) ** (2.0 * hurst) + (hi - lo) ** (2.0 * hurst))
-    )
+    return _lamperti_acf("sfbm", k, n, hurst)
 
 
 _COVARIANCES = {"fbm": fbm_cov, "sfbm": sfbm_cov}

@@ -78,8 +78,8 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # nonnegative-definite part of the circulant). For fbm the clamp fires
     # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
     # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U by
-    # the spectrum's `clamped_mass`, 2.3e-4 and 1.3e-3. For sfbm the relative
-    # rise shrinks with n: 2.1e-3 at n = 16 and 2.5e-5 at n = 256 (H = 0.99).
+    # the spectrum's `clamped_mass`, 2.298e-4 and 1.284e-3. For sfbm the relative
+    # rise shrinks with n: 2.15e-3 at n = 16 and 2.53e-5 at n = 256 (H = 0.99).
     acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
     finish = lambda u: scale * u[:, index]
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
@@ -99,7 +99,7 @@ def simulate_lamperti(
     match the target law exactly only when no eigenvalue of the embedding
     is clamped (``info["clamped_count"] == 0``). For fbm with H above about
     0.72 the clamp inflates Var U, and so every marginal variance, by a
-    relative 2.3e-4 at H = 0.8 and 1.3e-3 at H = 0.95 (n = 256).
+    relative 2.298e-4 at H = 0.8 and 1.284e-3 at H = 0.95 (n = 256).
     """
     return lamperti_sampler(process, hurst, grid)(rng)
 

@@ -183,20 +183,19 @@ def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) ->
     return cholesky_sampler(kernel, grid)(rng)
 
 
-def circulant_spectrum(rho: Callable[[int], float], length: int) -> CirculantSpectrum:
-    """Embed the Toeplitz covariance of a length-`length` stationary sequence
-    in the minimal circulant, m = 2 (length - 1), and clamp its negative
-    eigenvalues to zero.
+def circulant_spectrum(row) -> CirculantSpectrum:
+    """Embed the Toeplitz covariance of a stationary sequence, whose lags
+    0 .. length - 1 are `row`, in the minimal circulant, m = 2 (length - 1),
+    and clamp its negative eigenvalues to zero.
 
-    The first circulant row folds the lag function: c_j = rho(j) for
-    j <= m/2 and c_j = rho(m - j) above.
+    The first circulant row folds the lags: c_j = row[j] for j <= m/2 and
+    c_j = row[m - j] above.
     """
-    if length < 2:
+    row = np.asarray(row, dtype=float)
+    if row.ndim != 1 or len(row) < 2:
         raise ParameterError("stationary sequence length must be >= 2")
-    m = 2 * (length - 1)
-    lags = np.minimum(np.arange(m), m - np.arange(m))
-    row = np.array([rho(int(k)) for k in range(m // 2 + 1)])
-    eig = fft(row[lags]).real
+    m = 2 * (len(row) - 1)
+    eig = fft(np.concatenate([row, row[-2:0:-1]])).real
     negative = eig < 0.0
     return CirculantSpectrum(
         m=m,
@@ -241,9 +240,9 @@ def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -
 
 
 def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
-    """`finish` of `length` circulant draws of the lag function k -> acf(k, grid.n, hurst)."""
+    """`finish` of `length` circulant draws of the lags 0 .. length - 1 of acf(k, grid.n, hurst)."""
     hurst = float(hurst)
-    spectrum = circulant_spectrum(lambda k: acf(k, grid.n, hurst), length)
+    spectrum = circulant_spectrum(acf(np.arange(length), grid.n, hurst))
     draw = _circulant_draw(spectrum, length, finish)
     info = {
         "clamped_count": spectrum.clamped_count,

@@ -8,7 +8,14 @@ import pytest
 from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import fbm_kernel, fgn_acf, lamperti_acf_fbm, make_kernel, sfbm_kernel
+from selfsim.covmodels import (
+    fbm_kernel,
+    fgn_acf,
+    lamperti_acf_fbm,
+    lamperti_acf_sfbm,
+    make_kernel,
+    sfbm_kernel,
+)
 from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
@@ -165,48 +172,62 @@ class TestCholeskySample:
         assert np.array_equal(a, b)
 
 
-def white_noise_acf(n):
-    return lambda k: 1.0 if k == 0 else 0.0
+def white_noise_row(n):
+    return np.eye(1, n)[0]
 
 
 class TestCirculantSpectrum:
     def test_white_noise_eigenvalues_all_one(self):
-        spec = circulant_spectrum(white_noise_acf(16), 16)
+        spec = circulant_spectrum(white_noise_row(16))
         assert spec.clamped_count == 0 and spec.clamped_mass == 0.0
         assert np.allclose(spec.eigenvalues, 1.0)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_fgn_embedding_nonnegative_at_minimal_size(self, hurst):
         n = 256
-        spec = circulant_spectrum(lambda k: fgn_acf(k, n, hurst), n)
+        spec = circulant_spectrum(fgn_acf(np.arange(n), n, hurst))
         assert spec.clamped_count == 0
         assert spec.m == 2 * (n - 1)
 
     CLAMP_CASES = {
-        # (lag function, sequence length, clamped count)
-        "lamperti-fbm-0.8": (lambda k: lamperti_acf_fbm(k, 256, 0.8), 257, 209),
-        "squared-exponential": (lambda k: float(np.exp(-((k / 8) ** 2))), 32, 20),
-        "fgn-0.7": (lambda k: fgn_acf(k, 256, 0.7), 256, 0),
+        # (first row of the stationary covariance, clamped count)
+        "lamperti-fbm-0.8": (lamperti_acf_fbm(np.arange(257), 256, 0.8), 209),
+        "squared-exponential": (np.exp(-((np.arange(32) / 8) ** 2)), 20),
+        "fgn-0.7": (fgn_acf(np.arange(256), 256, 0.7), 0),
     }
 
-    @pytest.mark.parametrize("rho, length, clamped", CLAMP_CASES.values(), ids=CLAMP_CASES)
-    def test_clamped_mass_is_the_implied_acf_error(self, rho, length, clamped):
+    @staticmethod
+    def check_implied_acf(row):
         # clamping adds ifft(|negative part|) to the implied ACF: its max is at lag 0
-        spec = circulant_spectrum(rho, length)
+        spec = circulant_spectrum(row)
         m = spec.m
-        row = np.array([rho(min(j, m - j)) for j in range(m)])
-        error = np.abs(np.fft.ifft(spec.eigenvalues).real - row)
+        folded = row[np.minimum(np.arange(m), m - np.arange(m))]
+        error = np.abs(np.fft.ifft(spec.eigenvalues).real - folded)
         tol = 1e-14 * row[0]
-        assert m == 2 * (length - 1) and spec.clamped_count == clamped
-        assert (spec.clamped_mass > 0.0) == (clamped > 0)
+        assert m == 2 * (len(row) - 1)
+        assert (spec.clamped_mass > 0.0) == (spec.clamped_count > 0)
         assert abs(error[0] - spec.clamped_mass) <= tol
         assert error.max() <= error[0] + tol
+        return spec
+
+    @pytest.mark.parametrize("row, clamped", CLAMP_CASES.values(), ids=CLAMP_CASES)
+    def test_clamped_mass_is_the_implied_acf_error(self, row, clamped):
+        assert self.check_implied_acf(row).clamped_count == clamped
+
+    @pytest.mark.parametrize("acf", [lamperti_acf_fbm, lamperti_acf_sfbm, fgn_acf])
+    def test_clamped_mass_is_the_implied_acf_error_sweep(self, acf):
+        # the Lamperti sequence has n + 1 lags (indices 0..n), fGn n; fGn clamps nothing
+        length = lambda n: n if acf is fgn_acf else n + 1
+        for n in (16, 64, 256, 1024, 4096, 32768):
+            for hurst in (0.05, 0.3, 0.5, 0.72, 0.8, 0.95, 0.99):
+                spec = self.check_implied_acf(acf(np.arange(length(n)), n, hurst))
+                assert acf is not fgn_acf or spec.clamped_count == 0
 
     @pytest.mark.parametrize("hurst", [0.3, 0.8])
     def test_sampler_info_carries_clamped_mass(self, hurst):
         grid = GridSpec(256)
-        lamperti = circulant_spectrum(lambda k: lamperti_acf_fbm(k, 256, hurst), 257)
-        fgn = circulant_spectrum(lambda k: fgn_acf(k, 256, hurst), 256)
+        lamperti = circulant_spectrum(lamperti_acf_fbm(np.arange(257), 256, hurst))
+        fgn = circulant_spectrum(fgn_acf(np.arange(256), 256, hurst))
         for sampler, spec in [
             (lamperti_sampler("fbm", hurst, grid), lamperti),
             (davies_harte_sampler(grid, hurst), fgn),
@@ -222,7 +243,7 @@ class TestCirculantSample:
     def test_empirical_acf_matches_input(self):
         n, hurst, m_rep = 64, 0.8, 100_000
         acf = lambda k: fgn_acf(k, n, hurst)
-        spec = circulant_spectrum(acf, n)
+        spec = circulant_spectrum(acf(np.arange(n)))
 
         def one(rng):
             return circulant_sample(spec, n, rng)
@@ -236,7 +257,7 @@ class TestCirculantSample:
 
     def test_white_noise_lag_one_correlation(self):
         n = 32
-        spec = circulant_spectrum(white_noise_acf(n), n)
+        spec = circulant_spectrum(white_noise_row(n))
         rows = np.stack([circulant_sample(spec, n, RngStream(5, i)) for i in range(20_000)])
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
@@ -263,7 +284,7 @@ class TestDaviesHarte:
         grid = GridSpec(32)
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
-        spectrum = circulant_spectrum(lambda k: fgn_acf(k, 32, 0.6), 32)
+        spectrum = circulant_spectrum(fgn_acf(np.arange(32), 32, 0.6))
         fgn = circulant_sample(spectrum, 32, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
 
