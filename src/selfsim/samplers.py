@@ -68,7 +68,8 @@ class CirculantSpectrum:
 
     `clamped_mass` is the sum of the clamped eigenvalues' magnitudes over m:
     clamping adds ifft(|negative part|) to the implied autocovariance, so this
-    is that error's exact max norm, reached at lag 0.
+    is that error's exact max norm, reached at lag 0. It is the figure to read:
+    `clamped_count` also counts eigenvalues whose sign the ACF's rounding sets.
     """
 
     m: int
@@ -281,24 +282,76 @@ def normalizing_constant_CH(hurst: float) -> float:
     return math.sqrt(math.gamma(2.0 * h + 1.0) * math.sin(math.pi * h)) / math.gamma(h + 0.5)
 
 
+def _ma_powers(n: int, hurst: float, truncation: float, substeps: int):
+    """g(x) = (x * step)^(H - 1/2) at the integer lags x = 0 .. k, with g(0) = 0, for the
+    Riemann rule with step = 1/(substeps*n) on [-truncation, 1): k = N + substeps*n noises,
+    N = round(truncation*substeps*n) of them before 0. Returns (g, N, step)."""
+    step = 1.0 / (substeps * n)
+    n_neg = int(round(truncation * substeps * n))
+    powers = np.zeros(n_neg + substeps * n + 1)
+    powers[1:] = (np.arange(1, len(powers), dtype=float) * step) ** (hurst - 0.5)
+    return powers, n_neg, step
+
+
 def _ma_weights(n: int, hurst: float, truncation: float, substeps: int) -> np.ndarray:
     """The (n, k) Riemann weights W: (X(1/n), ..., X(1)) = W z for k white noises.
 
-    Left-point rule with step 1/(substeps*n) on [-truncation, 1). Not cached:
-    `ma_sampler` keeps only the n x n factor of W W^T, so W is freed after it.
+    Left-point rule with step 1/(substeps*n) on [-truncation, 1): with s = substeps and
+    g from `_ma_powers`, W[i, j] = C_H sqrt(step) (g(i s - j) - g(-j)) for the noise
+    at j * step, j = -N .. s n - 1. Row i is a window of the reversed powers, minus
+    the window of row 0 (the negative-side row). O(n k) memory: the definition the
+    tests compare `_ma_gram` against; `ma_sampler` never builds it.
     """
-    step = 1.0 / (substeps * n)
-    n_neg = int(round(truncation * substeps * n))
-    u = np.arange(-n_neg, substeps * n, dtype=float) * step
-    t = (np.arange(1, n + 1, dtype=float) / n)[:, None]
-    # built in place; from u = t on the powers are infinite or NaN, and the mask zeroes them
-    weights = t - u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights **= hurst - 0.5
-    weights[u >= t - step / 2] = 0.0
-    weights[:, :n_neg] -= (-u[:n_neg]) ** (hurst - 0.5)
+    powers, n_neg, step = _ma_powers(n, hurst, truncation, substeps)
+    k = len(powers) - 1
+    reversed_powers = np.concatenate([powers[::-1], np.zeros(substeps * n)])
+    rows = np.lib.stride_tricks.sliding_window_view(reversed_powers, k)[::substeps]
+    weights = rows[n - 1 :: -1] - rows[n]
     weights *= normalizing_constant_CH(hurst) * math.sqrt(step)
     return weights
+
+
+def _diagonal_cumsum(b: np.ndarray) -> np.ndarray:
+    """b[i, j] += b[i-1, j-1] down every diagonal, in place: each diagonal's prefix sums."""
+    for i in range(1, len(b)):
+        b[i, 1:] += b[i - 1, :-1]
+    return b
+
+
+def _ma_gram(n: int, hurst: float, truncation: float, substeps: int) -> np.ndarray:
+    """W W^T of `_ma_weights` from lag sums, in O(n k) time and O(n^2 + k) memory, without W.
+
+    With s = substeps, g from `_ma_powers` and e(x) = g(x + s) - g(x), which has one
+    sign for x >= 1, entry (i, l) is C_H^2 step times the sum of two parts:
+    - the noises from 0 on give sum_{x=1}^{min(i,l) s} g(x) g(x + |i-l| s): down each
+      diagonal, the prefix sums of the Gram of g's blocks of s;
+    - the noises before 0 give row i as g(i s + y) - g(y) = sum_{r<i} e(r s + y), so
+      their part is the 2-D prefix sum of M[r, r'] = sum_{y=1}^{N} e(r s + y) e(r' s + y).
+      Each such window splits at (n-1) s and N (N >= s n, as T >= 1) into a head
+      suffix and a tail prefix, both diagonal sums of Grams of e's blocks of s,
+      and one middle dot per lag.
+    Every sum adds terms of one sign, so nothing cancels.
+    """
+    powers, n_neg, step = _ma_powers(n, hurst, truncation, substeps)
+    s, e = substeps, powers[substeps:] - powers[:-substeps]
+    blocks = powers[1 : n * s + 1].reshape(n, s)
+    positive = _diagonal_cumsum(blocks @ blocks.T)
+    head = e[1 : (2 * n - 1) * s + 1].reshape(2 * n - 1, s)
+    head = head[: n - 1] @ head.T
+    _diagonal_cumsum(head[::-1, ::-1])  # suffix sums, from each diagonal's lower end
+    tail = e[n_neg + 1 : n_neg + 1 + (n - 1) * s].reshape(n - 1, s)
+    mid = (n - 1) * s + 1
+    middle = [np.dot(e[mid : n_neg + 1], e[mid + d * s : n_neg + 1 + d * s]) for d in range(n)]
+    middle = np.concatenate([middle[:0:-1], middle])  # lags n-1 .. 1, 0, 1 .. n-1
+    m = np.zeros((n, n))
+    m[: n - 1] = np.triu(head[:, :n])
+    m += np.triu(m, 1).T
+    m[1:, 1:] += _diagonal_cumsum(tail @ tail.T)
+    m += np.lib.stride_tricks.sliding_window_view(middle, n)[::-1]  # Toeplitz of the lags
+    gram = m.cumsum(0).cumsum(1)
+    gram += positive
+    gram *= normalizing_constant_CH(hurst) ** 2 * step
+    return gram
 
 
 @functools.lru_cache(maxsize=64)
@@ -310,11 +363,11 @@ def ma_sampler(
 ) -> LinearSampler:
     """The law N(0, W W^T) of `ma_truncated_fbm`, drawn as L z from n normals per path:
     W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`).
-    The build's W W^T costs n^2 k / 2 multiply-adds, n / 2 paths' worth of W z."""
+    The build forms W W^T from lag sums (`_ma_gram`) in O(n k) time and O(n^2 + k)
+    memory; no (n, k) W is built."""
     hurst = _check_hurst(hurst)
     truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
-    weights = _ma_weights(grid.n, hurst, truncation, substeps)
-    factor = cholesky_factor(weights @ weights.T)
+    factor = cholesky_factor(_ma_gram(grid.n, hurst, truncation, substeps))
     info = {"truncation": truncation, "substeps": substeps, "jitter": factor.jitter}
     return LinearSampler(grid, "ma-truncated", "fbm", hurst, grid.n, _dense_map(factor.lower), info)
 
@@ -333,7 +386,9 @@ def ma_truncated_fbm(
     sampler exists to make that bias measurable, not to be exact.
 
     The draw is L z with L L^T = W W^T, the covariance of the Riemann-rule
-    weight matrix W, from n normals per path. With T = truncation, it lacks
+    weight matrix W, from n normals per path. W W^T is built from lag sums
+    (`_ma_gram`) in O(n k) time and O(n^2 + k) memory, without W's (n, k)
+    array, k = (T + 1) * substeps * n. With T = truncation, it lacks
     C_H^2 * integral over v > T of ((s+v)^{H-1/2} - v^{H-1/2}) *
     ((t+v)^{H-1/2} - v^{H-1/2}) dv at (s, t). For large T this is about
     C_H^2 (H-1/2)^2 s t T^{2H-2} / (2-2H). At H = 0.8, T = 50 the

@@ -1,6 +1,7 @@
 """Sampler tests: Monte Carlo moments against exact kernels, the circulant
 clamp and its bound, and Cholesky jitter handling."""
 
+import math
 import warnings
 
 import numpy as np
@@ -396,6 +397,59 @@ class TestMovingAverage:
                     assert k == n and info["jitter"] == 0.0, case
                     error = np.abs(lower @ lower.T - gram).max()
                     assert error <= 1e-14 * np.abs(gram).max(), case
+
+    def test_lag_sum_gram_matches_weight_gram_at_edge_shapes(self):
+        # one row, and N = round(T s n) not a multiple of s (T = 1.3, 7.7 at odd n or s = 3)
+        from selfsim.samplers import _ma_gram, _ma_weights
+
+        for n in (1, 3, 37, 100):
+            for substeps in (1, 3, 8):
+                for truncation in (1.3, 7.7, 50.0):
+                    for hurst in (0.05, 0.1, 0.3, 0.5, 0.7, 0.8, 0.95, 0.99):
+                        case = (n, substeps, truncation, hurst)
+                        weights = _ma_weights(n, hurst, truncation, substeps)
+                        gram = weights @ weights.T
+                        error = np.abs(_ma_gram(n, hurst, truncation, substeps) - gram).max()
+                        assert error <= 1e-14 * np.abs(gram).max(), case
+
+    def test_build_allocates_no_weight_matrix(self):
+        # at n = 512, T = 50 the (n, k) W alone would be 855 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            ma_sampler.__wrapped__(GridSpec(512), 0.7)  # uncached: a fresh build
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @staticmethod
+    def _time_difference_weights(n, hurst, truncation, substeps):
+        """The weights as first written, from the time differences t - u."""
+        step = 1.0 / (substeps * n)
+        n_neg = int(round(truncation * substeps * n))
+        u = np.arange(-n_neg, substeps * n, dtype=float) * step
+        t = (np.arange(1, n + 1, dtype=float) / n)[:, None]
+        # built in place; from u = t on the powers are infinite or NaN, and the mask zeroes them
+        weights = t - u
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights **= hurst - 0.5
+        weights[u >= t - step / 2] = 0.0
+        weights[:, :n_neg] -= (-u[:n_neg]) ** (hurst - 0.5)
+        weights *= normalizing_constant_CH(hurst) * math.sqrt(step)
+        return weights
+
+    def test_weights_equal_the_time_difference_form_bit_for_bit(self):
+        # t - u is exact when n * substeps is a power of two, so the integer lags change no bit
+        from selfsim.samplers import _ma_weights
+
+        for n in (16, 64, 128):
+            for truncation in (1.0, 2.0, 50.0):
+                for hurst in (0.05, 0.3, 0.5, 0.8, 0.99):
+                    got = _ma_weights(n, hurst, truncation, 8)
+                    want = self._time_difference_weights(n, hurst, truncation, 8)
+                    assert np.array_equal(got, want), (n, truncation, hurst)
 
 
 def _public_sampler(method, process, hurst, grid):
