@@ -284,8 +284,7 @@ def cmd_verify(o: argparse.Namespace) -> int:
                 reports.append(
                     method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
                 )
-        json.dump(reports if len(reports) > 1 else reports[0], stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(reports if len(reports) > 1 else reports[0], indent=2) + "\n")
     all_pass = all(r["verdict"] == "pass" for r in reports)
     return EXIT_OK if all_pass else EXIT_VERDICT
 
@@ -315,8 +314,7 @@ def cmd_bench(o: argparse.Namespace) -> int:
                 rows.append(row)
 
         if o.format == "json":
-            json.dump(rows, stream, indent=2)
-            stream.write("\n")
+            stream.write(json.dumps(rows, indent=2) + "\n")
         else:
             stream.write("method,n,paths,seconds_per_path,seconds_per_batch,ratio_vs_previous_n\n")
             for r in rows:

@@ -81,7 +81,7 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # the spectrum's `clamped_mass`, 2.298e-4 and 1.284e-3. For sfbm the relative
     # rise shrinks with n: 2.15e-3 at n = 16 and 2.53e-5 at n = 256 (H = 0.99).
     acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
-    finish = lambda u: scale * u[:, index]
+    finish = lambda y: scale * np.take(y, index, axis=1)
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.fft import fft
+from numpy.fft import fft, irfft
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
@@ -206,42 +206,48 @@ def circulant_spectrum(row) -> CirculantSpectrum:
     )
 
 
-def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=lambda y: y):
-    """The map of (rows, m) normals to `finish` of (rows, length) circulant draws.
+def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
+    """The map of (rows, m) normals to (rows, m) real circulant draws, whose first
+    `length` columns have the (clamp-adjusted) target autocovariance; the draw
+    returns those columns, or `finish` of all m.
 
-    Each row of m normals becomes a Hermitian-symmetric complex Gaussian
-    vector, weighted by the square roots of the eigenvalues and passed
-    through one FFT; the first `length` real coordinates have the
-    (clamp-adjusted) target autocovariance.
+    Each row of m normals fills half of a Hermitian vector, bins 0 .. m/2:
+    z[0] and z[1] are the real bins 0 and m/2, z[2 : m/2 + 1] the real and
+    z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1. Each bin is weighted
+    by the square root of its eigenvalue over m, times 1/sqrt(2) inside. The
+    whole vector's FFT is real, and it is one unscaled real inverse FFT of the
+    conjugate half (`irfft`, norm="forward").
     """
     m = spectrum.m
     half = m // 2
-    if length > half + 1:
-        raise ParameterError("requested length exceeds the embedding capacity")
-    weights = np.sqrt(spectrum.eigenvalues / m)
+    if not 1 <= length <= half + 1:
+        raise ParameterError(f"requested length {length} is outside 1 .. {half + 1} (capacity)")
+    weights = np.sqrt(spectrum.eigenvalues[: half + 1] / m)
+    weights[1:half] /= math.sqrt(2.0)
+    conj_weights = -weights[1:half]
+    if finish is None:
+        finish = lambda y: y[:, :length]
 
     def draw(z):
-        w = np.zeros(z.shape, dtype=complex)
-        w[:, 0] = z[:, 0]
-        w[:, half] = z[:, 1]
-        if half > 1:
-            a = z[:, 2 : half + 1]
-            b = z[:, half + 1 : m]
-            w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
-            w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
-        w *= weights
-        return finish(fft(w, axis=1).real[:, :length])
+        spec = np.zeros((len(z), half + 1), dtype=complex)
+        spec.real[:, 0] = z[:, 0] * weights[0]
+        spec.real[:, half] = z[:, 1] * weights[half]
+        np.multiply(z[:, 2 : half + 1], weights[1:half], out=spec.real[:, 1:half])
+        np.multiply(z[:, half + 1 :], conj_weights, out=spec.imag[:, 1:half])
+        return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
     return draw
 
 
 def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -> np.ndarray:
-    """Draw a stationary Gaussian sequence of the given length (`_circulant_draw`)."""
+    """Draw a stationary Gaussian sequence of the given length, 1 .. m/2 + 1, from
+    m normals: one real inverse FFT of m/2 + 1 weighted bins (`_circulant_draw`)."""
     return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
 
 
 def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
-    """`finish` of `length` circulant draws of the lags 0 .. length - 1 of acf(k, grid.n, hurst)."""
+    """`finish` of the circulant draws whose first `length` columns have the lags
+    0 .. length - 1 of acf(k, grid.n, hurst) (`_circulant_draw`)."""
     hurst = float(hurst)
     spectrum = circulant_spectrum(acf(np.arange(length), grid.n, hurst))
     draw = _circulant_draw(spectrum, length, finish)
@@ -253,13 +259,12 @@ def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
     return LinearSampler(grid, method, process, hurst, spectrum.m, draw, info)
 
 
-_cumsum = functools.partial(np.cumsum, axis=1)  # fGn rows to fBm rows
-
-
 @functools.lru_cache(maxsize=64)
 def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
     """The map of `davies_harte_fbm`: summed fGn, clamped at the minimal embedding."""
-    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, grid.n, _cumsum)
+    n = grid.n
+    cumsum = lambda y: np.cumsum(y[:, :n], axis=1)  # fGn rows to fBm rows
+    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, n, cumsum)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:

@@ -588,6 +588,12 @@ class TestVerifyCommand:
         )
         assert code == 0
 
+    def test_report_layout_is_indented_json(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "error-bound", "--n", "64,256", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as err:
             run(["verify", "--suite", "nope", "--n", "16"])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from selfsim.core import GridSpec, RngStream, generate_batch
+from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
 from selfsim.covmodels import (
     fbm_kernel,
     fgn_acf,
@@ -21,6 +21,7 @@ from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
     NotPositiveDefiniteError,
+    _circulant_draw,
     bm_sampler,
     cholesky_factor,
     cholesky_sample,
@@ -262,6 +263,79 @@ class TestCirculantSample:
         rows = np.stack([circulant_sample(spec, n, RngStream(5, i)) for i in range(20_000)])
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
+
+    @pytest.mark.parametrize("length", [-3, 0, 17])
+    def test_rejects_length_outside_capacity(self, length):
+        # m = 30 at n = 16: lengths 1 .. 16; a negative length would slice from the end
+        spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
+        with pytest.raises(ParameterError, match="length"):
+            circulant_sample(spec, length, RngStream(5, 0))
+
+    def test_accepts_lengths_one_to_capacity(self):
+        spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
+        full = circulant_sample(spec, 16, RngStream(5, 0))
+        for length in (1, 2, 16):
+            assert np.array_equal(circulant_sample(spec, length, RngStream(5, 0)), full[:length])
+
+
+def _full_hermitian_draw(spectrum, length):
+    """The circulant draw before the half-spectrum form, kept verbatim as a reference:
+    a full (rows, m) Hermitian vector through one complex FFT, its real part."""
+    m = spectrum.m
+    half = m // 2
+    weights = np.sqrt(spectrum.eigenvalues / m)
+
+    def draw(z):
+        w = np.zeros(z.shape, dtype=complex)
+        w[:, 0] = z[:, 0]
+        w[:, half] = z[:, 1]
+        if half > 1:
+            a = z[:, 2 : half + 1]
+            b = z[:, half + 1 : m]
+            w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
+            w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
+        w *= weights
+        return np.fft.fft(w, axis=1).real[:, :length]
+
+    return draw
+
+
+# (stationary row, length): fGn has n lags, the Lamperti sequence n + 1
+CIRCULANT_ROWS = {
+    **{
+        f"fgn-{n}-{h}": (fgn_acf(np.arange(n), n, h), n)
+        for n in (2, 3, 16, 256, 1024)
+        for h in (0.3, 0.8)
+    },
+    **{f"lamperti-fbm-256-{h}": (lamperti_acf_fbm(np.arange(257), 256, h), 257) for h in (0.3, 0.8)},
+    **{
+        f"lamperti-sfbm-{n}-{h}": (lamperti_acf_sfbm(np.arange(n + 1), n, h), n + 1)
+        for n, h in ((64, 0.99), (256, 0.8))
+    },
+}
+
+
+class TestCirculantMap:
+    """The circulant draw as a linear map x = z A of m normals, checked exactly."""
+
+    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_implied_covariance_is_the_clamped_acf(self, row, length):
+        # the rows of A are the draws of the unit vectors; A^T A is the map's covariance
+        spec = circulant_spectrum(row)
+        a = _circulant_draw(spec, length)(np.eye(spec.m))
+        implied = np.fft.ifft(spec.eigenvalues).real[:length]
+        lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
+        assert a.shape == (spec.m, length)
+        assert np.abs(a.T @ a - implied[lags]).max() <= 1e-14 * row[0]
+
+    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_matches_full_hermitian_draw(self, row, length):
+        spec = circulant_spectrum(row)
+        z = np.random.default_rng(15).standard_normal((9, spec.m))
+        new = _circulant_draw(spec, length)(z)
+        old = _full_hermitian_draw(spec, length)(z)
+        scale = np.abs(old).max(axis=1, keepdims=True)
+        assert np.all(np.abs(new - old) <= 1e-13 * scale)
 
 
 class TestDaviesHarte:
@@ -557,6 +631,32 @@ class TestDenseMapRows:
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
     def test_rows_equal_per_path_calls(self, sampler, count):
         ids = self._stream_ids(count)
+        batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
+        for row, stream_id in zip(batch.values, ids, strict=True):
+            expected = sampler(RngStream(self.SEED, stream_id)).values
+            assert np.array_equal(row.view(np.uint64), expected.view(np.uint64)), stream_id
+
+
+class TestCirculantMapRows:
+    """Each row of a circulant map's batch has the bits of its per-path call, at the
+    benchmark's shapes: davies-harte at n = 1024 (32-row blocks) and lamperti fBm at
+    n = 256 (128-row blocks).
+
+    `irfft` over axis 1 runs numpy's pocketfft once per row, so a row's bits do not
+    depend on its position or neighbours. That is a property of numpy's per-row
+    loop, not a documented guarantee, and these shapes pin it.
+    """
+
+    SEED = 37
+    SAMPLERS = {
+        "davies-harte-1024": davies_harte_sampler(GridSpec(1024), 0.7),
+        "lamperti-fbm-256": lamperti_sampler("fbm", 0.8, GridSpec(256)),
+    }
+
+    @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
+    @pytest.mark.parametrize("count", [1, 37, 128, 129])
+    def test_rows_equal_per_path_calls(self, sampler, count):
+        ids = TestDenseMapRows._stream_ids(count)
         batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
         for row, stream_id in zip(batch.values, ids, strict=True):
             expected = sampler(RngStream(self.SEED, stream_id)).values
