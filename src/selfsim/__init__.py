@@ -22,13 +22,11 @@ from .core import (
 from .covmodels import (
     CovarianceKernel,
     fbm_cov,
-    fbm_kernel,
     fgn_acf,
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
     make_kernel,
     sfbm_cov,
-    sfbm_kernel,
 )
 from .lamperti import (
     LampertiGridMap,
@@ -39,21 +37,17 @@ from .lamperti import (
     simulate_lamperti,
 )
 from .samplers import (
-    CholeskyFactor,
     CirculantSpectrum,
     NotPositiveDefiniteError,
     bm_sampler,
     cholesky_factor,
-    cholesky_sample,
     cholesky_sampler,
-    circulant_sample,
     circulant_spectrum,
     davies_harte_fbm,
     davies_harte_sampler,
     ma_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
-    sample_bm,
 )
 from .verify import (
     VerificationReport,

@@ -22,8 +22,6 @@ __all__ = [
     "fgn_acf",
     "lamperti_acf_fbm",
     "lamperti_acf_sfbm",
-    "fbm_kernel",
-    "sfbm_kernel",
     "make_kernel",
 ]
 
@@ -105,14 +103,6 @@ class CovarianceKernel:
         """Gram matrix on a vector of time points (vectorized)."""
         t = np.asarray(times, dtype=float)
         return _COVARIANCES[self.process](t[:, None], t[None, :], self.hurst)
-
-
-def fbm_kernel(hurst: float) -> CovarianceKernel:
-    return make_kernel("fbm", hurst)
-
-
-def sfbm_kernel(hurst: float) -> CovarianceKernel:
-    return make_kernel("sfbm", hurst)
 
 
 def make_kernel(process: str, hurst: float) -> CovarianceKernel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
-from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
+from .covmodels import _COVARIANCES, _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
 from .samplers import _circulant_sampler
 from .verify import VerificationReport
 
@@ -23,15 +23,11 @@ __all__ = [
     "simulate_lamperti",
     "marginal_variance_profile",
     "error_bound_diagnostics",
-    "theoretical_variance",
 ]
 
 # Snap map arguments this close to an integer before flooring, so log/exp
 # roundoff cannot flip the index at exact dyadic points.
 _SNAP_TOL = 1e-9
-
-# Reported Holder index is H - epsilon.
-HOLDER_EPSILON = 0.01
 
 
 @dataclass(frozen=True)
@@ -104,31 +100,25 @@ def simulate_lamperti(
     return lamperti_sampler(process, hurst, grid)(rng)
 
 
-def theoretical_variance(process: str, hurst: float, t: np.ndarray) -> np.ndarray:
-    """Var X(t) for the target process: t^2H (fbm/bm), (2 - 2^{2H-1}) t^2H (sfbm)."""
-    t = np.asarray(t, dtype=float)
-    if process in ("fbm", "bm"):
-        return t ** (2.0 * hurst)
-    if process == "sfbm":
-        return (2.0 - 2.0 ** (2.0 * hurst - 1.0)) * t ** (2.0 * hurst)
-    raise ParameterError(f"unknown process {process!r}")
-
-
 def marginal_variance_profile(
     batch: ReplicateBatch, process: str, hurst: float, tol_multiplier: float = 4.0
 ):
-    """Empirical per-node variance against the exact marginal profile.
+    """Empirical per-node variance against the exact marginal profile c(t, t) of the
+    process's covariance (bm is fBm at H = 1/2).
 
     Returns a VerificationReport whose details carry one record per node
     with the estimate, target, and standard error Var * sqrt(2/M); a sample
     variance needs at least 2 replicates.
     """
+    cov = _COVARIANCES.get("fbm" if process == "bm" else process)
+    if cov is None:
+        raise ParameterError(f"unknown process {process!r}")
     values = batch.values
     m, n = values.shape
     if m < 2:
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
     t = np.arange(1, n + 1, dtype=float) / n
-    target = theoretical_variance(process, hurst, t)
+    target = cov(t, t, hurst)
     estimate = values.var(axis=0, ddof=1)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se
@@ -188,7 +178,6 @@ def error_bound_diagnostics(n_list, hurst: float) -> dict:
     b_seq = [e["b"] for e in entries]
     return {
         "hurst": hurst,
-        "holder_index": hurst - HOLDER_EPSILON,
         "entries": entries,
         "c1_fitted": max(e["a_rate"] for e in entries),
         "c2_fitted": max(e["b_rate"] for e in entries),

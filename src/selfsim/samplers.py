@@ -18,17 +18,13 @@ from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
 
 __all__ = [
     "CirculantSpectrum",
-    "CholeskyFactor",
     "NotPositiveDefiniteError",
     "bm_sampler",
     "cholesky_sampler",
     "davies_harte_sampler",
     "ma_sampler",
-    "sample_bm",
     "cholesky_factor",
-    "cholesky_sample",
     "circulant_spectrum",
-    "circulant_sample",
     "davies_harte_fbm",
     "ma_truncated_fbm",
     "normalizing_constant_CH",
@@ -87,15 +83,6 @@ class CirculantSpectrum:
             raise ValueError("stored eigenvalues must be nonnegative")
 
 
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor with L L^T = gram + jitter * I."""
-
-    n: int
-    lower: np.ndarray
-    jitter: float
-
-
 def _dense_map(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """z -> z @ matrix.T as GEMMs of exactly _GEMM_ROWS rows, zero-padded.
 
@@ -122,11 +109,6 @@ def bm_sampler(grid: GridSpec) -> LinearSampler:
     return LinearSampler(grid, "bm-cumsum", "bm", 0.5, n, draw, {})
 
 
-def sample_bm(grid: GridSpec, rng: RngStream) -> SamplePath:
-    """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
-    return bm_sampler(grid)(rng)
-
-
 def _failing_pivot(target: np.ndarray) -> int:
     """LAPACK's 1-based pivot of a failed factorization: the order of the smallest
     leading block target[:k, :k] that is not positive definite, found by bisection."""
@@ -141,9 +123,10 @@ def _failing_pivot(target: np.ndarray) -> int:
     return high
 
 
-def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
+def cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, float]:
     """Factor a symmetric Gram matrix with `np.linalg.cholesky` (LAPACK potrf, lower
     triangle), escalating diagonal jitter through `JITTER_LADDER` on failure.
+    Returns (L, jitter) with L L^T = gram + jitter * I.
 
     If every level fails, `NotPositiveDefiniteError.pivot` is LAPACK's pivot at the
     last level; it is searched for only on that error path.
@@ -159,7 +142,7 @@ def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
         jitter = level * max_diag
         target = gram if jitter == 0.0 else gram + jitter * np.eye(n)
         try:
-            return CholeskyFactor(n=n, lower=np.linalg.cholesky(target), jitter=jitter)
+            return np.linalg.cholesky(target), jitter
         except np.linalg.LinAlgError:
             pass
     pivot = _failing_pivot(target)
@@ -174,14 +157,9 @@ def cholesky_factor(gram: np.ndarray) -> CholeskyFactor:
 def cholesky_sampler(kernel: CovarianceKernel, grid: GridSpec) -> LinearSampler:
     """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
     # make_kernel validates a kernel built directly from CovarianceKernel
-    factor = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
-    draw, info = _dense_map(factor.lower), {"jitter": factor.jitter}
+    lower, jitter = cholesky_factor(make_kernel(kernel.process, kernel.hurst).gram(grid.times()))
+    draw, info = _dense_map(lower), {"jitter": jitter}
     return LinearSampler(grid, "cholesky", kernel.process, kernel.hurst, grid.n, draw, info)
-
-
-def cholesky_sample(kernel: CovarianceKernel, grid: GridSpec, rng: RngStream) -> SamplePath:
-    """Exact joint sampling of (X(1/n), ..., X(1)) via L z."""
-    return cholesky_sampler(kernel, grid)(rng)
 
 
 def circulant_spectrum(row) -> CirculantSpectrum:
@@ -237,12 +215,6 @@ def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
         return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
     return draw
-
-
-def circulant_sample(spectrum: CirculantSpectrum, length: int, rng: RngStream) -> np.ndarray:
-    """Draw a stationary Gaussian sequence of the given length, 1 .. m/2 + 1, from
-    m normals: one real inverse FFT of m/2 + 1 weighted bins (`_circulant_draw`)."""
-    return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
 
 
 def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
@@ -372,9 +344,9 @@ def ma_sampler(
     memory; no (n, k) W is built."""
     hurst = _check_hurst(hurst)
     truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
-    factor = cholesky_factor(_ma_gram(grid.n, hurst, truncation, substeps))
-    info = {"truncation": truncation, "substeps": substeps, "jitter": factor.jitter}
-    return LinearSampler(grid, "ma-truncated", "fbm", hurst, grid.n, _dense_map(factor.lower), info)
+    lower, jitter = cholesky_factor(_ma_gram(grid.n, hurst, truncation, substeps))
+    info = {"truncation": truncation, "substeps": substeps, "jitter": jitter}
+    return LinearSampler(grid, "ma-truncated", "fbm", hurst, grid.n, _dense_map(lower), info)
 
 
 def ma_truncated_fbm(

@@ -13,6 +13,18 @@ SLOW = {
 
 
 def pytest_collection_modifyitems(items):
+    # a renamed test would silently lose its marker: a listed id must name a test
+    # of its module, whenever that module is collected
+    modules = {item.nodeid.split("::", 1)[0]: getattr(item, "module", None) for item in items}
+    for node_id in sorted(SLOW):
+        path, *names = node_id.split("::")
+        obj = modules.get(path)
+        if obj is None:
+            continue
+        for name in names:
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            raise pytest.UsageError(f"SLOW in tests/conftest.py names no test: {node_id}")
     for item in items:
         if item.nodeid.split("[", 1)[0] in SLOW:
             item.add_marker(pytest.mark.slow)

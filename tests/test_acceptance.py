@@ -15,10 +15,10 @@ from scipy import integrate
 from selfsim.core import GridSpec, generate_batch
 from selfsim.covmodels import (
     fbm_cov,
-    fbm_kernel,
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
     fgn_acf,
+    make_kernel,
     sfbm_cov,
 )
 from selfsim.lamperti import error_bound_diagnostics, lamperti_sampler
@@ -62,7 +62,7 @@ def dh_batch(hurst, n, count, seed):
 @functools.lru_cache(maxsize=8)
 def cholesky_batch(hurst, n, count, seed):
     grid = GridSpec(n)
-    kernel = fbm_kernel(hurst)
+    kernel = make_kernel("fbm", hurst)
     return generate_batch(cholesky_sampler(kernel, grid), count, seed)
 
 
@@ -188,7 +188,7 @@ class TestAcceptance:
         # its ~4.9 SE bias sits on the band's edge at this replicate count.
         n, hurst, count = 64, 0.8, 20_000
         grid = GridSpec(n)
-        kernel = fbm_kernel(hurst)
+        kernel = make_kernel("fbm", hurst)
         c_h2 = normalizing_constant_CH(hurst) ** 2
         a = hurst - 0.5
         # (1+v)^a - v^a, written so that it does not cancel for large v

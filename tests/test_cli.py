@@ -160,22 +160,30 @@ class TestSimulate:
             run(["simulate", "--n", "16", "--embedding-cap", "6"])
         assert err.value.code == 2
 
+    def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 8 EiB exceeds any 57-bit address space: the allocation fails at once
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--method", "davies-harte", "--n", str(10**18), "--out", str(out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_every_pair_matches_public_sampler(self, tmp_path):
         from selfsim.cli import METHOD_TABLE, PROCESSES
         from selfsim.core import GridSpec, RngStream
         from selfsim.covmodels import make_kernel
         from selfsim.lamperti import simulate_lamperti
         from selfsim.samplers import (
-            cholesky_sample,
+            bm_sampler,
+            cholesky_sampler,
             davies_harte_fbm,
             ma_truncated_fbm,
-            sample_bm,
         )
 
         public = {
-            ("bm", "bm-cumsum"): lambda p, h, g, r: sample_bm(g, r),
-            ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
-            ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sample(make_kernel(p, h), g, r),
+            ("bm", "bm-cumsum"): lambda p, h, g, r: bm_sampler(g)(r),
+            ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(make_kernel(p, h), g)(r),
+            ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(make_kernel(p, h), g)(r),
             ("fbm", "davies-harte"): lambda p, h, g, r: davies_harte_fbm(g, h, r),
             ("fbm", "ma-truncated"): lambda p, h, g, r: ma_truncated_fbm(g, h, r),
             ("fbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
@@ -587,6 +595,14 @@ class TestVerifyCommand:
             ]
         )
         assert code == 0
+
+    def test_error_bound_zero_factor_fails_verdict(self, tmp_path):
+        # every residual of grid_map(2) is 0, so a(2) = 0 and a does not decrease
+        out = tmp_path / "report.json"
+        assert run(["verify", "--suite", "error-bound", "--n", "2,4", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["details"][0]["a"] == 0.0
+        assert report["verdict"] == "fail"
 
     def test_report_layout_is_indented_json(self, tmp_path):
         out = tmp_path / "report.json"

@@ -12,7 +12,7 @@ from selfsim.core import (
     SamplePath,
     generate_batch,
 )
-from selfsim.samplers import bm_sampler, sample_bm
+from selfsim.samplers import bm_sampler
 
 
 class TestGridSpec:
@@ -137,7 +137,7 @@ class TestLinearBatch:
     def test_callable_rejected(self):
         grid = GridSpec(4)
         with pytest.raises(TypeError, match="LinearSampler"):
-            generate_batch(lambda rng: sample_bm(grid, rng), 3, 1)
+            generate_batch(lambda rng: bm_sampler(grid)(rng), 3, 1)
 
     def test_stream_ids_length_checked_before_plan(self):
         def draw(z):

@@ -10,12 +10,11 @@ import pytest
 from selfsim.core import ParameterError
 from selfsim.covmodels import (
     fbm_cov,
-    fbm_kernel,
     fgn_acf,
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
+    make_kernel,
     sfbm_cov,
-    sfbm_kernel,
 )
 
 HURSTS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -71,20 +70,20 @@ class TestSfbmCov:
         assert sfbm_cov(t, t, hurst) == pytest.approx(expected, abs=1e-14)
 
 
-@pytest.mark.parametrize("make", [fbm_kernel, sfbm_kernel])
+@pytest.mark.parametrize("process", ["fbm", "sfbm"], ids=lambda p: f"{p}_kernel")
 class TestKernelGram:
-    def test_positive_semidefinite_on_random_grids(self, make):
+    def test_positive_semidefinite_on_random_grids(self, process):
         rng = np.random.Generator(np.random.Philox(key=11))
         for hurst in HURSTS:
-            kernel = make(hurst)
+            kernel = make_kernel(process, hurst)
             for _ in range(5):
                 times = np.sort(rng.uniform(0.01, 2.0, size=rng.integers(3, 17)))
                 gram = kernel.gram(times)
                 assert np.allclose(gram, gram.T)
                 assert np.linalg.eigvalsh(gram).min() >= -1e-10
 
-    def test_gram_matches_scalar_evaluate(self, make):
-        kernel = make(0.7)
+    def test_gram_matches_scalar_evaluate(self, process):
+        kernel = make_kernel(process, 0.7)
         times = np.array([0.1, 0.4, 1.0])
         gram = kernel.gram(times)
         for i, s in enumerate(times):

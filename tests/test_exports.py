@@ -1,14 +1,20 @@
-"""Package exports: every public name the package lists resolves, and the
-package imports without scipy."""
+"""Package exports: every public name the package lists resolves, every name
+the benchmark imports from it resolves, and the package imports without scipy.
+Also the suite's own node-id list of slow tests."""
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import subprocess
 import sys
 
+import pytest
+
 import selfsim
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_every_listed_name_resolves():
@@ -26,6 +32,28 @@ def test_every_listed_name_resolves():
                 if not (hasattr(selfsim, alias.name) and hasattr(module, alias.name)):
                     missing.append(f"selfsim.{alias.name}")
     assert missing == []
+
+
+def test_benchmark_imports_resolve():
+    # the benchmark's bit gate checks simulate output against public samplers:
+    # deleting one would pass this suite and break only the benchmark
+    tree = ast.parse((ROOT / "perfbench" / "gates.py").read_text())
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "selfsim"
+        for alias in node.names
+    ]
+    assert imported
+    missing = [f"{m}.{name}" for m, name in imported if not hasattr(importlib.import_module(m), name)]
+    assert missing == []
+
+
+def test_stale_slow_id_is_a_usage_error(monkeypatch, request):
+    conftest = sys.modules["conftest"]
+    monkeypatch.setattr(conftest, "SLOW", {"tests/test_exports.py::test_renamed_away"})
+    with pytest.raises(pytest.UsageError, match="test_renamed_away"):
+        conftest.pytest_collection_modifyitems([request.node])
 
 
 def test_import_loads_numpy_alone():

@@ -13,7 +13,6 @@ from selfsim.lamperti import (
     lamperti_sampler,
     marginal_variance_profile,
     simulate_lamperti,
-    theoretical_variance,
 )
 
 
@@ -91,10 +90,23 @@ class TestVarianceProfile:
         assert mid["target"] == pytest.approx(0.5)
         assert mid["deviation_se"] <= 4.0
 
+    @staticmethod
+    def targets(process, hurst):
+        """The report's target at t = 1/4, 1/2, 3/4, 1."""
+        from selfsim.core import ReplicateBatch
+
+        batch = ReplicateBatch(GridSpec(4), np.zeros((2, 4)), "lamperti", process, hurst, 0, (0, 1))
+        return [d["target"] for d in marginal_variance_profile(batch, process, hurst).details]
+
     def test_theoretical_profile_values(self):
-        t = np.array([0.25, 1.0])
-        assert theoretical_variance("fbm", 0.2, t)[0] == pytest.approx(0.25**0.4)
-        assert theoretical_variance("sfbm", 0.8, t)[1] == pytest.approx(2 - 2**0.6)
+        assert self.targets("fbm", 0.2)[0] == pytest.approx(0.25**0.4)
+        assert self.targets("sfbm", 0.8)[3] == pytest.approx(2 - 2**0.6)
+        # bm is fBm at H = 1/2: Var X(t) = t
+        assert self.targets("bm", 0.5) == [0.25, 0.5, 0.75, 1.0]
+
+    def test_unknown_process_rejected(self):
+        with pytest.raises(ParameterError, match="unknown process"):
+            self.targets("nope", 0.5)
 
     def test_constant_zero_batch_fails(self):
         # negative control: degenerate paths violate the variance profile

@@ -9,14 +9,7 @@ import pytest
 from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
-from selfsim.covmodels import (
-    fbm_kernel,
-    fgn_acf,
-    lamperti_acf_fbm,
-    lamperti_acf_sfbm,
-    make_kernel,
-    sfbm_kernel,
-)
+from selfsim.covmodels import fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm, make_kernel
 from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
@@ -24,21 +17,23 @@ from selfsim.samplers import (
     _circulant_draw,
     bm_sampler,
     cholesky_factor,
-    cholesky_sample,
     cholesky_sampler,
-    circulant_sample,
     circulant_spectrum,
     davies_harte_fbm,
     davies_harte_sampler,
     ma_sampler,
     ma_truncated_fbm,
     normalizing_constant_CH,
-    sample_bm,
 )
 
 
 def batch_values(sampler, count, seed):
     return generate_batch(sampler, count, seed).values
+
+
+def circulant_row(spectrum, length, rng):
+    """One stationary sequence of the given length from m normals (`_circulant_draw`)."""
+    return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
 
 
 class TestSampleBm:
@@ -51,29 +46,29 @@ class TestSampleBm:
 
     def test_degenerate_single_node(self):
         grid = GridSpec(1)
-        path = sample_bm(grid, RngStream(5, 0))
+        path = bm_sampler(grid)(RngStream(5, 0))
         assert path.values.shape == (1,)
         values = batch_values(bm_sampler(grid), 20_000, 6)
         assert values[:, 0].var(ddof=1) == pytest.approx(1.0, abs=0.05)
 
     def test_deterministic(self):
         grid = GridSpec(64)
-        a = sample_bm(grid, RngStream(1, 2)).values
-        b = sample_bm(grid, RngStream(1, 2)).values
+        a = bm_sampler(grid)(RngStream(1, 2)).values
+        b = bm_sampler(grid)(RngStream(1, 2)).values
         assert np.array_equal(a, b)
 
 
 class TestCholeskyFactor:
     def test_identity(self):
-        factor = cholesky_factor(np.eye(5))
-        assert factor.jitter == 0.0
-        assert np.allclose(factor.lower, np.eye(5))
+        lower, jitter = cholesky_factor(np.eye(5))
+        assert jitter == 0.0
+        assert np.allclose(lower, np.eye(5))
 
     def test_reconstructs_fbm_gram(self):
         times = np.array([0.25, 0.5, 0.75, 1.0])
-        gram = fbm_kernel(0.5).gram(times)
-        factor = cholesky_factor(gram)
-        rebuilt = factor.lower @ factor.lower.T
+        gram = make_kernel("fbm", 0.5).gram(times)
+        lower, _ = cholesky_factor(gram)
+        rebuilt = lower @ lower.T
         assert rebuilt[3, 3] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rebuilt - gram)) <= 1e-8 * np.diag(gram).max()
 
@@ -81,8 +76,8 @@ class TestCholeskyFactor:
         # rank-deficient matrix pushed slightly indefinite
         v = np.array([1.0, 1.0, 1.0])
         gram = np.outer(v, v) + np.diag([0.5, 0.5, -1e-14])
-        factor = cholesky_factor(gram)
-        assert factor.jitter <= 1e-12 * np.diag(gram).max()
+        _, jitter = cholesky_factor(gram)
+        assert jitter <= 1e-12 * np.diag(gram).max()
 
     def test_indefinite_fails_with_pivot(self):
         gram = np.diag([1.0, -1.0, 2.0])
@@ -122,21 +117,21 @@ class TestCholeskyFactor:
         # up to about eps * cond(G), so the 1e-11 gate on L holds to H = 0.9; fBm at
         # n = 512 differs by 2.3e-11 at H = 0.95 and 6.0e-11 at H = 0.99.
         gram = make_kernel(process, hurst).gram(GridSpec(n).times())
-        factor = cholesky_factor(gram)
-        target = gram + factor.jitter * np.eye(n)
+        lower, jitter = cholesky_factor(gram)
+        target = gram + jitter * np.eye(n)
         c, info = lapack.dpotrf(target, lower=1)
         assert info == 0
-        assert np.array_equal(factor.lower, np.tril(factor.lower))
-        residual = np.abs(factor.lower @ factor.lower.T - target).max()
+        assert np.array_equal(lower, np.tril(lower))
+        residual = np.abs(lower @ lower.T - target).max()
         assert residual <= 2e-15 * np.abs(target).max()
         if hurst <= 0.9:
-            assert np.abs(factor.lower - np.tril(c)).max() <= 1e-11
+            assert np.abs(lower - np.tril(c)).max() <= 1e-11
 
 
 class TestCholeskySample:
     def test_covariance_matches_kernel(self):
         grid = GridSpec(16)
-        kernel = fbm_kernel(0.7)
+        kernel = make_kernel("fbm", 0.7)
         values = batch_values(cholesky_sampler(kernel, grid), 50_000, 31)
         emp = np.cov(values, rowvar=False)
         target = kernel.gram(grid.times())
@@ -146,7 +141,7 @@ class TestCholeskySample:
 
     def test_brownian_reduction_increment_variance(self):
         grid = GridSpec(32)
-        kernel = fbm_kernel(0.5)
+        kernel = make_kernel("fbm", 0.5)
         values = batch_values(cholesky_sampler(kernel, grid), 20_000, 32)
         incr = np.diff(np.hstack([np.zeros((values.shape[0], 1)), values]), axis=1)
         assert incr.var(ddof=1) == pytest.approx(1 / 32, rel=0.05)
@@ -157,20 +152,20 @@ class TestCholeskySample:
 
         for kernel in (CovarianceKernel("bm", 0.5), CovarianceKernel("fbm", 1.5)):
             with pytest.raises(ParameterError):
-                cholesky_sample(kernel, GridSpec(4), RngStream(0, 0))
+                cholesky_sampler(kernel, GridSpec(4))(RngStream(0, 0))
 
     def test_sfbm_terminal_variance(self):
         grid = GridSpec(16)
-        kernel = sfbm_kernel(0.7)
+        kernel = make_kernel("sfbm", 0.7)
         values = batch_values(cholesky_sampler(kernel, grid), 20_000, 33)
         target = 2.0 - 2.0**0.4
         assert values[:, -1].var(ddof=1) == pytest.approx(target, rel=0.05)
 
     def test_deterministic(self):
         grid = GridSpec(16)
-        kernel = fbm_kernel(0.3)
-        a = cholesky_sample(kernel, grid, RngStream(4, 4)).values
-        b = cholesky_sample(kernel, grid, RngStream(4, 4)).values
+        kernel = make_kernel("fbm", 0.3)
+        a = cholesky_sampler(kernel, grid)(RngStream(4, 4)).values
+        b = cholesky_sampler(kernel, grid)(RngStream(4, 4)).values
         assert np.array_equal(a, b)
 
 
@@ -248,7 +243,7 @@ class TestCirculantSample:
         spec = circulant_spectrum(acf(np.arange(n)))
 
         def one(rng):
-            return circulant_sample(spec, n, rng)
+            return circulant_row(spec, n, rng)
 
         rows = np.stack([one(RngStream(77, i)) for i in range(m_rep)])
         for lag in range(5):
@@ -260,7 +255,7 @@ class TestCirculantSample:
     def test_white_noise_lag_one_correlation(self):
         n = 32
         spec = circulant_spectrum(white_noise_row(n))
-        rows = np.stack([circulant_sample(spec, n, RngStream(5, i)) for i in range(20_000)])
+        rows = np.stack([circulant_row(spec, n, RngStream(5, i)) for i in range(20_000)])
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
 
@@ -269,13 +264,13 @@ class TestCirculantSample:
         # m = 30 at n = 16: lengths 1 .. 16; a negative length would slice from the end
         spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
         with pytest.raises(ParameterError, match="length"):
-            circulant_sample(spec, length, RngStream(5, 0))
+            circulant_row(spec, length, RngStream(5, 0))
 
     def test_accepts_lengths_one_to_capacity(self):
         spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
-        full = circulant_sample(spec, 16, RngStream(5, 0))
+        full = circulant_row(spec, 16, RngStream(5, 0))
         for length in (1, 2, 16):
-            assert np.array_equal(circulant_sample(spec, length, RngStream(5, 0)), full[:length])
+            assert np.array_equal(circulant_row(spec, length, RngStream(5, 0)), full[:length])
 
 
 def _full_hermitian_draw(spectrum, length):
@@ -360,7 +355,7 @@ class TestDaviesHarte:
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
         spectrum = circulant_spectrum(fgn_acf(np.arange(32), 32, 0.6))
-        fgn = circulant_sample(spectrum, 32, RngStream(10, 3))
+        fgn = circulant_row(spectrum, 32, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
 
 
@@ -532,8 +527,8 @@ def _public_sampler(method, process, hurst, grid):
     from selfsim.lamperti import simulate_lamperti
 
     return {
-        "bm-cumsum": lambda rng: sample_bm(grid, rng),
-        "cholesky": lambda rng: cholesky_sample(make_kernel(process, hurst), grid, rng),
+        "bm-cumsum": lambda rng: bm_sampler(grid)(rng),
+        "cholesky": lambda rng: cholesky_sampler(make_kernel(process, hurst), grid)(rng),
         "davies-harte": lambda rng: davies_harte_fbm(grid, hurst, rng),
         "ma-truncated": lambda rng: ma_truncated_fbm(grid, hurst, rng),
         "lamperti": lambda rng: simulate_lamperti(process, hurst, grid, rng),
@@ -593,7 +588,7 @@ class TestLinearSamplers:
 
         builds = {
             "bm-cumsum": lambda: bm_sampler(GridSpec(16)),
-            "cholesky": lambda: cholesky_sampler(fbm_kernel(0.7), GridSpec(16)),
+            "cholesky": lambda: cholesky_sampler(make_kernel("fbm", 0.7), GridSpec(16)),
             "davies-harte": lambda: davies_harte_sampler(GridSpec(16), 0.7),
             "ma-truncated": lambda: ma_sampler(GridSpec(16), 0.7),
             "lamperti": lambda: lamperti_sampler("sfbm", 0.7, GridSpec(16)),
@@ -624,7 +619,10 @@ class TestDenseMapRows:
             f"ma-{n}-T{t:g}": ma_sampler(GridSpec(n), 0.7, truncation=t)
             for n, t in ((2, 2.0), (16, 1.0), (32, 2.0), (64, 50.0))
         },
-        **{f"chol-{n}": cholesky_sampler(fbm_kernel(0.7), GridSpec(n)) for n in (32, 64, 256)},
+        **{
+            f"chol-{n}": cholesky_sampler(make_kernel("fbm", 0.7), GridSpec(n))
+            for n in (32, 64, 256)
+        },
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())

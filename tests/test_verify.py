@@ -12,7 +12,7 @@ from selfsim.core import (
     RngStream,
     generate_batch,
 )
-from selfsim.covmodels import fbm_cov, fbm_kernel
+from selfsim.covmodels import fbm_cov, make_kernel
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
 from selfsim.verify import (
     covariance_match,
@@ -32,7 +32,7 @@ def synthetic_batch(values, method="cholesky", process="fbm", hurst=0.5):
 class TestEmpiricalCovariance:
     def test_exact_sampler_vs_kernel(self):
         grid = GridSpec(16)
-        kernel = fbm_kernel(0.7)
+        kernel = make_kernel("fbm", 0.7)
         batch = generate_batch(cholesky_sampler(kernel, grid), 50_000, 60)
         est, se = empirical_covariance(batch, [(8, 16)])
         target = fbm_cov(0.5, 1.0, 0.7)
@@ -59,7 +59,7 @@ class TestEmpiricalCovariance:
 class TestCovarianceMatch:
     def test_exact_sampler_passes(self):
         grid = GridSpec(32)
-        kernel = fbm_kernel(0.6)
+        kernel = make_kernel("fbm", 0.6)
         batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 61)
         assert covariance_match(batch, kernel).verdict
 
@@ -67,18 +67,18 @@ class TestCovarianceMatch:
         # negative control: paths with H=0.8 against the H=0.5 kernel
         grid = GridSpec(32)
         batch = generate_batch(davies_harte_sampler(grid, 0.8), 20_000, 62)
-        assert not covariance_match(batch, fbm_kernel(0.5)).verdict
+        assert not covariance_match(batch, make_kernel("fbm", 0.5)).verdict
 
     def test_stride_defaults(self):
         grid = GridSpec(128)
-        kernel = fbm_kernel(0.5)
+        kernel = make_kernel("fbm", 0.5)
         batch = generate_batch(cholesky_sampler(kernel, grid), 5_000, 63)
         report = covariance_match(batch, kernel)
         assert len(report.details[0]["nodes"]) == 32  # stride 4 above n=64
 
     def test_report_roundtrip(self):
         grid = GridSpec(16)
-        kernel = fbm_kernel(0.5)
+        kernel = make_kernel("fbm", 0.5)
         batch = generate_batch(cholesky_sampler(kernel, grid), 1_000, 64)
         report = covariance_match(batch, kernel)
         payload = report.to_dict()
@@ -128,7 +128,7 @@ class TestNormality:
 class TestMethodEquivalence:
     def test_same_law_passes(self):
         grid = GridSpec(32)
-        kernel = fbm_kernel(0.7)
+        kernel = make_kernel("fbm", 0.7)
         a = generate_batch(davies_harte_sampler(grid, 0.7), 20_000, 66)
         b = generate_batch(cholesky_sampler(kernel, grid), 20_000, 67)
         assert method_equivalence(a, b).verdict
@@ -163,14 +163,14 @@ class TestMethodEquivalence:
 class TestQuantileScaling:
     def test_self_similar_sampler_passes(self):
         grid = GridSpec(64)
-        kernel = fbm_kernel(0.7)
+        kernel = make_kernel("fbm", 0.7)
         batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 72)
         assert quantile_scaling_check(batch, 0.5, 0.7).verdict
 
     def test_wrong_exponent_fails(self):
         # scaling by the wrong index breaks the quantile match
         grid = GridSpec(64)
-        kernel = fbm_kernel(0.7)
+        kernel = make_kernel("fbm", 0.7)
         batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 73)
         assert not quantile_scaling_check(batch, 0.5, 0.2).verdict
 
