@@ -247,6 +247,8 @@ def cmd_simulate(o: argparse.Namespace) -> int:
 def _error_bound_report(n_values, hurst) -> dict:
     if len(set(n_values)) < 2:
         raise UsageError("the error-bound suite needs at least two distinct grid sizes in --n")
+    if any(a >= b for a, b in zip(n_values, n_values[1:])):  # the verdict reads a, b in list order
+        raise UsageError("the error-bound suite needs --n in strictly increasing order")
     diag = error_bound_diagnostics(n_values, hurst)
     first, last = diag["entries"][0], diag["entries"][-1]
     # rate confirmation against log(n)/n with 50% slack; a(2) = 0, so no division by a

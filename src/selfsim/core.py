@@ -81,19 +81,27 @@ class SamplePath:
             raise ValueError("path contains non-finite values")
 
 
+def _philox_state(seed: int, stream_id: int) -> dict:
+    """A fresh Philox stream keyed (stream_id << 64) | seed, in plain ints: the Cython
+    setter reads these faster than the numpy scalars of `Philox.state`."""
+    key = [seed & _MASK64, stream_id & _MASK64]
+    return {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 class RngStream:
     """A splittable, counter-based normal variate stream.
 
     Identical (seed, stream_id) pairs yield bit-identical sequences regardless
     of thread schedule; distinct stream ids are statistically independent.
-    The 128-bit Philox key is (stream_id << 64) | seed.
+    The 128-bit Philox key is (stream_id << 64) | seed (`_philox_state`).
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        key = (self.stream_id << 64) | self.seed
-        self._gen = Generator(Philox(key=key))
+        self._gen = Generator(Philox(0))
+        self._gen.bit_generator.state = _philox_state(self.seed, self.stream_id)
 
     def normals(self, size: int) -> np.ndarray:
         """Draw `size` standard normal variates, advancing the stream."""
@@ -181,28 +189,31 @@ def generate_batch(
 
     The result is independent of generation order because stream i is fully
     determined by (base_seed, i). The paths are drawn in blocks of
-    `sampler._block_rows` rows: one Generator is re-keyed to each stream, so
-    row i holds the bits of RngStream(base_seed, i).normals(k), and equals
+    `sampler._block_rows` rows: the batch's one Philox is re-keyed to each
+    stream from a plain-int `_philox_state`, so row i holds the bits of
+    RngStream(base_seed, i).normals(k), and equals
     sampler(RngStream(base_seed, i)).values.
     """
     if not isinstance(sampler, LinearSampler):
         raise TypeError(f"generate_batch takes a LinearSampler, not {type(sampler).__name__}")
     if count < 1:
         raise ParameterError("replicate count must be positive")
-    ids = tuple(i & _MASK64 for i in (range(count) if stream_ids is None else stream_ids))
+    ids = tuple(range(count)) if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
     if len(ids) != count:
         raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
     seed = base_seed & _MASK64
-    gen = Generator(Philox(0))
-    state = gen.bit_generator.state  # counter 0, empty buffer: a fresh stream
+    bits = Philox(0)
+    normal = Generator(bits).standard_normal
+    state = _philox_state(seed, 0)
+    key = state["state"]["key"]
     z = np.empty((sampler._block_rows, sampler.k))
     values = np.empty((count, sampler.grid.n))
     for start in range(0, count, len(z)):
         block = ids[start : start + len(z)]
         for row, stream_id in zip(z, block):
-            state["state"]["key"][:] = (seed, stream_id)
-            gen.bit_generator.state = state
-            gen.standard_normal(out=row)
+            key[1] = stream_id
+            bits.state = state
+            normal(out=row)
         values[start : start + len(block)] = sampler.draw(z[: len(block)])
     return ReplicateBatch(
         sampler.grid, values, sampler.method, sampler.process, sampler.hurst,

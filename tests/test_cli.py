@@ -377,6 +377,9 @@ MALFORMED = [
     (["simulate", "--n", "16", "--truncation", "0.5"], None),
     (["simulate", "--n", "16"], "truncation = nan\n"),
     (["simulate", "--method", "davies-harte,cholesky", "--n", "16"], None),
+    (["verify", "--suite", "error-bound", "--n", "4,2", "--hurst", "0.7"], None),
+    (["verify", "--suite", "error-bound", "--n", "8,16,4", "--hurst", "0.7"], None),
+    (["verify", "--suite", "error-bound", "--n", "2,2,4"], None),
 ]
 
 
@@ -414,6 +417,9 @@ MALFORMED = [
         "unused-truncation-below-1",
         "cfg-unused-truncation-nan",
         "simulate-method-list",
+        "error-bound-decreasing",
+        "error-bound-unsorted",
+        "error-bound-repeated",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
+import selfsim.core
 from selfsim.core import (
     GridSpec,
     LinearSampler,
@@ -10,6 +12,7 @@ from selfsim.core import (
     ReplicateBatch,
     RngStream,
     SamplePath,
+    _philox_state,
     generate_batch,
 )
 from selfsim.samplers import bm_sampler
@@ -38,6 +41,23 @@ class TestRngStream:
         a = RngStream(123, 0).normals(100)
         b = RngStream(123, 1).normals(100)
         assert not np.array_equal(a, b)
+
+    # the batch core re-keys one Philox from this plain-int state, so a numpy
+    # release that changes the state layout fails here
+    @pytest.mark.parametrize("stream_id", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, 2**70 + 5])
+    def test_plain_state_is_the_keyed_stream(self, seed, stream_id):
+        keyed = Philox(key=(stream_id << 64) | (seed & (2**64 - 1)))
+        fresh = keyed.state
+        fresh["state"] = {name: a.tolist() for name, a in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        state = _philox_state(seed, stream_id)
+        assert state == fresh
+        assert all(type(v) is int for v in state["state"]["key"] + state["buffer"])
+        re_keyed = Philox(0)
+        re_keyed.state = state
+        a = Generator(re_keyed).standard_normal(1000)
+        assert same_bits(a, Generator(keyed).standard_normal(1000))
 
 
 class TestSamplePath:
@@ -146,6 +166,21 @@ class TestLinearBatch:
         sampler = LinearSampler(GridSpec(4), "identity", "bm", 0.5, 4, draw, {})
         with pytest.raises(ValueError, match="stream_ids"):
             generate_batch(sampler, 3, 1, stream_ids=[0, 1])
+
+
+def test_batch_constructs_one_philox(monkeypatch):
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return Philox(*args, **kwargs)
+
+    monkeypatch.setattr(selfsim.core, "Philox", counting_philox)
+    sampler = bm_sampler(GridSpec(1024))  # 64 rows per block: five blocks
+    batch = generate_batch(sampler, 300, 11)
+    assert len(built) == 1
+    for stream_id, row in enumerate(batch.values):
+        assert same_bits(row, sampler(RngStream(11, stream_id)).values)
 
 
 class TestReplicateBatch:

@@ -626,7 +626,8 @@ class TestDenseMapRows:
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
-    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33])
+    # 400 is verify-ma's batch, 1024 one full block of ma-64-T50
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 400, 1024])
     def test_rows_equal_per_path_calls(self, sampler, count):
         ids = self._stream_ids(count)
         batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
