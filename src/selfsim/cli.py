@@ -1,8 +1,10 @@
 """Command-line front end: simulate path batches, run verification suites,
 and benchmark methods, with reproducible seeds and CSV/JSON output.
 
-Every option is resolved and checked once, from `_OPTIONS`, before a command
-runs, so a malformed option is a usage error even where it is not used.
+Every option is declared once, in `_OPTIONS`: each command's flags come
+from it, and each option is resolved and checked once, through its cast,
+before a command runs, so a malformed option is a usage error even where it
+is not used.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
 (including invalid process/method combinations, malformed values, bad
@@ -111,6 +113,7 @@ _OPTIONS = {
     "suite": ("marginals", _choice(*SUITES)),
     "baseline": ("cholesky", _choice(*METHOD_TABLE)),
 }
+_VERIFY_ONLY = ("suite", "baseline")  # flags of verify alone; every command resolves all keys
 
 
 def _read_config(path: str) -> dict:
@@ -244,11 +247,7 @@ def cmd_simulate(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _error_bound_report(n_values, hurst) -> dict:
-    if len(set(n_values)) < 2:
-        raise UsageError("the error-bound suite needs at least two distinct grid sizes in --n")
-    if any(a >= b for a, b in zip(n_values, n_values[1:])):  # the verdict reads a, b in list order
-        raise UsageError("the error-bound suite needs --n in strictly increasing order")
+def _error_bound_report(n_values, hurst) -> VerificationReport:
     diag = error_bound_diagnostics(n_values, hurst)
     first, last = diag["entries"][0], diag["entries"][-1]
     # rate confirmation against log(n)/n with 50% slack; a(2) = 0, so no division by a
@@ -256,15 +255,14 @@ def _error_bound_report(n_values, hurst) -> dict:
     rate_ok = last["a"] < expected_ratio * 1.5 * first["a"]
     verdict = diag["a_decreasing"] and diag["b_decreasing"] and rate_ok
     c1 = diag["c1_fitted"]
-    report = VerificationReport(
+    return VerificationReport(
         "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, diag["entries"]
     )
-    return report.to_dict()
 
 
 def cmd_verify(o: argparse.Namespace) -> int:
     n = o.n[0]
-    reports: list[dict] = []
+    reports: list[VerificationReport] = []
     with _open_out(o.out) as stream:
         if o.suite == "error-bound":
             reports.append(_error_bound_report(o.n, o.hurst))
@@ -274,22 +272,20 @@ def cmd_verify(o: argparse.Namespace) -> int:
                 base_sampler = _build_sampler(o, o.baseline, n)
             batch = generate_batch(sampler, o.paths, o.seed)
             if o.suite == "marginals":
-                reports.append(marginal_variance_profile(batch, o.process, o.hurst).to_dict())
+                reports.append(marginal_variance_profile(batch))
             elif o.suite == "covariance":
                 kernel = make_kernel("fbm" if o.process == "bm" else o.process, o.hurst)
-                reports.append(covariance_match(batch, kernel).to_dict())
+                reports.append(covariance_match(batch, kernel))
             elif o.suite == "normality":
                 for node in sorted({max(1, n // 4), max(1, n // 2), n}):
-                    reports.append(normality_check(batch, node).to_dict())
+                    reports.append(normality_check(batch, node))
             elif o.suite == "equivalence":
                 base_batch = generate_batch(base_sampler, o.paths, o.seed + 1)
                 diagonal_only = "lamperti" in (o.method, o.baseline)
-                reports.append(
-                    method_equivalence(batch, base_batch, diagonal_only=diagonal_only).to_dict()
-                )
-        stream.write(json.dumps(reports if len(reports) > 1 else reports[0], indent=2) + "\n")
-    all_pass = all(r["verdict"] == "pass" for r in reports)
-    return EXIT_OK if all_pass else EXIT_VERDICT
+                reports.append(method_equivalence(batch, base_batch, diagonal_only=diagonal_only))
+        dicts = [r.to_dict() for r in reports]
+        stream.write(json.dumps(dicts if len(dicts) > 1 else dicts[0], indent=2) + "\n")
+    return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERDICT
 
 
 def cmd_bench(o: argparse.Namespace) -> int:
@@ -335,34 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and verify self-similar Gaussian process paths.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--process", choices=PROCESSES)
-        p.add_argument("--method")
-        p.add_argument("--hurst")
-        p.add_argument("--n")
-        p.add_argument("--paths")
-        p.add_argument("--seed")
-        p.add_argument("--out")
-        p.add_argument("--format", choices=FORMATS)
-        p.add_argument("--truncation")
-        p.add_argument("--substeps")
+    commands = (
+        ("simulate", cmd_simulate, "write a batch of sample paths"),
+        ("verify", cmd_verify, "run a statistical verification suite"),
+        ("bench", cmd_bench, "time methods across grid sizes"),
+    )
+    for name, func, summary in commands:
+        p = sub.add_parser(name, help=summary)
+        for key in _OPTIONS:
+            if name == "verify" or key not in _VERIFY_ONLY:
+                p.add_argument(f"--{key}")
         p.add_argument("--config")
-
-    p_sim = sub.add_parser("simulate", help="write a batch of sample paths")
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="run a statistical verification suite")
-    add_common(p_ver)
-    p_ver.add_argument("--suite", choices=SUITES)
-    p_ver.add_argument("--baseline")
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="time methods across grid sizes")
-    add_common(p_bench)
-    p_bench.set_defaults(func=cmd_bench)
-
+        p.set_defaults(func=func)
     return parser
 
 

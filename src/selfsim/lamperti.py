@@ -100,25 +100,23 @@ def simulate_lamperti(
     return lamperti_sampler(process, hurst, grid)(rng)
 
 
-def marginal_variance_profile(
-    batch: ReplicateBatch, process: str, hurst: float, tol_multiplier: float = 4.0
-):
+def marginal_variance_profile(batch: ReplicateBatch, tol_multiplier: float = 4.0):
     """Empirical per-node variance against the exact marginal profile c(t, t) of the
-    process's covariance (bm is fBm at H = 1/2).
+    batch's process and H (bm is fBm at H = 1/2).
 
     Returns a VerificationReport whose details carry one record per node
     with the estimate, target, and standard error Var * sqrt(2/M); a sample
     variance needs at least 2 replicates.
     """
-    cov = _COVARIANCES.get("fbm" if process == "bm" else process)
+    cov = _COVARIANCES.get("fbm" if batch.process == "bm" else batch.process)
     if cov is None:
-        raise ParameterError(f"unknown process {process!r}")
+        raise ParameterError(f"unknown process {batch.process!r}")
     values = batch.values
     m, n = values.shape
     if m < 2:
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
-    t = np.arange(1, n + 1, dtype=float) / n
-    target = cov(t, t, hurst)
+    t = batch.grid.times()
+    target = cov(t, t, batch.hurst)
     estimate = values.var(axis=0, ddof=1)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se
@@ -134,17 +132,8 @@ def marginal_variance_profile(
         for j in range(n)
     ]
     worst = float(deviation.max())
-    return VerificationReport(
-        check="marginal-variance",
-        method=batch.method,
-        process=process,
-        hurst=hurst,
-        n=n,
-        m_replicates=m,
-        verdict=bool(worst <= tol_multiplier),
-        worst_deviation=worst,
-        tolerance=tol_multiplier,
-        details=details,
+    return VerificationReport.of(
+        "marginal-variance", batch, bool(worst <= tol_multiplier), worst, tol_multiplier, details
     )
 
 
@@ -154,12 +143,15 @@ def error_bound_diagnostics(n_list, hurst: float) -> dict:
     For each n: a(n) = max_j |n^{H theta(j)/n} - 1| and
     b(n) = max_j |n^{-theta(j)/n} - 1|, both O(log(n)/n) by the mean value
     theorem. Reports the fitted constants sup_n a(n) n / log n (and the b
-    analogue) and whether a, b decrease along the list. H must lie in (0, 1).
+    analogue) and whether a, b decrease along increasing n. H must lie in
+    (0, 1), and n_list must hold at least two strictly increasing sizes.
     """
     hurst = _check_hurst(hurst)
+    sizes = [int(n) for n in n_list]
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"need at least two strictly increasing grid sizes, got {sizes}")
     entries = []
-    for n in n_list:
-        n = int(n)
+    for n in sizes:
         gm = grid_map(n)
         theta = gm.residual
         log_n = math.log(n)

@@ -46,19 +46,31 @@ class VerificationReport:
     tolerance: float
     details: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "method": self.method,
-            "process": self.process,
-            "hurst": self.hurst,
-            "n": self.n,
-            "m_replicates": self.m_replicates,
-            "verdict": "pass" if self.verdict else "fail",
-            "worst_deviation": self.worst_deviation,
-            "tolerance": self.tolerance,
-            "details": self.details,
+    @classmethod
+    def of(cls, check, batch, verdict, worst, tolerance, details, **fields):
+        """The report of `check` on `batch`: method, process, hurst, n and
+        m_replicates are the batch's unless `fields` overrides them."""
+        fields = {
+            "method": batch.method,
+            "process": batch.process,
+            "hurst": batch.hurst,
+            "n": batch.n,
+            "m_replicates": batch.count,
+            **fields,
         }
+        return cls(
+            check,
+            verdict=verdict,
+            worst_deviation=worst,
+            tolerance=tolerance,
+            details=details,
+            **fields,
+        )
+
+    def to_dict(self) -> dict:
+        # vars, not dataclasses.asdict, whose deep copy of a 256-node profile's
+        # details costs milliseconds: the details list is shared, not copied
+        return {**vars(self), "verdict": "pass" if self.verdict else "fail"}
 
 
 def _sample_cov(values: np.ndarray) -> np.ndarray:
@@ -96,6 +108,13 @@ def _band_verdict(deviation: np.ndarray, multiplier: float) -> tuple[bool, float
     return bool(within >= 0.95 and worst <= 2.0 * multiplier), worst
 
 
+def _band_report(check, batch, deviation, multiplier, detail, **fields) -> VerificationReport:
+    """The `_band_verdict` report; `detail` gains the fraction within `multiplier`."""
+    verdict, worst = _band_verdict(deviation, multiplier)
+    details = [{**detail, "fraction_within": float(np.mean(deviation <= multiplier))}]
+    return VerificationReport.of(check, batch, verdict, worst, multiplier, details, **fields)
+
+
 def covariance_match(
     batch: ReplicateBatch,
     kernel: CovarianceKernel,
@@ -117,23 +136,15 @@ def covariance_match(
     times = (nodes + 1) / n
     target = kernel.gram(times)
     deviation = np.abs(cov - target) / se
-    verdict, worst = _band_verdict(deviation, tol_multiplier)
-    return VerificationReport(
-        check="covariance-match",
-        method=batch.method,
+    detail = {"nodes": [int(v + 1) for v in nodes]}
+    return _band_report(
+        "covariance-match",
+        batch,
+        deviation,
+        tol_multiplier,
+        detail,
         process=kernel.process,
         hurst=kernel.hurst,
-        n=n,
-        m_replicates=batch.count,
-        verdict=verdict,
-        worst_deviation=worst,
-        tolerance=tol_multiplier,
-        details=[
-            {
-                "nodes": [int(v + 1) for v in nodes],
-                "fraction_within": float(np.mean(deviation <= tol_multiplier)),
-            }
-        ],
     )
 
 
@@ -155,17 +166,9 @@ def normality_check(batch: ReplicateBatch, node: int) -> VerificationReport:
     values = batch.values[:, node - 1]
     distance = ks_distance(values)
     tolerance = KS_CRIT_1PCT / math.sqrt(batch.count)
-    return VerificationReport(
-        check="normality",
-        method=batch.method,
-        process=batch.process,
-        hurst=batch.hurst,
-        n=batch.n,
-        m_replicates=batch.count,
-        verdict=bool(distance <= tolerance),
-        worst_deviation=distance,
-        tolerance=tolerance,
-        details=[{"node": int(node), "ks_distance": distance}],
+    details = [{"node": int(node), "ks_distance": distance}]
+    return VerificationReport.of(
+        "normality", batch, bool(distance <= tolerance), distance, tolerance, details
     )
 
 
@@ -194,24 +197,10 @@ def method_equivalence(
     deviation = np.abs(cov_a - cov_b) / se
     if diagonal_only:
         deviation = np.diag(deviation)
-    verdict, worst = _band_verdict(deviation, tol_multiplier)
-    return VerificationReport(
-        check="method-equivalence",
-        method=f"{batch_a.method} vs {batch_b.method}",
-        process=batch_a.process,
-        hurst=batch_a.hurst,
-        n=n,
-        m_replicates=batch_a.count,
-        verdict=verdict,
-        worst_deviation=worst,
-        tolerance=tol_multiplier,
-        details=[
-            {
-                "baseline": batch_b.method,
-                "diagonal_only": bool(diagonal_only),
-                "fraction_within": float(np.mean(deviation <= tol_multiplier)),
-            }
-        ],
+    detail = {"baseline": batch_b.method, "diagonal_only": bool(diagonal_only)}
+    method = f"{batch_a.method} vs {batch_b.method}"
+    return _band_report(
+        "method-equivalence", batch_a, deviation, tol_multiplier, detail, method=method
     )
 
 
@@ -253,22 +242,15 @@ def quantile_scaling_check(
     se = boot_diffs.std(axis=0, ddof=1)
     deviation = np.abs(diff) / se
     worst = float(deviation.max())
-    return VerificationReport(
-        check="quantile-scaling",
-        method=batch.method,
-        process=batch.process,
-        hurst=hurst,
-        n=n,
-        m_replicates=m,
-        verdict=bool(worst <= tol_multiplier),
-        worst_deviation=worst,
-        tolerance=tol_multiplier,
-        details=[
-            {
-                "scale": float(scale),
-                "quantiles": [float(q) for q in quantiles],
-                "difference": [float(d) for d in diff],
-                "se": [float(s) for s in se],
-            }
-        ],
+    details = [
+        {
+            "scale": float(scale),
+            "quantiles": [float(q) for q in quantiles],
+            "difference": [float(d) for d in diff],
+            "se": [float(s) for s in se],
+        }
+    ]
+    verdict = bool(worst <= tol_multiplier)
+    return VerificationReport.of(
+        "quantile-scaling", batch, verdict, worst, tol_multiplier, details, hurst=hurst
     )

@@ -380,6 +380,9 @@ MALFORMED = [
     (["verify", "--suite", "error-bound", "--n", "4,2", "--hurst", "0.7"], None),
     (["verify", "--suite", "error-bound", "--n", "8,16,4", "--hurst", "0.7"], None),
     (["verify", "--suite", "error-bound", "--n", "2,2,4"], None),
+    (["verify", "--suite", "nope", "--n", "16"], None),
+    (["simulate", "--process", "nope", "--n", "16"], None),
+    (["simulate", "--format", "xml", "--n", "16"], None),
 ]
 
 
@@ -420,6 +423,9 @@ MALFORMED = [
         "error-bound-decreasing",
         "error-bound-unsorted",
         "error-bound-repeated",
+        "suite-unknown",
+        "process-unknown",
+        "format-unknown",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -434,20 +440,27 @@ def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
     assert err.startswith("error: ")
     if "circulant" in argv:  # a method outside METHOD_TABLE: the error lists the valid ones
         assert "davies-harte" in err
+    if "nope" in argv or "xml" in argv:  # a name outside its list, checked by its cast
+        assert err.startswith("error: invalid value for ") and "(valid: " in err
 
 
 def test_option_table_matches_parser():
-    # every flag is resolved and checked through _OPTIONS, and every table key is a flag
+    # every flag is resolved and checked through _OPTIONS, and every table key is a
+    # flag; only verify takes --suite and --baseline
     from selfsim.cli import _OPTIONS, build_parser
 
     commands = next(a for a in build_parser()._actions if a.dest == "command").choices
     flags = {
-        action.dest
-        for parser in commands.values()
-        for action in parser._actions
-        if action.option_strings and action.dest not in ("help", "config")
+        name: {
+            action.dest
+            for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "config")
+        }
+        for name, parser in commands.items()
     }
-    assert flags == set(_OPTIONS)
+    assert set(flags) == {"simulate", "verify", "bench"}
+    assert flags["verify"] == set(_OPTIONS)
+    assert flags["simulate"] == flags["bench"] == set(_OPTIONS) - {"suite", "baseline"}
 
 
 def test_shared_parser_keeps_no_state_between_calls(tmp_path):
@@ -615,11 +628,6 @@ class TestVerifyCommand:
         assert run(["verify", "--suite", "error-bound", "--n", "64,256", "--out", str(out)]) == 0
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-
-    def test_unknown_suite_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            run(["verify", "--suite", "nope", "--n", "16"])
-        assert err.value.code == 2
 
 
 class TestBench:

@@ -77,7 +77,7 @@ class TestSimulateLamperti:
         # dyadic node j with theta = 0 has variance (j/n)^{2H} exactly in law
         grid = GridSpec(256)
         batch = generate_batch(lamperti_sampler("fbm", 0.2, grid), 20_000, 52)
-        report = marginal_variance_profile(batch, "fbm", 0.2)
+        report = marginal_variance_profile(batch)
         assert report.verdict
 
 
@@ -85,7 +85,7 @@ class TestVarianceProfile:
     def test_brownian_midpoint(self):
         grid = GridSpec(64)
         batch = generate_batch(lamperti_sampler("fbm", 0.5, grid), 20_000, 53)
-        report = marginal_variance_profile(batch, "fbm", 0.5)
+        report = marginal_variance_profile(batch)
         mid = report.details[31]
         assert mid["target"] == pytest.approx(0.5)
         assert mid["deviation_se"] <= 4.0
@@ -96,7 +96,7 @@ class TestVarianceProfile:
         from selfsim.core import ReplicateBatch
 
         batch = ReplicateBatch(GridSpec(4), np.zeros((2, 4)), "lamperti", process, hurst, 0, (0, 1))
-        return [d["target"] for d in marginal_variance_profile(batch, process, hurst).details]
+        return [d["target"] for d in marginal_variance_profile(batch).details]
 
     def test_theoretical_profile_values(self):
         assert self.targets("fbm", 0.2)[0] == pytest.approx(0.25**0.4)
@@ -115,7 +115,7 @@ class TestVarianceProfile:
         batch = ReplicateBatch(
             GridSpec(8), np.zeros((200, 8)), "lamperti", "fbm", 0.5, 0, tuple(range(200))
         )
-        assert not marginal_variance_profile(batch, "fbm", 0.5).verdict
+        assert not marginal_variance_profile(batch).verdict
 
 
 class TestErrorBoundDiagnostics:
@@ -140,6 +140,13 @@ class TestErrorBoundDiagnostics:
     def test_rejects_hurst_outside_unit_interval(self, hurst):
         with pytest.raises(ParameterError):
             error_bound_diagnostics([16, 64], hurst)
+
+    @pytest.mark.parametrize("sizes", [[4, 2], [8, 16, 4], [2, 2, 4], [256], []])
+    def test_rejects_sizes_not_strictly_increasing(self, sizes):
+        # a_decreasing and b_decreasing read the list in order: a(2) = 0 < a(4), so
+        # [4, 2] would report both True
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            error_bound_diagnostics(sizes, 0.7)
 
     def test_dyadic_nodes_contribute_zero(self):
         n = 16

@@ -1,6 +1,8 @@
 """Verification harness: estimator correctness, pass/fail logic, and
 negative controls."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,8 +15,10 @@ from selfsim.core import (
     generate_batch,
 )
 from selfsim.covmodels import fbm_cov, make_kernel
+from selfsim.lamperti import marginal_variance_profile
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
 from selfsim.verify import (
+    VerificationReport,
     covariance_match,
     empirical_covariance,
     ks_distance,
@@ -27,6 +31,40 @@ from selfsim.verify import (
 def synthetic_batch(values, method="cholesky", process="fbm", hurst=0.5):
     m, n = values.shape
     return ReplicateBatch(GridSpec(n), values, method, process, hurst, 0, tuple(range(m)))
+
+
+# Each check on a batch, and the report fields it takes from elsewhere than the batch.
+CHECKS = {
+    "covariance-match": (
+        lambda batch: covariance_match(batch, make_kernel("fbm", 0.7)),
+        {"process": "fbm", "hurst": 0.7},
+    ),
+    "normality": (lambda batch: normality_check(batch, 8), {}),
+    "method-equivalence": (
+        lambda batch: method_equivalence(
+            batch, synthetic_batch(batch.values[::-1], method="davies-harte")
+        ),
+        {"method": "cholesky vs davies-harte"},
+    ),
+    "quantile-scaling": (lambda batch: quantile_scaling_check(batch, 0.5, 0.6), {"hurst": 0.6}),
+    "marginal-variance": (marginal_variance_profile, {}),
+}
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_report_fields_come_from_the_batch(check):
+    make, overrides = CHECKS[check]
+    values = np.random.Generator(np.random.Philox(key=5)).standard_normal((1_000, 8))
+    batch = synthetic_batch(values, process="sfbm", hurst=0.3)
+    report = make(batch)
+    payload = report.to_dict()
+    assert list(payload) == [f.name for f in dataclasses.fields(VerificationReport)]
+    assert payload["check"] == check
+    assert payload["verdict"] == ("pass" if report.verdict else "fail")
+    assert payload["details"] is report.details  # shared, not copied
+    fields = {"method": "cholesky", "process": "sfbm", "hurst": 0.3, "n": 8, "m_replicates": 1_000}
+    for key, value in {**fields, **overrides}.items():
+        assert payload[key] == value, key
 
 
 class TestEmpiricalCovariance:
