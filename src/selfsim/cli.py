@@ -7,10 +7,10 @@ before a command runs, so a malformed option is a usage error even where it
 is not used.
 
 Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
-(including invalid process/method combinations, malformed values, bad
-config files, an unwritable output path and a grid too large to allocate),
-3 numerical failure (a Cholesky factor that stays indefinite through the
-whole jitter ladder).
+(including invalid process/method combinations, flags a command does not
+take, malformed values, bad config files, an unwritable output path and a
+grid too large to allocate), 3 numerical failure (a Cholesky factor that
+stays indefinite through the whole jitter ladder).
 """
 
 from __future__ import annotations
@@ -158,14 +158,19 @@ def _options(args: argparse.Namespace, config: dict) -> argparse.Namespace:
     return o
 
 
-def _build_sampler(o: argparse.Namespace, method, n):
-    """The LinearSampler of the (o.process, method) pair on GridSpec(n)."""
+def _builder(o: argparse.Namespace, method):
+    """The builder of the (o.process, method) pair; an invalid pair is a usage error."""
     processes, build = METHOD_TABLE.get(method, ((), None))  # bench alone takes a list
     if o.process not in processes:
         raise UsageError(f"method {method!r} is not valid for process {o.process!r}")
     if o.process == "bm" and o.hurst != 0.5:
         raise UsageError(f"process 'bm' has Hurst index 0.5, got {o.hurst}")
-    return build(o, GridSpec(n))
+    return build
+
+
+def _build_sampler(o: argparse.Namespace, method, n):
+    """The LinearSampler of the (o.process, method) pair on GridSpec(n)."""
+    return _builder(o, method)(o, GridSpec(n))
 
 
 @contextmanager
@@ -265,6 +270,7 @@ def cmd_verify(o: argparse.Namespace) -> int:
     reports: list[VerificationReport] = []
     with _open_out(o.out) as stream:
         if o.suite == "error-bound":
+            _builder(o, o.method)  # it draws nothing, but the pair must be valid all the same
             reports.append(_error_bound_report(o.n, o.hurst))
         else:
             sampler = _build_sampler(o, o.method, n)
@@ -325,8 +331,13 @@ def cmd_bench(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # not argparse's usage text and exit(2): `main` reports it
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="selfsim",
         description="Simulate and verify self-similar Gaussian process paths.",
     )
@@ -351,8 +362,8 @@ PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    args = PARSER.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         o = _options(args, _read_config(args.config) if args.config else {})
         takes_list = args.command == "bench" or (args.command, o.suite) == ("verify", "error-bound")
         if len(o.n) > 1 and not takes_list:

@@ -76,6 +76,8 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U by
     # the spectrum's `clamped_mass`, 2.298e-4 and 1.284e-3. For sfbm the relative
     # rise shrinks with n: 2.15e-3 at n = 16 and 2.53e-5 at n = 256 (H = 0.99).
+    # A clamped bin has weight zero and draws no normal, so k is below m: 303 of
+    # 512 at fbm H = 0.8 and 263 at H = 0.95 (n = 256).
     acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
     finish = lambda y: scale * np.take(y, index, axis=1)
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)

@@ -186,16 +186,17 @@ def circulant_spectrum(row) -> CirculantSpectrum:
 
 
 def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
-    """The map of (rows, m) normals to (rows, m) real circulant draws, whose first
-    `length` columns have the (clamp-adjusted) target autocovariance; the draw
-    returns those columns, or `finish` of all m.
+    """(k, draw): the map of (rows, k) normals to (rows, m) real circulant draws,
+    whose first `length` columns have the (clamp-adjusted) target autocovariance;
+    the draw returns those columns, or `finish` of all m.
 
-    Each row of m normals fills half of a Hermitian vector, bins 0 .. m/2:
-    z[0] and z[1] are the real bins 0 and m/2, z[2 : m/2 + 1] the real and
-    z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1. Each bin is weighted
-    by the square root of its eigenvalue over m, times 1/sqrt(2) inside. The
-    whole vector's FFT is real, and it is one unscaled real inverse FFT of the
-    conjugate half (`irfft`, norm="forward").
+    The m slots of half of a Hermitian vector, bins 0 .. m/2, are, in order: the
+    real bins 0 and m/2, the real parts of bins 1 .. m/2 - 1, then their imaginary
+    parts. Each bin is weighted by the square root of its eigenvalue over m, times
+    1/sqrt(2) inside. A slot of zero weight (a clamped bin) is dead: it draws no
+    normal, so k is the number of live slots, and a row's k normals fill the live
+    slots in order. The whole vector's FFT is real, and it is one unscaled real
+    inverse FFT of the conjugate half (`irfft`, norm="forward").
     """
     m = spectrum.m
     half = m // 2
@@ -215,7 +216,21 @@ def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
         np.multiply(z[:, half + 1 :], conj_weights, out=spec.imag[:, 1:half])
         return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
-    return draw
+    if weights.all():
+        return m, draw
+    # each slot's weight and its column in the spectrum's float view (re j at 2j, im j
+    # at 2j + 1), in slot order; only the live slots are kept
+    slot_weights = np.concatenate([weights[[0, half]], weights[1:half], conj_weights])
+    columns = np.concatenate([[0, 2 * half], np.arange(2, 2 * half, 2), np.arange(3, 2 * half, 2)])
+    live = np.flatnonzero(slot_weights)
+    slot_weights, columns = slot_weights[live], columns[live]
+
+    def draw_live(z):
+        spec = np.zeros((len(z), half + 1), dtype=complex)
+        spec.view(float)[:, columns] = z * slot_weights
+        return finish(irfft(spec, n=m, axis=1, norm="forward"))
+
+    return len(live), draw_live
 
 
 def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
@@ -223,13 +238,13 @@ def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
     0 .. length - 1 of acf(k, grid.n, hurst) (`_circulant_draw`)."""
     hurst = float(hurst)
     spectrum = circulant_spectrum(acf(np.arange(length), grid.n, hurst))
-    draw = _circulant_draw(spectrum, length, finish)
+    k, draw = _circulant_draw(spectrum, length, finish)
     info = {
         "clamped_count": spectrum.clamped_count,
         "clamped_mass": spectrum.clamped_mass,
         "embedding_size": spectrum.m,
     }
-    return LinearSampler(grid, method, process, hurst, spectrum.m, draw, info)
+    return LinearSampler(grid, method, process, hurst, k, draw, info)
 
 
 @functools.lru_cache(maxsize=64)

@@ -155,10 +155,9 @@ class TestSimulate:
             == 2
         )
 
-    def test_embedding_cap_flag_exits_2(self):
-        with pytest.raises(SystemExit) as err:
-            run(["simulate", "--n", "16", "--embedding-cap", "6"])
-        assert err.value.code == 2
+    def test_embedding_cap_flag_exits_2(self, capsys):
+        assert run(["simulate", "--n", "16", "--embedding-cap", "6"]) == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --embedding-cap 6\n"
 
     def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
         # 8 EiB exceeds any 57-bit address space: the allocation fails at once
@@ -383,6 +382,16 @@ MALFORMED = [
     (["verify", "--suite", "nope", "--n", "16"], None),
     (["simulate", "--process", "nope", "--n", "16"], None),
     (["simulate", "--format", "xml", "--n", "16"], None),
+    (["verify", "--suite", "error-bound", "--process", "bm", "--method", "lamperti",
+      "--hurst", "0.7", "--n", "64,256"], None),
+    (["verify", "--suite", "error-bound", "--process", "bm", "--method", "bm-cumsum",
+      "--hurst", "0.7", "--n", "64,256"], None),
+    (["verify", "--suite", "error-bound", "--process", "sfbm", "--n", "64,256"], None),
+    (["simulate", "--suite", "marginals", "--n", "16"], None),
+    (["bench", "--baseline", "cholesky", "--n", "16"], None),
+    (["simulate", "--n", "16", "--hurts", "0.7"], None),
+    (["simulate", "--n"], None),
+    (["sample", "--n", "16"], None),
 ]
 
 
@@ -426,6 +435,14 @@ MALFORMED = [
         "suite-unknown",
         "process-unknown",
         "format-unknown",
+        "error-bound-pair",
+        "error-bound-bm-hurst",
+        "error-bound-default-method",
+        "flag-suite-simulate",
+        "flag-baseline-bench",
+        "flag-unknown",
+        "flag-missing-value",
+        "command-unknown",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):

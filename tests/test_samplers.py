@@ -32,8 +32,9 @@ def batch_values(sampler, count, seed):
 
 
 def circulant_row(spectrum, length, rng):
-    """One stationary sequence of the given length from m normals (`_circulant_draw`)."""
-    return _circulant_draw(spectrum, length)(rng.normals(spectrum.m)[None, :])[0]
+    """One stationary sequence of the given length from k normals (`_circulant_draw`)."""
+    k, draw = _circulant_draw(spectrum, length)
+    return draw(rng.normals(k)[None, :])[0]
 
 
 class TestSampleBm:
@@ -310,27 +311,87 @@ CIRCULANT_ROWS = {
 }
 
 
+def _m_slot_draw(spectrum, length):
+    """The half-spectrum draw from all m slots, dead ones included, kept as a reference:
+    rows of m normals, z[0] and z[1] the real bins 0 and m/2, z[2 : m/2 + 1]
+    the real and z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1."""
+    m = spectrum.m
+    half = m // 2
+    weights = np.sqrt(spectrum.eigenvalues[: half + 1] / m)
+    weights[1:half] /= math.sqrt(2.0)
+    conj_weights = -weights[1:half]
+
+    def draw(z):
+        spec = np.zeros((len(z), half + 1), dtype=complex)
+        spec.real[:, 0] = z[:, 0] * weights[0]
+        spec.real[:, half] = z[:, 1] * weights[half]
+        np.multiply(z[:, 2 : half + 1], weights[1:half], out=spec.real[:, 1:half])
+        np.multiply(z[:, half + 1 :], conj_weights, out=spec.imag[:, 1:half])
+        return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, :length]
+
+    return draw
+
+
+def _live_slots(spectrum):
+    """The slots, in `_m_slot_draw`'s order, whose weight is not zero."""
+    half = spectrum.m // 2
+    bins = np.concatenate([[0, half], np.arange(1, half), np.arange(1, half)])
+    return np.flatnonzero(spectrum.eigenvalues[bins])
+
+
+def _expand(spectrum, z):
+    """Rows of k live normals as rows of m slots, with zeros in the dead slots."""
+    full = np.zeros((len(z), spectrum.m))
+    full[:, _live_slots(spectrum)] = z
+    return full
+
+
 class TestCirculantMap:
-    """The circulant draw as a linear map x = z A of m normals, checked exactly."""
+    """The circulant draw as a linear map x = z A of k normals, checked exactly."""
 
     @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
     def test_implied_covariance_is_the_clamped_acf(self, row, length):
         # the rows of A are the draws of the unit vectors; A^T A is the map's covariance
         spec = circulant_spectrum(row)
-        a = _circulant_draw(spec, length)(np.eye(spec.m))
+        k, draw = _circulant_draw(spec, length)
+        a = draw(np.eye(k))
         implied = np.fft.ifft(spec.eigenvalues).real[:length]
         lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
-        assert a.shape == (spec.m, length)
+        assert a.shape == (k, length)
         assert np.abs(a.T @ a - implied[lags]).max() <= 1e-14 * row[0]
 
     @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
     def test_matches_full_hermitian_draw(self, row, length):
         spec = circulant_spectrum(row)
-        z = np.random.default_rng(15).standard_normal((9, spec.m))
-        new = _circulant_draw(spec, length)(z)
-        old = _full_hermitian_draw(spec, length)(z)
+        k, draw = _circulant_draw(spec, length)
+        z = np.random.default_rng(15).standard_normal((9, k))
+        new = draw(z)
+        old = _full_hermitian_draw(spec, length)(_expand(spec, z))
         scale = np.abs(old).max(axis=1, keepdims=True)
         assert np.all(np.abs(new - old) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_live_rows_are_the_m_slot_map_rows(self, row, length):
+        # dropping the dead slots drops exactly the zero rows of the m-slot map
+        spec = circulant_spectrum(row)
+        k, draw = _circulant_draw(spec, length)
+        full = _m_slot_draw(spec, length)(np.eye(spec.m))
+        live = _live_slots(spec)
+        dead = np.setdiff1d(np.arange(spec.m), live)
+        assert k == len(live)
+        assert np.array_equal(draw(np.eye(k)).view(np.uint64), full[live].view(np.uint64))
+        assert np.all(full[dead] == 0.0)
+
+    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_draws_m_normals_unless_a_weight_is_zero(self, row, length):
+        spec = circulant_spectrum(row)
+        k, _ = _circulant_draw(spec, length)
+        assert (k == spec.m) == bool(spec.eigenvalues[: spec.m // 2 + 1].all())
+
+    @pytest.mark.parametrize("hurst, k", [(0.3, 512), (0.7, 512), (0.8, 303), (0.95, 263)])
+    def test_lamperti_fbm_live_slot_count(self, hurst, k):
+        sampler = lamperti_sampler("fbm", hurst, GridSpec(256))
+        assert sampler.k == k and sampler.info["embedding_size"] == 512
 
 
 class TestDaviesHarte:
@@ -639,7 +700,7 @@ class TestDenseMapRows:
 class TestCirculantMapRows:
     """Each row of a circulant map's batch has the bits of its per-path call, at the
     benchmark's shapes: davies-harte at n = 1024 (32-row blocks) and lamperti fBm at
-    n = 256 (128-row blocks).
+    n = 256, H = 0.8 (216-row blocks of its 303 live normals).
 
     `irfft` over axis 1 runs numpy's pocketfft once per row, so a row's bits do not
     depend on its position or neighbours. That is a property of numpy's per-row
@@ -653,7 +714,7 @@ class TestCirculantMapRows:
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
-    @pytest.mark.parametrize("count", [1, 37, 128, 129])
+    @pytest.mark.parametrize("count", [1, 37, 128, 129, 216, 217])
     def test_rows_equal_per_path_calls(self, sampler, count):
         ids = TestDenseMapRows._stream_ids(count)
         batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
