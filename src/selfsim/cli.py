@@ -33,7 +33,6 @@ from .core import (
     GridSpec,
     ParameterError,
     ReplicateBatch,
-    RngStream,
     generate_batch,
 )
 from .covmodels import make_kernel
@@ -301,7 +300,7 @@ def cmd_bench(o: argparse.Namespace) -> int:
             previous = None
             for n in o.n:
                 sampler = _build_sampler(o, method, n)
-                sampler(RngStream(o.seed, 0))  # warm-up: the first draw's one-off costs go untimed
+                generate_batch(sampler, 1, o.seed)  # warm-up: one-off costs go untimed
                 count = max(3, o.paths)
                 start = time.perf_counter()
                 generate_batch(sampler, count, o.seed)

@@ -33,6 +33,10 @@ DEFAULT_SEED = 20240817
 
 _MASK64 = (1 << 64) - 1
 
+# The largest grid any array can index: numpy caps an array's bytes at the largest
+# intp, and the circulant embedding of n points takes 2n floats, 16 bytes a point.
+_MAX_GRID = np.iinfo(np.intp).max // 16
+
 
 class ParameterError(ValueError):
     """A parameter is outside its admissible domain."""
@@ -51,6 +55,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ParameterError(f"grid size must be a positive integer, got {self.n}")
+        if self.n > _MAX_GRID:
+            raise ParameterError(f"grid size {self.n} exceeds the largest array, {_MAX_GRID}")
 
     def times(self) -> np.ndarray:
         # single division per node, so t_n == 1.0 exactly

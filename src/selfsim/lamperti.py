@@ -47,6 +47,7 @@ class LampertiGridMap:
 def grid_map(n: int) -> LampertiGridMap:
     if n < 2:
         raise ParameterError("grid map needs n >= 2")
+    GridSpec(n)  # rejects a size larger than any array
     j = np.arange(1, n + 1, dtype=float)
     arg = n * np.log(j) / math.log(n)
     nearest = np.round(arg)

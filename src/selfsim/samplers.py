@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.fft import fft, irfft
+from numpy.fft import irfft, rfft
 
-from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
+from .core import _MAX_GRID, GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import CovarianceKernel, _check_hurst, fgn_acf, make_kernel
 
 __all__ = [
@@ -60,15 +60,18 @@ class NotPositiveDefiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class CirculantSpectrum:
-    """Nonnegative eigenvalues of the embedding circulant, and the clamp's size.
+    """Bins 0 .. m/2 of the embedding circulant's spectrum, clamped to be
+    nonnegative, and the clamp's size; m = 2 (len(eigenvalues) - 1).
 
-    `clamped_mass` is the sum of the clamped eigenvalues' magnitudes over m:
-    clamping adds ifft(|negative part|) to the implied autocovariance, so this
-    is that error's exact max norm, reached at lag 0. It is the figure to read:
-    `clamped_count` also counts eigenvalues whose sign the ACF's rounding sets.
+    The circulant's bins m/2 + 1 .. m - 1 mirror bins m/2 - 1 .. 1, so the clamp
+    figures count bins 0 .. m/2 with multiplicity 1, 2, ..., 2, 1: they describe
+    the m-bin circulant that the draw follows. `clamped_mass` is the sum of the
+    clamped eigenvalues' magnitudes over m: clamping adds irfft(|negative part|)
+    to the implied autocovariance, so this is that error's exact max norm,
+    reached at lag 0. It is the figure to read: `clamped_count` also counts
+    eigenvalues whose sign the ACF's rounding sets.
     """
 
-    m: int
     eigenvalues: np.ndarray
     clamped_count: int
     clamped_mass: float
@@ -77,10 +80,14 @@ class CirculantSpectrum:
         eig = np.asarray(self.eigenvalues, dtype=float)
         eig.setflags(write=False)
         object.__setattr__(self, "eigenvalues", eig)
-        if eig.shape != (self.m,):
-            raise ValueError("eigenvalue vector length must equal m")
-        if eig.min(initial=0.0) < 0.0:
+        if eig.ndim != 1 or len(eig) < 2:
+            raise ValueError("a half spectrum needs a vector of at least two eigenvalues")
+        if eig.min() < 0.0:
             raise ValueError("stored eigenvalues must be nonnegative")
+
+    @property
+    def m(self) -> int:
+        return 2 * (len(self.eigenvalues) - 1)
 
 
 def _dense_map(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -169,19 +176,21 @@ def circulant_spectrum(row) -> CirculantSpectrum:
     and clamp its negative eigenvalues to zero.
 
     The first circulant row folds the lags: c_j = row[j] for j <= m/2 and
-    c_j = row[m - j] above.
+    c_j = row[m - j] above. It is real and symmetric, so one real FFT of it
+    gives the m/2 + 1 eigenvalues of bins 0 .. m/2, the ones the draw reads.
     """
     row = np.asarray(row, dtype=float)
     if row.ndim != 1 or len(row) < 2:
         raise ParameterError("stationary sequence length must be >= 2")
     m = 2 * (len(row) - 1)
-    eig = fft(np.concatenate([row, row[-2:0:-1]])).real
+    eig = rfft(np.concatenate([row, row[-2:0:-1]])).real
     negative = eig < 0.0
+    multiplicity = np.full(len(eig), 2)  # bins 1 .. m/2 - 1 stand for their mirrors too
+    multiplicity[[0, -1]] = 1
     return CirculantSpectrum(
-        m=m,
         eigenvalues=np.where(negative, 0.0, eig),
-        clamped_count=int(np.count_nonzero(negative)),
-        clamped_mass=float(np.abs(eig[negative]).sum() / m),
+        clamped_count=int(multiplicity[negative].sum()),
+        clamped_mass=float(np.abs(eig[negative]) @ multiplicity[negative] / m),
     )
 
 
@@ -190,19 +199,19 @@ def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
     whose first `length` columns have the (clamp-adjusted) target autocovariance;
     the draw returns those columns, or `finish` of all m.
 
-    The m slots of half of a Hermitian vector, bins 0 .. m/2, are, in order: the
-    real bins 0 and m/2, the real parts of bins 1 .. m/2 - 1, then their imaginary
-    parts. Each bin is weighted by the square root of its eigenvalue over m, times
-    1/sqrt(2) inside. A slot of zero weight (a clamped bin) is dead: it draws no
-    normal, so k is the number of live slots, and a row's k normals fill the live
-    slots in order. The whole vector's FFT is real, and it is one unscaled real
-    inverse FFT of the conjugate half (`irfft`, norm="forward").
+    The m slots of half of a Hermitian vector, the spectrum's bins 0 .. m/2,
+    are, in order: the real bins 0 and m/2, the real parts of bins 1 .. m/2 - 1,
+    then their imaginary parts. Each bin is weighted by the square root of its
+    eigenvalue over m, times 1/sqrt(2) inside. A slot of zero weight (a clamped
+    bin) is dead: it draws no normal, so k is the number of live slots, and a
+    row's k normals fill the live slots in order. The whole vector's FFT is
+    real: one unscaled real inverse FFT of the conjugate half (`irfft`, norm="forward").
     """
     m = spectrum.m
     half = m // 2
     if not 1 <= length <= half + 1:
         raise ParameterError(f"requested length {length} is outside 1 .. {half + 1} (capacity)")
-    weights = np.sqrt(spectrum.eigenvalues[: half + 1] / m)
+    weights = np.sqrt(spectrum.eigenvalues / m)
     weights[1:half] /= math.sqrt(2.0)
     conj_weights = -weights[1:half]
     if finish is None:
@@ -279,6 +288,11 @@ def _ma_powers(n: int, hurst: float, truncation: float, substeps: int):
     """g(x) = (x * step)^(H - 1/2) at the integer lags x = 0 .. k, with g(0) = 0, for the
     Riemann rule with step = 1/(substeps*n) on [-truncation, 1): k = N + substeps*n noises,
     N = round(truncation*substeps*n) of them before 0. Returns (g, N, step)."""
+    # about (T + 1) s n noises, checked before any float of them can overflow
+    if substeps * n >= _MAX_GRID or (truncation + 1.0) * substeps * n >= _MAX_GRID:
+        raise ParameterError(
+            f"truncation {truncation} at {substeps} substeps needs more noises than an array holds"
+        )
     step = 1.0 / (substeps * n)
     n_neg = int(round(truncation * substeps * n))
     powers = np.zeros(n_neg + substeps * n + 1)

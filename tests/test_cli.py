@@ -160,9 +160,10 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: unrecognized arguments: --embedding-cap 6\n"
 
     def test_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
-        # 8 EiB exceeds any 57-bit address space: the allocation fails at once
+        # below the largest grid an array can index, but 8e17 bytes exceed any 57-bit
+        # address space: the allocation fails at once (a MemoryError)
         out = tmp_path / "x.csv"
-        argv = ["simulate", "--method", "davies-harte", "--n", str(10**18), "--out", str(out)]
+        argv = ["simulate", "--method", "davies-harte", "--n", str(10**17), "--out", str(out)]
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
@@ -345,6 +346,19 @@ class TestWriters:
             assert text == _rendered(_reference_json, batch, meta)
 
 
+# sizes no array can index: each is rejected where it enters, and the message says so
+TOO_LARGE = [
+    ["simulate", "--process", "bm", "--method", "bm-cumsum", "--n", str(10**19)],
+    ["simulate", "--method", "cholesky", "--n", str(10**19)],
+    ["simulate", "--method", "lamperti", "--n", str(10**19)],
+    ["simulate", "--method", "ma-truncated", "--n", "4", "--truncation", "1e300"],
+    ["simulate", "--method", "ma-truncated", "--n", "4", "--substeps", str(10**30)],
+    ["simulate", "--method", "ma-truncated", "--n", "4", "--truncation", "1e308"],  # T s n is inf
+    ["simulate", "--method", "ma-truncated", "--n", "4", "--substeps", str(10**400)],  # no float
+    ["verify", "--suite", "error-bound", "--method", "lamperti", "--n", f"64,{10**19}"],
+    ["simulate", "--method", "davies-harte", "--n", str(2**63 - 1)],
+]
+
 MALFORMED = [
     (["simulate", "--n", "abc"], None),
     (["simulate", "--n", "256,512"], None),
@@ -392,6 +406,7 @@ MALFORMED = [
     (["simulate", "--n", "16", "--hurts", "0.7"], None),
     (["simulate", "--n"], None),
     (["sample", "--n", "16"], None),
+    *((argv, None) for argv in TOO_LARGE),
 ]
 
 
@@ -443,6 +458,15 @@ MALFORMED = [
         "flag-unknown",
         "flag-missing-value",
         "command-unknown",
+        "too-large-bm-n",
+        "too-large-cholesky-n",
+        "too-large-lamperti-n",
+        "too-large-ma-truncation",
+        "too-large-ma-substeps",
+        "too-large-ma-truncation-inf",
+        "too-large-ma-substeps-no-float",
+        "too-large-error-bound-n",
+        "too-large-davies-harte-n",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
@@ -459,6 +483,8 @@ def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
         assert "davies-harte" in err
     if "nope" in argv or "xml" in argv:  # a name outside its list, checked by its cast
         assert err.startswith("error: invalid value for ") and "(valid: " in err
+    if any(argv[: len(too_large)] == too_large for too_large in TOO_LARGE):
+        assert "array" in err
 
 
 def test_option_table_matches_parser():

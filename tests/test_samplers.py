@@ -13,6 +13,7 @@ from selfsim.covmodels import fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm, make
 from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
+    CirculantSpectrum,
     NotPositiveDefiniteError,
     _circulant_draw,
     bm_sampler,
@@ -174,6 +175,11 @@ def white_noise_row(n):
     return np.eye(1, n)[0]
 
 
+def mirrored(half):
+    """The m-bin spectrum whose bins 0 .. m/2 are `half`: bin m - j mirrors bin j."""
+    return np.concatenate([half, half[-2:0:-1]])
+
+
 class TestCirculantSpectrum:
     def test_white_noise_eigenvalues_all_one(self):
         spec = circulant_spectrum(white_noise_row(16))
@@ -196,13 +202,19 @@ class TestCirculantSpectrum:
 
     @staticmethod
     def check_implied_acf(row):
-        # clamping adds ifft(|negative part|) to the implied ACF: its max is at lag 0
+        # clamping adds irfft(|negative part|) to the implied ACF: its max is at lag 0
         spec = circulant_spectrum(row)
         m = spec.m
         folded = row[np.minimum(np.arange(m), m - np.arange(m))]
-        error = np.abs(np.fft.ifft(spec.eigenvalues).real - folded)
+        error = np.abs(np.fft.irfft(spec.eigenvalues, n=m) - folded)
         tol = 1e-14 * row[0]
         assert m == 2 * (len(row) - 1)
+        assert spec.eigenvalues.shape == (m // 2 + 1,)
+        # the clamp figures are those of the m-bin circulant the half spectrum stands for
+        negative = mirrored(np.fft.rfft(folded).real)
+        negative = negative[negative < 0.0]
+        assert spec.clamped_count == len(negative)
+        assert spec.clamped_mass == pytest.approx(np.abs(negative).sum() / m, rel=1e-12, abs=0.0)
         assert (spec.clamped_mass > 0.0) == (spec.clamped_count > 0)
         assert abs(error[0] - spec.clamped_mass) <= tol
         assert error.max() <= error[0] + tol
@@ -235,6 +247,19 @@ class TestCirculantSpectrum:
                 "clamped_mass": spec.clamped_mass,
                 "embedding_size": spec.m,
             }
+
+    @pytest.mark.parametrize(
+        "eigenvalues, message",
+        [
+            (np.ones(1), "at least two"),
+            (np.array([1.0, -1e-300, 2.0]), "must be nonnegative"),
+            (np.ones((2, 3)), "at least two"),
+        ],
+        ids=["one-bin", "negative", "2-d"],
+    )
+    def test_record_rejects_malformed_spectrum(self, eigenvalues, message):
+        with pytest.raises(ValueError, match=message):
+            CirculantSpectrum(eigenvalues, clamped_count=0, clamped_mass=0.0)
 
 
 class TestCirculantSample:
@@ -274,12 +299,13 @@ class TestCirculantSample:
             assert np.array_equal(circulant_row(spec, length, RngStream(5, 0)), full[:length])
 
 
-def _full_hermitian_draw(spectrum, length):
+def _full_hermitian_draw(eigenvalues, length):
     """The circulant draw before the half-spectrum form, kept verbatim as a reference:
-    a full (rows, m) Hermitian vector through one complex FFT, its real part."""
-    m = spectrum.m
+    a full (rows, m) Hermitian vector, weighted by all m `eigenvalues`, through one
+    complex FFT, its real part."""
+    m = len(eigenvalues)
     half = m // 2
-    weights = np.sqrt(spectrum.eigenvalues / m)
+    weights = np.sqrt(eigenvalues / m)
 
     def draw(z):
         w = np.zeros(z.shape, dtype=complex)
@@ -317,7 +343,7 @@ def _m_slot_draw(spectrum, length):
     the real and z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1."""
     m = spectrum.m
     half = m // 2
-    weights = np.sqrt(spectrum.eigenvalues[: half + 1] / m)
+    weights = np.sqrt(spectrum.eigenvalues / m)
     weights[1:half] /= math.sqrt(2.0)
     conj_weights = -weights[1:half]
 
@@ -355,7 +381,7 @@ class TestCirculantMap:
         spec = circulant_spectrum(row)
         k, draw = _circulant_draw(spec, length)
         a = draw(np.eye(k))
-        implied = np.fft.ifft(spec.eigenvalues).real[:length]
+        implied = np.fft.irfft(spec.eigenvalues, n=spec.m)[:length]
         lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
         assert a.shape == (k, length)
         assert np.abs(a.T @ a - implied[lags]).max() <= 1e-14 * row[0]
@@ -366,7 +392,7 @@ class TestCirculantMap:
         k, draw = _circulant_draw(spec, length)
         z = np.random.default_rng(15).standard_normal((9, k))
         new = draw(z)
-        old = _full_hermitian_draw(spec, length)(_expand(spec, z))
+        old = _full_hermitian_draw(mirrored(spec.eigenvalues), length)(_expand(spec, z))
         scale = np.abs(old).max(axis=1, keepdims=True)
         assert np.all(np.abs(new - old) <= 1e-13 * scale)
 
@@ -386,7 +412,7 @@ class TestCirculantMap:
     def test_draws_m_normals_unless_a_weight_is_zero(self, row, length):
         spec = circulant_spectrum(row)
         k, _ = _circulant_draw(spec, length)
-        assert (k == spec.m) == bool(spec.eigenvalues[: spec.m // 2 + 1].all())
+        assert (k == spec.m) == bool(spec.eigenvalues.all())
 
     @pytest.mark.parametrize("hurst, k", [(0.3, 512), (0.7, 512), (0.8, 303), (0.95, 263)])
     def test_lamperti_fbm_live_slot_count(self, hurst, k):
