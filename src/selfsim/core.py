@@ -37,6 +37,10 @@ _MASK64 = (1 << 64) - 1
 # intp, and the circulant embedding of n points takes 2n floats, 16 bytes a point.
 _MAX_GRID = np.iinfo(np.intp).max // 16
 
+# The normals (or floats) one block of a batch's work holds: `generate_batch`'s block
+# of normals, and the row blocks of the marginal variance.
+_BLOCK_NORMALS = 2**14
+
 
 class ParameterError(ValueError):
     """A parameter is outside its admissible domain."""
@@ -138,9 +142,10 @@ class LinearSampler:
 
     @property
     def _block_rows(self) -> int:
-        """Rows per block of `generate_batch`: 2**16 normals, or a multiple of the GEMM height."""
+        """Rows per block of `generate_batch`: `_BLOCK_NORMALS` normals, or a multiple of
+        the GEMM height."""
         height = getattr(self.draw, "gemm_rows", 1)
-        return max(height, 2**16 // self.k // height * height)
+        return max(height, _BLOCK_NORMALS // self.k // height * height)
 
     def __call__(self, rng: RngStream) -> SamplePath:
         values = self.draw(rng.normals(self.k)[None, :])[0]
@@ -173,7 +178,8 @@ class ReplicateBatch:
             raise ParameterError("replicate count must be positive")
         if len(self.stream_ids) != values.shape[0]:
             raise ValueError("stream_ids length does not match the number of rows")
-        if not np.all(np.isfinite(values)):
+        # NaN propagates through min and max, +inf shows in the max and -inf in the min
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("batch contains non-finite values")
 
     @property
@@ -204,6 +210,8 @@ def generate_batch(
         raise TypeError(f"generate_batch takes a LinearSampler, not {type(sampler).__name__}")
     if count < 1:
         raise ParameterError("replicate count must be positive")
+    if count > np.iinfo(np.intp).max // 8 // sampler.grid.n:
+        raise ParameterError(f"a ({count}, {sampler.grid.n}) batch exceeds the largest array")
     ids = tuple(range(count)) if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
     if len(ids) != count:
         raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")

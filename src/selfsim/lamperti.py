@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
 from .covmodels import _COVARIANCES, _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
 from .samplers import _circulant_sampler
@@ -69,8 +70,10 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # The stationary sequence is sampled at indices 0..n: the map sends
     # j = 1 to index 0, so one extra lag of the autocovariance is needed.
     #
-    # The rescaled autocovariance grows with the lag, so enlarging the
-    # embedding only makes it more indefinite; the negative eigenvalues
+    # The rescaled autocovariance falls with the lag (fbm, n = 256, H = 0.95:
+    # 1 at lag 0, 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf_fbm`
+    # cancels past lag n (0.0 at lag 8n), so a larger embedding built from it
+    # is more indefinite, not less (ROADMAP item 10). The negative eigenvalues
     # are clamped to zero at the minimal embedding instead (the
     # nonnegative-definite part of the circulant). For fbm the clamp fires
     # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
@@ -103,6 +106,26 @@ def simulate_lamperti(
     return lamperti_sampler(process, hurst, grid)(rng)
 
 
+def _node_variance(values: np.ndarray) -> np.ndarray:
+    """`values.var(axis=0, ddof=1)` with its bits, in row blocks of `core._BLOCK_NORMALS`
+    floats. For n >= 2 numpy sums the squares down axis 0 one row at a time, and row 0
+    of `buf` carries that sum from block to block; one column it sums pairwise, so n = 1
+    keeps var."""
+    m, n = values.shape
+    if n == 1:
+        return values.var(axis=0, ddof=1)
+    mean = values.sum(axis=0) / m
+    rows = max(1, core._BLOCK_NORMALS // n)
+    buf = np.zeros((rows + 1, n))
+    for start in range(0, m, rows):
+        block = values[start : start + rows]
+        squares = buf[1 : len(block) + 1]
+        np.subtract(block, mean, out=squares)
+        np.multiply(squares, squares, out=squares)
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=buf[0])
+    return buf[0] / (m - 1)
+
+
 def marginal_variance_profile(batch: ReplicateBatch, tol_multiplier: float = 4.0):
     """Empirical per-node variance against the exact marginal profile c(t, t) of the
     batch's process and H (bm is fBm at H = 1/2).
@@ -120,7 +143,7 @@ def marginal_variance_profile(batch: ReplicateBatch, tol_multiplier: float = 4.0
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
     t = batch.grid.times()
     target = cov(t, t, batch.hurst)
-    estimate = values.var(axis=0, ddof=1)
+    estimate = _node_variance(values)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se
     details = [

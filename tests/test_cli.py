@@ -357,6 +357,8 @@ TOO_LARGE = [
     ["simulate", "--method", "ma-truncated", "--n", "4", "--substeps", str(10**400)],  # no float
     ["verify", "--suite", "error-bound", "--method", "lamperti", "--n", f"64,{10**19}"],
     ["simulate", "--method", "davies-harte", "--n", str(2**63 - 1)],
+    ["simulate", "--n", "16", "--paths", str(10**19)],
+    ["verify", "--suite", "marginals", "--n", "16", "--paths", str(2**62)],
 ]
 
 MALFORMED = [
@@ -467,6 +469,8 @@ MALFORMED = [
         "too-large-ma-substeps-no-float",
         "too-large-error-bound-n",
         "too-large-davies-harte-n",
+        "too-large-paths",
+        "too-large-verify-paths",
     ],
 )
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):

@@ -12,6 +12,7 @@ from selfsim.core import (
     ReplicateBatch,
     RngStream,
     SamplePath,
+    _BLOCK_NORMALS,
     _philox_state,
     generate_batch,
 )
@@ -115,8 +116,9 @@ class TestLinearBatch:
     SEEDS = (0, 3, 2**64 - 1, -1, 2**70 + 5)
     STREAMS = (0, 1, 2**63, 2**64 + 3)
 
-    # one block of 4 rows (k = 5), and one row per block (k = 2**16 + 1)
-    @pytest.mark.parametrize("k", [5, 2**16 + 1])
+    # one block of 4 rows (k = 5), and one row per block: just past the block budget
+    # and at four times it
+    @pytest.mark.parametrize("k", [5, _BLOCK_NORMALS + 1, 4 * _BLOCK_NORMALS + 1])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_block_normals_match_stream(self, seed, k):
         batch = generate_batch(identity_sampler(k), 4, seed, stream_ids=self.STREAMS)
@@ -154,6 +156,12 @@ class TestLinearBatch:
         with pytest.raises(ValueError, match="non-finite"), np.errstate(divide="ignore"):
             generate_batch(sampler, 3, 1)
 
+    @pytest.mark.parametrize("count, n", [(2**60, 1), (2**59, 2), (2**51, 1024)])
+    def test_count_beyond_any_array_rejected(self, count, n):
+        # each count is past the bound, which is checked before any stream id is built
+        with pytest.raises(ParameterError, match="largest array"):
+            generate_batch(identity_sampler(n), count, 1)
+
     def test_callable_rejected(self):
         grid = GridSpec(4)
         with pytest.raises(TypeError, match="LinearSampler"):
@@ -176,7 +184,7 @@ def test_batch_constructs_one_philox(monkeypatch):
         return Philox(*args, **kwargs)
 
     monkeypatch.setattr(selfsim.core, "Philox", counting_philox)
-    sampler = bm_sampler(GridSpec(1024))  # 64 rows per block: five blocks
+    sampler = bm_sampler(GridSpec(1024))  # 16 rows per block: 19 blocks
     batch = generate_batch(sampler, 300, 11)
     assert len(built) == 1
     for stream_id, row in enumerate(batch.values):
@@ -206,9 +214,11 @@ class TestReplicateBatch:
         with pytest.raises(ValueError, match="stream_ids"):
             self.make(np.zeros((2, 4)), stream_ids=(0,))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, pytest.param((np.nan, np.inf), id="nan-inf")]
+    )
     def test_nonfinite_entry_rejected(self, bad):
         values = np.zeros((3, 4))
-        values[2, 1] = bad
+        values[2, 1 : 1 + np.size(bad)] = bad
         with pytest.raises(ValueError, match="non-finite"):
             self.make(values)

@@ -1,13 +1,22 @@
 """Inverse-Lamperti pipeline: grid map exactness, marginal law, and
 deterministic error-bound factors."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
+from selfsim.core import (
+    _BLOCK_NORMALS,
+    GridSpec,
+    ParameterError,
+    RngStream,
+    generate_batch,
+)
 from selfsim.lamperti import (
+    _node_variance,
     error_bound_diagnostics,
     grid_map,
     lamperti_sampler,
@@ -116,6 +125,61 @@ class TestVarianceProfile:
             GridSpec(8), np.zeros((200, 8)), "lamperti", "fbm", 0.5, 0, tuple(range(200))
         )
         assert not marginal_variance_profile(batch).verdict
+
+
+class TestNodeVariance:
+    """The row-blocked variance has the bits of values.var(axis=0, ddof=1)."""
+
+    @staticmethod
+    def cases():
+        for n in (2, 3, 256, 32_768):
+            rows = max(1, _BLOCK_NORMALS // n)
+            counts = {2, 3, rows - 1, rows, rows + 1, 4_000}
+            # 4 000 rows of 32 768 would be a 1 GB array
+            yield from ((n, m) for m in sorted(counts) if m >= 2 and m * n <= 2**21)
+
+    @pytest.mark.parametrize("n, m", list(cases()))
+    def test_bits_match_numpy_var(self, n, m):
+        values = np.random.default_rng(n + m).standard_normal((m, n)) * 3.0 + 1.7
+        expected = values.var(axis=0, ddof=1)
+        assert np.array_equal(_node_variance(values).view(np.uint64), expected.view(np.uint64))
+
+    def test_single_column_is_numpy_var(self):
+        # numpy sums one column pairwise, which row blocks would not reproduce
+        values = np.random.default_rng(1).standard_normal((4_000, 1)) + 1.7
+        expected = values.var(axis=0, ddof=1)
+        assert np.array_equal(_node_variance(values).view(np.uint64), expected.view(np.uint64))
+
+
+class TestVerifyMemory:
+    """A marginals run holds one (count, n) array: the statistics and the batch
+    check take no temporary of its size (4 000 lamperti paths of 256 points)."""
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        return generate_batch(lamperti_sampler("fbm", 0.8, GridSpec(256)), 4_000, 61)
+
+    def test_variance_profile_peak(self, batch):
+        _, peak = self.traced_peak(lambda: marginal_variance_profile(batch))
+        assert peak < batch.values.nbytes / 4
+
+    def test_batch_check_peak(self, batch):
+        _, peak = self.traced_peak(lambda: dataclasses.replace(batch))  # a fresh __post_init__
+        assert peak < batch.values.nbytes / 100
+
+    def test_generate_batch_peak(self, batch):
+        sampler = lamperti_sampler("fbm", 0.8, GridSpec(256))
+        result, peak = self.traced_peak(lambda: generate_batch(sampler, 4_000, 61))
+        assert peak - result.values.nbytes < batch.values.nbytes / 4
 
 
 class TestErrorBoundDiagnostics:

@@ -713,7 +713,7 @@ class TestDenseMapRows:
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
-    # 400 is verify-ma's batch, 1024 one full block of ma-64-T50
+    # 400 is verify-ma's batch, 1024 four full blocks of ma-64-T50
     @pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 400, 1024])
     def test_rows_equal_per_path_calls(self, sampler, count):
         ids = self._stream_ids(count)
@@ -725,8 +725,8 @@ class TestDenseMapRows:
 
 class TestCirculantMapRows:
     """Each row of a circulant map's batch has the bits of its per-path call, at the
-    benchmark's shapes: davies-harte at n = 1024 (32-row blocks) and lamperti fBm at
-    n = 256, H = 0.8 (216-row blocks of its 303 live normals).
+    benchmark's shapes: davies-harte at n = 1024 (8-row blocks) and lamperti fBm at
+    n = 256, H = 0.8 (54-row blocks of its 303 live normals).
 
     `irfft` over axis 1 runs numpy's pocketfft once per row, so a row's bits do not
     depend on its position or neighbours. That is a property of numpy's per-row
@@ -740,7 +740,7 @@ class TestCirculantMapRows:
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
-    @pytest.mark.parametrize("count", [1, 37, 128, 129, 216, 217])
+    @pytest.mark.parametrize("count", [1, 8, 9, 37, 54, 55, 128, 129, 216, 217])
     def test_rows_equal_per_path_calls(self, sampler, count):
         ids = TestDenseMapRows._stream_ids(count)
         batch = generate_batch(sampler, count, self.SEED, stream_ids=ids)
