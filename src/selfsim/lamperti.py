@@ -66,6 +66,8 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     hurst = float(hurst)
     if process not in ("fbm", "sfbm"):
         raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
+    if grid.n < 2:
+        raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {grid.n}")
     index, scale = grid_map(grid.n).index, grid.times() ** hurst
     # The stationary sequence is sampled at indices 0..n: the map sends
     # j = 1 to index 0, so one extra lag of the autocovariance is needed.
@@ -99,7 +101,7 @@ def simulate_lamperti(
     embedding of the rescaled autocovariance; the output is
     X(j/n) = (j/n)^H U(g(j)/n). The joint law is approximate. Marginals
     match the target law exactly only when no eigenvalue of the embedding
-    is clamped (``info["clamped_count"] == 0``). For fbm with H above about
+    is clamped (``info["clamped_mass"] == 0``). For fbm with H above about
     0.72 the clamp inflates Var U, and so every marginal variance, by a
     relative 2.298e-4 at H = 0.8 and 1.284e-3 at H = 0.95 (n = 256).
     """

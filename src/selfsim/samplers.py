@@ -63,17 +63,15 @@ class CirculantSpectrum:
     """Bins 0 .. m/2 of the embedding circulant's spectrum, clamped to be
     nonnegative, and the clamp's size; m = 2 (len(eigenvalues) - 1).
 
-    The circulant's bins m/2 + 1 .. m - 1 mirror bins m/2 - 1 .. 1, so the clamp
-    figures count bins 0 .. m/2 with multiplicity 1, 2, ..., 2, 1: they describe
-    the m-bin circulant that the draw follows. `clamped_mass` is the sum of the
+    The circulant's bins m/2 + 1 .. m - 1 mirror bins m/2 - 1 .. 1, so
+    `clamped_mass` counts bins 0 .. m/2 with multiplicity 1, 2, ..., 2, 1: it
+    describes the m-bin circulant that the draw follows. It is the sum of the
     clamped eigenvalues' magnitudes over m: clamping adds irfft(|negative part|)
     to the implied autocovariance, so this is that error's exact max norm,
-    reached at lag 0. It is the figure to read: `clamped_count` also counts
-    eigenvalues whose sign the ACF's rounding sets.
+    reached at lag 0.
     """
 
     eigenvalues: np.ndarray
-    clamped_count: int
     clamped_mass: float
 
     def __post_init__(self) -> None:
@@ -189,70 +187,56 @@ def circulant_spectrum(row) -> CirculantSpectrum:
     multiplicity[[0, -1]] = 1
     return CirculantSpectrum(
         eigenvalues=np.where(negative, 0.0, eig),
-        clamped_count=int(multiplicity[negative].sum()),
         clamped_mass=float(np.abs(eig[negative]) @ multiplicity[negative] / m),
     )
 
 
-def _circulant_draw(spectrum: CirculantSpectrum, length: int, finish=None):
+def _circulant_draw(spectrum: CirculantSpectrum, finish=None):
     """(k, draw): the map of (rows, k) normals to (rows, m) real circulant draws,
-    whose first `length` columns have the (clamp-adjusted) target autocovariance;
-    the draw returns those columns, or `finish` of all m.
+    whose columns 0 .. m/2 have the (clamp-adjusted) target autocovariance; the
+    draw returns those columns, or `finish` of all m.
 
     The m slots of half of a Hermitian vector, the spectrum's bins 0 .. m/2,
     are, in order: the real bins 0 and m/2, the real parts of bins 1 .. m/2 - 1,
     then their imaginary parts. Each bin is weighted by the square root of its
     eigenvalue over m, times 1/sqrt(2) inside. A slot of zero weight (a clamped
-    bin) is dead: it draws no normal, so k is the number of live slots, and a
-    row's k normals fill the live slots in order. The whole vector's FFT is
-    real: one unscaled real inverse FFT of the conjugate half (`irfft`, norm="forward").
+    bin) is dead: it draws no normal, so k is the number of live slots. A row's
+    k normals are scattered into the live slots in order, and the spectrum is
+    weighted in place, one product per slot. The whole vector's FFT is real: one
+    unscaled real inverse FFT of the conjugate half (`irfft`, norm="forward").
     """
     m = spectrum.m
     half = m // 2
-    if not 1 <= length <= half + 1:
-        raise ParameterError(f"requested length {length} is outside 1 .. {half + 1} (capacity)")
-    weights = np.sqrt(spectrum.eigenvalues / m)
-    weights[1:half] /= math.sqrt(2.0)
-    conj_weights = -weights[1:half]
     if finish is None:
-        finish = lambda y: y[:, :length]
+        finish = lambda y: y[:, : half + 1]
+    # the weight of each float of the spectrum's view, re j at 2j and im j at 2j + 1;
+    # an imaginary weight is 0.0 - w, so a dead bin's is +0.0, not -0.0
+    weights = np.zeros((half + 1, 2))
+    weights[:, 0] = np.sqrt(spectrum.eigenvalues / m)
+    weights[1:half, 0] /= math.sqrt(2.0)
+    np.subtract(0.0, weights[1:half, 0], out=weights[1:half, 1])
+    weights = weights.ravel()
+    # each slot's column in that view, in slot order; only the live slots are kept
+    columns = np.concatenate([[0, 2 * half], np.arange(2, 2 * half, 2), np.arange(3, 2 * half, 2)])
+    columns = columns[(weights != 0.0)[columns]]
 
     def draw(z):
         spec = np.zeros((len(z), half + 1), dtype=complex)
-        spec.real[:, 0] = z[:, 0] * weights[0]
-        spec.real[:, half] = z[:, 1] * weights[half]
-        np.multiply(z[:, 2 : half + 1], weights[1:half], out=spec.real[:, 1:half])
-        np.multiply(z[:, half + 1 :], conj_weights, out=spec.imag[:, 1:half])
+        flat = spec.view(float)
+        flat[:, columns] = z
+        flat *= weights  # in place: each live float becomes z times its weight, the rest stay 0
         return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
-    if weights.all():
-        return m, draw
-    # each slot's weight and its column in the spectrum's float view (re j at 2j, im j
-    # at 2j + 1), in slot order; only the live slots are kept
-    slot_weights = np.concatenate([weights[[0, half]], weights[1:half], conj_weights])
-    columns = np.concatenate([[0, 2 * half], np.arange(2, 2 * half, 2), np.arange(3, 2 * half, 2)])
-    live = np.flatnonzero(slot_weights)
-    slot_weights, columns = slot_weights[live], columns[live]
-
-    def draw_live(z):
-        spec = np.zeros((len(z), half + 1), dtype=complex)
-        spec.view(float)[:, columns] = z * slot_weights
-        return finish(irfft(spec, n=m, axis=1, norm="forward"))
-
-    return len(live), draw_live
+    return len(columns), draw
 
 
 def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
-    """`finish` of the circulant draws whose first `length` columns have the lags
+    """`finish` of the circulant draws whose columns 0 .. length - 1 have the lags
     0 .. length - 1 of acf(k, grid.n, hurst) (`_circulant_draw`)."""
     hurst = float(hurst)
     spectrum = circulant_spectrum(acf(np.arange(length), grid.n, hurst))
-    k, draw = _circulant_draw(spectrum, length, finish)
-    info = {
-        "clamped_count": spectrum.clamped_count,
-        "clamped_mass": spectrum.clamped_mass,
-        "embedding_size": spectrum.m,
-    }
+    k, draw = _circulant_draw(spectrum, finish)
+    info = {"clamped_mass": spectrum.clamped_mass, "embedding_size": spectrum.m}
     return LinearSampler(grid, method, process, hurst, k, draw, info)
 
 
@@ -261,7 +245,8 @@ def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
     """The map of `davies_harte_fbm`: summed fGn, clamped at the minimal embedding."""
     n = grid.n
     cumsum = lambda y: np.cumsum(y[:, :n], axis=1)  # fGn rows to fBm rows
-    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, n, cumsum)
+    # n = 1 takes two lags: m = 2, whose eigenvalues 1 +- rho(1) are positive
+    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, max(n, 2), cumsum)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
@@ -269,7 +254,7 @@ def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath
 
     The minimal embedding of fGn is nonnegative definite for every H
     (Craigmile 2003), so in exact arithmetic nothing is clamped; a roundoff
-    negative would be clamped to zero and counted in `info`.
+    negative would be clamped to zero, its size in `info["clamped_mass"]`.
     """
     return davies_harte_sampler(grid, hurst)(rng)
 

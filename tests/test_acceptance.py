@@ -24,6 +24,7 @@ from selfsim.covmodels import (
 from selfsim.lamperti import error_bound_diagnostics, lamperti_sampler
 from selfsim.samplers import (
     MA_DEFAULT_SUBSTEPS,
+    _circulant_draw,
     _ma_weights,
     cholesky_sampler,
     circulant_spectrum,
@@ -132,14 +133,16 @@ class TestAcceptance:
         assert ok
 
     def test_05_fgn_embedding_nonnegative(self):
+        # every eigenvalue strictly positive: every slot is live (k == m), no mass clamped
         n = 1024
-        worst_clamped = 0
+        fewest_live, worst_mass = math.inf, 0.0
         for hurst in np.arange(0.1, 0.95, 0.1):
             spec = circulant_spectrum(fgn_acf(np.arange(n), n, float(hurst)))
             assert spec.m == 2 * (n - 1)
-            worst_clamped = max(worst_clamped, spec.clamped_count)
-        ok = worst_clamped == 0
-        report("5 fGn embedding nonnegativity", ok, f"max clamped={worst_clamped}")
+            fewest_live = min(fewest_live, _circulant_draw(spec)[0])
+            worst_mass = max(worst_mass, spec.clamped_mass)
+        ok = fewest_live == 2 * (n - 1) and worst_mass == 0.0
+        report("5 fGn embedding nonnegativity", ok, f"min live={fewest_live}, max mass={worst_mass}")
         assert ok
 
     def test_06_error_bound_rate(self):

@@ -134,8 +134,32 @@ class TestSimulate:
         argv = "simulate --process fbm --method lamperti --hurst 0.8 --n 256 --format json"
         assert run([*argv.split(), "--out", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
-        assert meta["clamped_count"] == 209 and meta["embedding_size"] == 512
+        assert meta["embedding_size"] == 512 and "clamped_count" not in meta
         assert meta["clamped_mass"] == pytest.approx(2.2984e-4, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        "process, method, code",
+        [
+            ("bm", "bm-cumsum", 0),
+            ("fbm", "cholesky", 0),
+            ("sfbm", "cholesky", 0),
+            ("fbm", "davies-harte", 0),
+            ("fbm", "ma-truncated", 0),
+            ("fbm", "lamperti", 2),
+            ("sfbm", "lamperti", 2),
+        ],
+    )
+    def test_one_point_grid_exit_code(self, process, method, code, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        hurst = "0.5" if process == "bm" else "0.7"
+        argv = ["simulate", "--process", process, "--method", method, "--hurst", hurst]
+        assert run([*argv, "--n", "1", "--paths", "3", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: lamperti method needs a grid of n >= 2 points, got n = 1\n"
+            assert not out.exists()
+        else:
+            assert err == "" and len(out.read_text().splitlines()) == 1 + 3 * 2
 
     def test_invalid_combination_exits_2(self):
         assert (
@@ -634,6 +658,13 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["check"] == "marginal-variance"
         assert report["verdict"] == "pass"
+
+    def test_davies_harte_marginals_at_one_point(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = "verify --suite marginals --method davies-harte --n 1 --paths 300 --seed 3"
+        assert run([*argv.split(), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["n"] == 1 and report["details"][0]["target"] == 1.0
 
     def test_equivalence_suite(self, tmp_path):
         out = tmp_path / "report.json"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
+from selfsim.core import GridSpec, RngStream, generate_batch
 from selfsim.covmodels import fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm, make_kernel
 from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
@@ -32,9 +32,9 @@ def batch_values(sampler, count, seed):
     return generate_batch(sampler, count, seed).values
 
 
-def circulant_row(spectrum, length, rng):
-    """One stationary sequence of the given length from k normals (`_circulant_draw`)."""
-    k, draw = _circulant_draw(spectrum, length)
+def circulant_row(spectrum, rng):
+    """One stationary sequence, columns 0 .. m/2, from k normals (`_circulant_draw`)."""
+    k, draw = _circulant_draw(spectrum)
     return draw(rng.normals(k)[None, :])[0]
 
 
@@ -183,21 +183,21 @@ def mirrored(half):
 class TestCirculantSpectrum:
     def test_white_noise_eigenvalues_all_one(self):
         spec = circulant_spectrum(white_noise_row(16))
-        assert spec.clamped_count == 0 and spec.clamped_mass == 0.0
+        assert spec.clamped_mass == 0.0
         assert np.allclose(spec.eigenvalues, 1.0)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_fgn_embedding_nonnegative_at_minimal_size(self, hurst):
         n = 256
         spec = circulant_spectrum(fgn_acf(np.arange(n), n, hurst))
-        assert spec.clamped_count == 0
+        assert spec.eigenvalues.all() and spec.clamped_mass == 0.0
         assert spec.m == 2 * (n - 1)
 
     CLAMP_CASES = {
-        # (first row of the stationary covariance, clamped count)
-        "lamperti-fbm-0.8": (lamperti_acf_fbm(np.arange(257), 256, 0.8), 209),
-        "squared-exponential": (np.exp(-((np.arange(32) / 8) ** 2)), 20),
-        "fgn-0.7": (fgn_acf(np.arange(256), 256, 0.7), 0),
+        # (first row of the stationary covariance, live slots k = m - clamped)
+        "lamperti-fbm-0.8": (lamperti_acf_fbm(np.arange(257), 256, 0.8), 512 - 209),
+        "squared-exponential": (np.exp(-((np.arange(32) / 8) ** 2)), 62 - 20),
+        "fgn-0.7": (fgn_acf(np.arange(256), 256, 0.7), 510),
     }
 
     @staticmethod
@@ -213,16 +213,15 @@ class TestCirculantSpectrum:
         # the clamp figures are those of the m-bin circulant the half spectrum stands for
         negative = mirrored(np.fft.rfft(folded).real)
         negative = negative[negative < 0.0]
-        assert spec.clamped_count == len(negative)
         assert spec.clamped_mass == pytest.approx(np.abs(negative).sum() / m, rel=1e-12, abs=0.0)
-        assert (spec.clamped_mass > 0.0) == (spec.clamped_count > 0)
+        assert (spec.clamped_mass > 0.0) == (len(negative) > 0)
         assert abs(error[0] - spec.clamped_mass) <= tol
         assert error.max() <= error[0] + tol
         return spec
 
-    @pytest.mark.parametrize("row, clamped", CLAMP_CASES.values(), ids=CLAMP_CASES)
-    def test_clamped_mass_is_the_implied_acf_error(self, row, clamped):
-        assert self.check_implied_acf(row).clamped_count == clamped
+    @pytest.mark.parametrize("row, live", CLAMP_CASES.values(), ids=CLAMP_CASES)
+    def test_clamped_mass_is_the_implied_acf_error(self, row, live):
+        assert _circulant_draw(self.check_implied_acf(row))[0] == live
 
     @pytest.mark.parametrize("acf", [lamperti_acf_fbm, lamperti_acf_sfbm, fgn_acf])
     def test_clamped_mass_is_the_implied_acf_error_sweep(self, acf):
@@ -231,7 +230,7 @@ class TestCirculantSpectrum:
         for n in (16, 64, 256, 1024, 4096, 32768):
             for hurst in (0.05, 0.3, 0.5, 0.72, 0.8, 0.95, 0.99):
                 spec = self.check_implied_acf(acf(np.arange(length(n)), n, hurst))
-                assert acf is not fgn_acf or spec.clamped_count == 0
+                assert acf is not fgn_acf or spec.clamped_mass == 0.0
 
     @pytest.mark.parametrize("hurst", [0.3, 0.8])
     def test_sampler_info_carries_clamped_mass(self, hurst):
@@ -243,7 +242,6 @@ class TestCirculantSpectrum:
             (davies_harte_sampler(grid, hurst), fgn),
         ]:
             assert sampler.info == {
-                "clamped_count": spec.clamped_count,
                 "clamped_mass": spec.clamped_mass,
                 "embedding_size": spec.m,
             }
@@ -259,7 +257,7 @@ class TestCirculantSpectrum:
     )
     def test_record_rejects_malformed_spectrum(self, eigenvalues, message):
         with pytest.raises(ValueError, match=message):
-            CirculantSpectrum(eigenvalues, clamped_count=0, clamped_mass=0.0)
+            CirculantSpectrum(eigenvalues, clamped_mass=0.0)
 
 
 class TestCirculantSample:
@@ -269,7 +267,7 @@ class TestCirculantSample:
         spec = circulant_spectrum(acf(np.arange(n)))
 
         def one(rng):
-            return circulant_row(spec, n, rng)
+            return circulant_row(spec, rng)
 
         rows = np.stack([one(RngStream(77, i)) for i in range(m_rep)])
         for lag in range(5):
@@ -281,28 +279,15 @@ class TestCirculantSample:
     def test_white_noise_lag_one_correlation(self):
         n = 32
         spec = circulant_spectrum(white_noise_row(n))
-        rows = np.stack([circulant_row(spec, n, RngStream(5, i)) for i in range(20_000)])
+        rows = np.stack([circulant_row(spec, RngStream(5, i)) for i in range(20_000)])
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
 
-    @pytest.mark.parametrize("length", [-3, 0, 17])
-    def test_rejects_length_outside_capacity(self, length):
-        # m = 30 at n = 16: lengths 1 .. 16; a negative length would slice from the end
-        spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
-        with pytest.raises(ParameterError, match="length"):
-            circulant_row(spec, length, RngStream(5, 0))
 
-    def test_accepts_lengths_one_to_capacity(self):
-        spec = circulant_spectrum(fgn_acf(np.arange(16), 16, 0.7))
-        full = circulant_row(spec, 16, RngStream(5, 0))
-        for length in (1, 2, 16):
-            assert np.array_equal(circulant_row(spec, length, RngStream(5, 0)), full[:length])
-
-
-def _full_hermitian_draw(eigenvalues, length):
-    """The circulant draw before the half-spectrum form, kept verbatim as a reference:
-    a full (rows, m) Hermitian vector, weighted by all m `eigenvalues`, through one
-    complex FFT, its real part."""
+def _full_hermitian_draw(eigenvalues):
+    """The circulant draw before the half-spectrum form, kept as a reference: a full
+    (rows, m) Hermitian vector, weighted by all m `eigenvalues`, through one complex
+    FFT, its real part, columns 0 .. m/2."""
     m = len(eigenvalues)
     half = m // 2
     weights = np.sqrt(eigenvalues / m)
@@ -317,30 +302,27 @@ def _full_hermitian_draw(eigenvalues, length):
             w[:, 1:half] = (a + 1j * b) / math.sqrt(2.0)
             w[:, half + 1 :] = np.conj(w[:, 1:half][:, ::-1])
         w *= weights
-        return np.fft.fft(w, axis=1).real[:, :length]
+        return np.fft.fft(w, axis=1).real[:, : half + 1]
 
     return draw
 
 
-# (stationary row, length): fGn has n lags, the Lamperti sequence n + 1
+# stationary rows: fGn has n lags, the Lamperti sequence n + 1
 CIRCULANT_ROWS = {
+    **{f"fgn-{n}-{h}": fgn_acf(np.arange(n), n, h) for n in (2, 3, 16, 256, 1024) for h in (0.3, 0.8)},
+    **{f"lamperti-fbm-256-{h}": lamperti_acf_fbm(np.arange(257), 256, h) for h in (0.3, 0.8)},
     **{
-        f"fgn-{n}-{h}": (fgn_acf(np.arange(n), n, h), n)
-        for n in (2, 3, 16, 256, 1024)
-        for h in (0.3, 0.8)
-    },
-    **{f"lamperti-fbm-256-{h}": (lamperti_acf_fbm(np.arange(257), 256, h), 257) for h in (0.3, 0.8)},
-    **{
-        f"lamperti-sfbm-{n}-{h}": (lamperti_acf_sfbm(np.arange(n + 1), n, h), n + 1)
+        f"lamperti-sfbm-{n}-{h}": lamperti_acf_sfbm(np.arange(n + 1), n, h)
         for n, h in ((64, 0.99), (256, 0.8))
     },
 }
 
 
-def _m_slot_draw(spectrum, length):
-    """The half-spectrum draw from all m slots, dead ones included, kept as a reference:
-    rows of m normals, z[0] and z[1] the real bins 0 and m/2, z[2 : m/2 + 1]
-    the real and z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1."""
+def _m_slot_draw(spectrum):
+    """The half-spectrum draw from all m slots, dead ones included, kept as a reference
+    (the library's draw multiplied slot by slot before it scattered the live ones):
+    rows of m normals, z[0] and z[1] the real bins 0 and m/2, z[2 : m/2 + 1] the real
+    and z[m/2 + 1 :] the imaginary parts of bins 1 .. m/2 - 1; columns 0 .. m/2."""
     m = spectrum.m
     half = m // 2
     weights = np.sqrt(spectrum.eigenvalues / m)
@@ -353,7 +335,7 @@ def _m_slot_draw(spectrum, length):
         spec.real[:, half] = z[:, 1] * weights[half]
         np.multiply(z[:, 2 : half + 1], weights[1:half], out=spec.real[:, 1:half])
         np.multiply(z[:, half + 1 :], conj_weights, out=spec.imag[:, 1:half])
-        return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, :length]
+        return np.fft.irfft(spec, n=m, axis=1, norm="forward")[:, : half + 1]
 
     return draw
 
@@ -375,43 +357,47 @@ def _expand(spectrum, z):
 class TestCirculantMap:
     """The circulant draw as a linear map x = z A of k normals, checked exactly."""
 
-    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
-    def test_implied_covariance_is_the_clamped_acf(self, row, length):
+    @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_implied_covariance_is_the_clamped_acf(self, row):
         # the rows of A are the draws of the unit vectors; A^T A is the map's covariance
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec, length)
-        a = draw(np.eye(k))
+        k, draw = _circulant_draw(spec)
+        a, length = draw(np.eye(k)), len(row)
         implied = np.fft.irfft(spec.eigenvalues, n=spec.m)[:length]
         lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
         assert a.shape == (k, length)
         assert np.abs(a.T @ a - implied[lags]).max() <= 1e-14 * row[0]
 
-    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
-    def test_matches_full_hermitian_draw(self, row, length):
+    @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_matches_full_hermitian_draw(self, row):
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec, length)
+        k, draw = _circulant_draw(spec)
         z = np.random.default_rng(15).standard_normal((9, k))
         new = draw(z)
-        old = _full_hermitian_draw(mirrored(spec.eigenvalues), length)(_expand(spec, z))
+        old = _full_hermitian_draw(mirrored(spec.eigenvalues))(_expand(spec, z))
         scale = np.abs(old).max(axis=1, keepdims=True)
         assert np.all(np.abs(new - old) <= 1e-13 * scale)
 
-    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
-    def test_live_rows_are_the_m_slot_map_rows(self, row, length):
-        # dropping the dead slots drops exactly the zero rows of the m-slot map
+    @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_live_rows_are_the_m_slot_map_rows(self, row):
+        # dropping the dead slots drops exactly the zero rows of the m-slot map, and
+        # the scatter of the live slots has the m-slot multiply's bits on any normals
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec, length)
-        full = _m_slot_draw(spec, length)(np.eye(spec.m))
+        k, draw = _circulant_draw(spec)
+        full = _m_slot_draw(spec)(np.eye(spec.m))
         live = _live_slots(spec)
         dead = np.setdiff1d(np.arange(spec.m), live)
         assert k == len(live)
         assert np.array_equal(draw(np.eye(k)).view(np.uint64), full[live].view(np.uint64))
         assert np.all(full[dead] == 0.0)
+        z = np.random.default_rng(16).standard_normal((9, k))
+        reference = _m_slot_draw(spec)(_expand(spec, z))
+        assert np.array_equal(draw(z).view(np.uint64), reference.view(np.uint64))
 
-    @pytest.mark.parametrize("row, length", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
-    def test_draws_m_normals_unless_a_weight_is_zero(self, row, length):
+    @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
+    def test_draws_m_normals_unless_a_weight_is_zero(self, row):
         spec = circulant_spectrum(row)
-        k, _ = _circulant_draw(spec, length)
+        k, _ = _circulant_draw(spec)
         assert (k == spec.m) == bool(spec.eigenvalues.all())
 
     @pytest.mark.parametrize("hurst, k", [(0.3, 512), (0.7, 512), (0.8, 303), (0.95, 263)])
@@ -421,6 +407,14 @@ class TestCirculantMap:
 
 
 class TestDaviesHarte:
+    @pytest.mark.parametrize("hurst", [0.05, 0.3, 0.5, 0.8, 0.99])
+    def test_one_point_is_exactly_standard_normal(self, hurst):
+        # n = 1 embeds two fGn lags in m = 2: eigenvalues 1 +- rho(1), |rho(1)| < 1/2
+        sampler = davies_harte_sampler(GridSpec(1), hurst)
+        a = sampler.draw(np.eye(sampler.k))
+        assert sampler.k == 2 and sampler.info == {"clamped_mass": 0.0, "embedding_size": 2}
+        assert a.shape == (2, 1) and abs((a.T @ a)[0, 0] - 1.0) <= 2.3e-16
+
     def test_midpoint_covariance(self):
         grid = GridSpec(64)
         values = batch_values(davies_harte_sampler(grid, 0.7), 100_000, 8)
@@ -442,7 +436,7 @@ class TestDaviesHarte:
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
         spectrum = circulant_spectrum(fgn_acf(np.arange(32), 32, 0.6))
-        fgn = circulant_row(spectrum, 32, RngStream(10, 3))
+        fgn = circulant_row(spectrum, RngStream(10, 3))
         assert np.array_equal(path.values, np.cumsum(fgn))
 
 
