@@ -14,7 +14,7 @@ import numpy as np
 from . import core
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
 from .covmodels import _COVARIANCES, _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
-from .samplers import _circulant_sampler
+from .samplers import _circulant_sampler, _dense_map, _ladder_cholesky
 from .verify import VerificationReport
 
 __all__ = [
@@ -29,6 +29,12 @@ __all__ = [
 # Snap map arguments this close to an integer before flooring, so log/exp
 # roundoff cannot flip the index at exact dyadic points.
 _SNAP_TOL = 1e-9
+
+# The most distinct grid-map nodes drawn through their exact Gram factor (n <= 1229);
+# more take the circulant. The factor's build grows as the cube of the node count
+# (about 1 ms at n = 256 and 13 ms at n = 1229 on a 2-vCPU Xeon VM, `selfsim bench`'s
+# build_seconds), and at 512 nodes it holds 2 MiB.
+_DENSE_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -62,29 +68,44 @@ def grid_map(n: int) -> LampertiGridMap:
 
 @functools.lru_cache(maxsize=64)
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
-    """The map of `simulate_lamperti`: circulant draw, gather, t^H scaling."""
+    """The map of `simulate_lamperti`: a draw of the stationary sequence at the
+    grid map's distinct nodes, gathered to the grid and scaled by t^H.
+
+    Up to `_DENSE_NODES` distinct nodes (n <= 1229) the draw is the exact Cholesky
+    factor of their Gram, one normal per node and `info` {"jitter": ...}; above,
+    it is the clamped circulant of lags 0..n, `info` {"clamped_mass", "embedding_size"}.
+    """
     hurst = float(hurst)
     if process not in ("fbm", "sfbm"):
         raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
     if grid.n < 2:
         raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {grid.n}")
     index, scale = grid_map(grid.n).index, grid.times() ** hurst
-    # The stationary sequence is sampled at indices 0..n: the map sends
-    # j = 1 to index 0, so one extra lag of the autocovariance is needed.
-    #
-    # The rescaled autocovariance falls with the lag (fbm, n = 256, H = 0.95:
-    # 1 at lag 0, 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf_fbm`
-    # cancels past lag n (0.0 at lag 8n), so a larger embedding built from it
-    # is more indefinite, not less (ROADMAP item 10). The negative eigenvalues
-    # are clamped to zero at the minimal embedding instead (the
-    # nonnegative-definite part of the circulant). For fbm the clamp fires
-    # from about H = 0.72 on and is not small: at n = 256 it zeroes 209 of
-    # 512 eigenvalues at H = 0.8 and 249 at H = 0.95, which raises Var U by
-    # the spectrum's `clamped_mass`, 2.298e-4 and 1.284e-3. For sfbm the relative
-    # rise shrinks with n: 2.15e-3 at n = 16 and 2.53e-5 at n = 256 (H = 0.99).
-    # A clamped bin has weight zero and draws no normal, so k is below m: 303 of
-    # 512 at fbm H = 0.8 and 263 at H = 0.95 (n = 256).
     acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
+    # The stationary sequence is read at the nodes g(j) in 0..n: the map sends
+    # j = 1 to 0, so one extra lag of the autocovariance is needed. The map is
+    # nondecreasing, so a node is new where it steps: 126 of 257 at n = 256.
+    nodes = index[np.concatenate(([True], index[1:] != index[:-1]))]
+    if len(nodes) <= _DENSE_NODES:
+        # The exact Gram r(|S_a - S_b|) of the nodes, from lags 0..n alone, where
+        # `lamperti_acf_fbm` is accurate (ROADMAP item 10). It is symmetric by
+        # construction, so it skips `cholesky_factor`'s check; its jitter is 0.0
+        # for every n up to the cutover, H = 0.999 included.
+        row = acf(np.arange(grid.n + 1), grid.n, hurst)
+        lower, jitter = _ladder_cholesky(row[np.abs(nodes[:, None] - nodes)])
+        slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
+        draw = _dense_map(lower, lambda y: scale * np.take(y, slot, axis=1))
+        return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
+    # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
+    # autocovariance falls with the lag (fbm, n = 256, H = 0.95: 1 at lag 0,
+    # 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf_fbm` cancels past lag
+    # n (0.0 at lag 8n), so a larger embedding built from it is more indefinite,
+    # not less (ROADMAP item 10). The negative eigenvalues are clamped to zero at
+    # the minimal embedding instead (the nonnegative-definite part of the
+    # circulant), which raises Var U by the spectrum's `clamped_mass`. For fbm the
+    # clamp fires from about H = 0.72 on: at n = 2048, H = 0.8, it zeroes 1901 of
+    # 4096 eigenvalues. A clamped bin has weight zero and draws no normal, so k is
+    # below m: 2195 of 4096 there. For sfbm at n = 32 768, H = 0.8, nothing clamps.
     finish = lambda y: scale * np.take(y, index, axis=1)
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
 
@@ -97,13 +118,16 @@ def simulate_lamperti(
 ) -> SamplePath:
     """Sample a self-similar path by rescaling a stationary sequence.
 
-    The stationary sequence U(k/n), k = 0..n, is drawn by circulant
-    embedding of the rescaled autocovariance; the output is
-    X(j/n) = (j/n)^H U(g(j)/n). The joint law is approximate. Marginals
-    match the target law exactly only when no eigenvalue of the embedding
-    is clamped (``info["clamped_mass"] == 0``). For fbm with H above about
-    0.72 the clamp inflates Var U, and so every marginal variance, by a
-    relative 2.298e-4 at H = 0.8 and 1.284e-3 at H = 0.95 (n = 256).
+    The output is X(j/n) = (j/n)^H U(g(j)/n) for the stationary sequence U
+    with the rescaled autocovariance, read at the grid map's nodes g(j).
+    The joint law is approximate (the gather). Up to 512 distinct nodes
+    (n <= 1229) U is drawn at the nodes through the exact factor of their
+    Gram, so every marginal matches the target law to rounding. Above, U(k/n),
+    k = 0..n, is drawn by circulant embedding, and the marginals are exact
+    only when no eigenvalue is clamped (``info["clamped_mass"] == 0``). For
+    fbm with H above about 0.72 the clamp inflates Var U, and so every
+    marginal variance, by a relative 6.922e-5 at H = 0.8 and 9.679e-4 at
+    H = 0.95 (n = 2048).
     """
     return lamperti_sampler(process, hurst, grid)(rng)
 

@@ -88,8 +88,9 @@ class CirculantSpectrum:
         return 2 * (len(self.eigenvalues) - 1)
 
 
-def _dense_map(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> z @ matrix.T as GEMMs of exactly _GEMM_ROWS rows, zero-padded.
+def _dense_map(matrix: np.ndarray, finish=None) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> z @ matrix.T as GEMMs of exactly _GEMM_ROWS rows, zero-padded, or `finish`
+    of that product.
 
     The block is one stacked matmul, which calls the BLAS once per 16-row slice.
     OpenBLAS picks its kernel by the product's shape, so a row's bits change
@@ -101,7 +102,8 @@ def _dense_map(matrix: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         rows, k = z.shape
         if rows % _GEMM_ROWS:
             z = np.concatenate([z, np.zeros((-rows % _GEMM_ROWS, k))])
-        return (z.reshape(-1, _GEMM_ROWS, k) @ matrix.T).reshape(len(z), -1)[:rows]
+        y = (z.reshape(-1, _GEMM_ROWS, k) @ matrix.T).reshape(len(z), -1)[:rows]
+        return y if finish is None else finish(y)
 
     draw.gemm_rows = _GEMM_ROWS
     return draw
@@ -143,6 +145,13 @@ def cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, float]:
         raise ParameterError("gram must be square")
     if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(gram).max())):
         raise ParameterError("gram must be symmetric")
+    return _ladder_cholesky(gram)
+
+
+def _ladder_cholesky(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """`cholesky_factor` of a square float Gram without its checks: the jitter ladder
+    alone, for a Gram a builder makes exactly symmetric."""
+    n = len(gram)
     max_diag = float(np.diag(gram).max(initial=0.0))
     for level in JITTER_LADDER:
         jitter = level * max_diag

@@ -129,13 +129,18 @@ class TestSimulate:
         assert payload["paths"][0][0] == 0.0
 
     def test_json_meta_carries_sampler_info(self, tmp_path):
-        # the clamp of the lamperti fBm spectrum at H = 0.8 is in the output itself
+        # the clamp of the lamperti fBm spectrum at H = 0.8 is in the output itself,
+        # above the dense cutover; below it, the exact factor's jitter is
         out = tmp_path / "p.json"
-        argv = "simulate --process fbm --method lamperti --hurst 0.8 --n 256 --format json"
-        assert run([*argv.split(), "--out", str(out)]) == 0
+        argv = "simulate --process fbm --method lamperti --hurst 0.8 --format json --n"
+        assert run([*argv.split(), "2048", "--out", str(out)]) == 0
         meta = json.loads(out.read_text())["meta"]
-        assert meta["embedding_size"] == 512 and "clamped_count" not in meta
-        assert meta["clamped_mass"] == pytest.approx(2.2984e-4, rel=1e-4)
+        assert meta["embedding_size"] == 4096 and "clamped_count" not in meta
+        assert meta["clamped_mass"] == pytest.approx(6.9220e-5, rel=1e-4)
+        assert run([*argv.split(), "256", "--out", str(out)]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["jitter"] == 0.0
+        assert not {"clamped_mass", "embedding_size", "clamped_count"} & set(meta)
 
     @pytest.mark.parametrize(
         "process, method, code",
@@ -731,6 +736,19 @@ class TestBench:
         assert code == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 4
-        assert all(r["seconds_per_path"] > 0 for r in rows)
+        assert all(r["seconds_per_path"] > 0 and r["build_seconds"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]
         assert len(ratios) == 2
+
+    def test_bench_csv_carries_build_seconds(self, tmp_path):
+        # the builder call's seconds, as the last column, after the timed draw's
+        out = tmp_path / "bench.csv"
+        argv = "bench --process sfbm --method lamperti --n 64,2048 --hurst 0.8 --paths 3"
+        assert run([*argv.split(), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert list(rows[0]) == [
+            "method", "n", "paths", "seconds_per_path", "seconds_per_batch",
+            "ratio_vs_previous_n", "build_seconds",
+        ]
+        assert [r["n"] for r in rows] == ["64", "2048"]
+        assert all(float(r["build_seconds"]) > 0 for r in rows)

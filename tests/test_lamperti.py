@@ -15,7 +15,9 @@ from selfsim.core import (
     RngStream,
     generate_batch,
 )
+from selfsim.covmodels import _COVARIANCES, lamperti_acf_fbm, lamperti_acf_sfbm
 from selfsim.lamperti import (
+    _DENSE_NODES,
     _node_variance,
     error_bound_diagnostics,
     grid_map,
@@ -88,6 +90,60 @@ class TestSimulateLamperti:
         batch = generate_batch(lamperti_sampler("fbm", 0.2, grid), 20_000, 52)
         report = marginal_variance_profile(batch)
         assert report.verdict
+
+
+def implied_covariance(sampler):
+    """A^T A of the sampler's map x = z A: the covariance of its paths, exactly."""
+    a = sampler.draw(np.eye(sampler.k))
+    return a.T @ a
+
+
+class TestDenseRoute:
+    """Up to `_DENSE_NODES` distinct grid-map nodes (n <= 1229), the stationary stage is
+    the exact factor of the nodes' Gram: one normal per node, nothing clamped."""
+
+    ACF = {"fbm": lamperti_acf_fbm, "sfbm": lamperti_acf_sfbm}
+
+    @pytest.mark.parametrize("process", ["fbm", "sfbm"])
+    def test_implied_covariance_is_the_gathered_lamperti_law(self, process):
+        # s_i s_j r(|g(i) - g(j)|) with s = t^H, the law the paper's gather defines
+        for n in [*range(2, 40), 64, 100, 128, 256, 1229]:
+            index, t = grid_map(n).index, GridSpec(n).times()
+            for hurst in (0.01, 0.3, 0.5, 0.8, 0.95, 0.999):
+                sampler = lamperti_sampler(process, hurst, GridSpec(n))
+                row = self.ACF[process](np.arange(n + 1), n, hurst)
+                target = np.outer(t**hurst, t**hurst) * row[np.abs(index[:, None] - index)]
+                error = np.abs(implied_covariance(sampler) - target).max()
+                # A^T A sums k products an entry: 3.7e-15 of the max at k = 512
+                tol = 2e-15 if n <= 256 else 5e-15
+                assert error <= tol * np.abs(target).max(), (n, hurst)
+                assert sampler.k == len(np.unique(index))
+
+    @pytest.mark.parametrize("process", ["fbm", "sfbm"])
+    def test_no_jitter_up_to_the_cutover(self, process):
+        for n in (2, 3, 17, 256, 600, 1000, 1228, 1229):
+            for hurst in (0.01, 0.5, 0.95, 0.999):
+                assert lamperti_sampler(process, hurst, GridSpec(n)).info == {"jitter": 0.0}
+
+    @pytest.mark.parametrize("process", ["fbm", "sfbm"])
+    def test_route_boundary(self, process):
+        dense = lamperti_sampler(process, 0.8, GridSpec(1229))
+        assert len(np.unique(grid_map(1229).index)) == _DENSE_NODES == dense.k
+        assert dense.info == {"jitter": 0.0}
+        circulant = lamperti_sampler(process, 0.8, GridSpec(1230))
+        assert len(np.unique(grid_map(1230).index)) == _DENSE_NODES + 1
+        assert set(circulant.info) == {"clamped_mass", "embedding_size"}
+        assert circulant.info["embedding_size"] == 2460 and circulant.k > _DENSE_NODES
+
+    @pytest.mark.parametrize("process", ["fbm", "sfbm"])
+    @pytest.mark.parametrize("hurst", [0.3, 0.8, 0.95])
+    def test_marginals_are_exact(self, process, hurst):
+        # the circulant's clamp raised Var U by `clamped_mass` (2.298e-4 at fBm
+        # n = 256, H = 0.8); below the cutover the variance is t^{2H} rho(0)
+        grid = GridSpec(256)
+        target = _COVARIANCES[process](grid.times(), grid.times(), hurst)
+        variance = np.diag(implied_covariance(lamperti_sampler(process, hurst, grid)))
+        assert np.abs(variance - target).max() <= 1e-14 * target.max()
 
 
 class TestVarianceProfile:

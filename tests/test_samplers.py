@@ -10,12 +10,13 @@ from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, RngStream, generate_batch
 from selfsim.covmodels import fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm, make_kernel
-from selfsim.lamperti import lamperti_sampler
+from selfsim.lamperti import grid_map, lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
     CirculantSpectrum,
     NotPositiveDefiniteError,
     _circulant_draw,
+    _circulant_sampler,
     bm_sampler,
     cholesky_factor,
     cholesky_sampler,
@@ -30,6 +31,15 @@ from selfsim.samplers import (
 
 def batch_values(sampler, count, seed):
     return generate_batch(sampler, count, seed).values
+
+
+def lamperti_circulant(hurst, n):
+    """Lamperti fBm through the circulant of lags 0 .. n at any n >= 2: the route its
+    sampler takes above the dense cutover (n >= 1230), gathered and scaled by t^H."""
+    grid = GridSpec(n)
+    index, scale = grid_map(n).index, grid.times() ** hurst
+    finish = lambda y: scale * np.take(y, index, axis=1)
+    return _circulant_sampler(grid, "lamperti", "fbm", hurst, lamperti_acf_fbm, n + 1, finish)
 
 
 def circulant_row(spectrum, rng):
@@ -234,12 +244,12 @@ class TestCirculantSpectrum:
 
     @pytest.mark.parametrize("hurst", [0.3, 0.8])
     def test_sampler_info_carries_clamped_mass(self, hurst):
-        grid = GridSpec(256)
-        lamperti = circulant_spectrum(lamperti_acf_fbm(np.arange(257), 256, hurst))
+        # lamperti takes the circulant above its dense cutover only: n = 2048 here
+        lamperti = circulant_spectrum(lamperti_acf_fbm(np.arange(2049), 2048, hurst))
         fgn = circulant_spectrum(fgn_acf(np.arange(256), 256, hurst))
         for sampler, spec in [
-            (lamperti_sampler("fbm", hurst, grid), lamperti),
-            (davies_harte_sampler(grid, hurst), fgn),
+            (lamperti_sampler("fbm", hurst, GridSpec(2048)), lamperti),
+            (davies_harte_sampler(GridSpec(256), hurst), fgn),
         ]:
             assert sampler.info == {
                 "clamped_mass": spec.clamped_mass,
@@ -402,8 +412,18 @@ class TestCirculantMap:
 
     @pytest.mark.parametrize("hurst, k", [(0.3, 512), (0.7, 512), (0.8, 303), (0.95, 263)])
     def test_lamperti_fbm_live_slot_count(self, hurst, k):
-        sampler = lamperti_sampler("fbm", hurst, GridSpec(256))
-        assert sampler.k == k and sampler.info["embedding_size"] == 512
+        # the live slots of lamperti fBm's circulant at n = 256; below the cutover
+        # its sampler draws one normal per distinct grid-map node, 126 here
+        spec = circulant_spectrum(lamperti_acf_fbm(np.arange(257), 256, hurst))
+        assert _circulant_draw(spec)[0] == k and spec.m == 512
+        assert lamperti_sampler("fbm", hurst, GridSpec(256)).k == 126
+
+    @pytest.mark.parametrize("n", [1230, 2048])
+    def test_lamperti_sampler_above_the_cutover_is_lamperti_circulant(self, n):
+        sampler, circulant = lamperti_sampler("fbm", 0.8, GridSpec(n)), lamperti_circulant(0.8, n)
+        z = np.random.default_rng(n).standard_normal((3, sampler.k))
+        assert sampler.k == circulant.k and sampler.info == circulant.info
+        assert np.array_equal(sampler.draw(z).view(np.uint64), circulant.draw(z).view(np.uint64))
 
 
 class TestDaviesHarte:
@@ -704,6 +724,8 @@ class TestDenseMapRows:
             f"chol-{n}": cholesky_sampler(make_kernel("fbm", 0.7), GridSpec(n))
             for n in (32, 64, 256)
         },
+        # verify-lamperti's shape: 128-row blocks of 126 normals, with a gather
+        "lamperti-fbm-256": lamperti_sampler("fbm", 0.8, GridSpec(256)),
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
@@ -718,9 +740,11 @@ class TestDenseMapRows:
 
 
 class TestCirculantMapRows:
-    """Each row of a circulant map's batch has the bits of its per-path call, at the
-    benchmark's shapes: davies-harte at n = 1024 (8-row blocks) and lamperti fBm at
-    n = 256, H = 0.8 (54-row blocks of its 303 live normals).
+    """Each row of a circulant map's batch has the bits of its per-path call, at
+    davies-harte n = 1024 (8-row blocks, the benchmark's shape), lamperti fBm's
+    sampler at n = 2048, H = 0.8, above its dense cutover (7-row blocks of its 2195
+    live normals), and `lamperti_circulant` at n = 256, H = 0.8 (54-row blocks of
+    its 303 live normals).
 
     `irfft` over axis 1 runs numpy's pocketfft once per row, so a row's bits do not
     depend on its position or neighbours. That is a property of numpy's per-row
@@ -730,7 +754,8 @@ class TestCirculantMapRows:
     SEED = 37
     SAMPLERS = {
         "davies-harte-1024": davies_harte_sampler(GridSpec(1024), 0.7),
-        "lamperti-fbm-256": lamperti_sampler("fbm", 0.8, GridSpec(256)),
+        "lamperti-fbm-256": lamperti_circulant(0.8, 256),
+        "lamperti-fbm-2048": lamperti_sampler("fbm", 0.8, GridSpec(2048)),
     }
 
     @pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
