@@ -299,9 +299,7 @@ def cmd_bench(o: argparse.Namespace) -> int:
         for method in o.method.split(","):
             previous = None
             for n in o.n:
-                start = time.perf_counter()  # the build; a cache hit on a repeated (method, n)
                 sampler = _build_sampler(o, method, n)
-                build = time.perf_counter() - start
                 generate_batch(sampler, 1, o.seed)  # warm-up: one-off costs go untimed
                 count = max(3, o.paths)
                 start = time.perf_counter()
@@ -315,7 +313,6 @@ def cmd_bench(o: argparse.Namespace) -> int:
                     "seconds_per_path": per_path,
                     "seconds_per_batch": elapsed,
                     "ratio_vs_previous_n": (per_path / previous) if previous else None,
-                    "build_seconds": build,
                 }
                 previous = per_path
                 rows.append(row)
@@ -323,16 +320,12 @@ def cmd_bench(o: argparse.Namespace) -> int:
         if o.format == "json":
             stream.write(json.dumps(rows, indent=2) + "\n")
         else:
-            stream.write(
-                "method,n,paths,seconds_per_path,seconds_per_batch,ratio_vs_previous_n,"
-                "build_seconds\n"
-            )
+            stream.write("method,n,paths,seconds_per_path,seconds_per_batch,ratio_vs_previous_n\n")
             for r in rows:
                 ratio = "" if r["ratio_vs_previous_n"] is None else repr(r["ratio_vs_previous_n"])
                 stream.write(
                     f"{r['method']},{r['n']},{r['paths']},"
-                    f"{r['seconds_per_path']!r},{r['seconds_per_batch']!r},{ratio},"
-                    f"{r['build_seconds']!r}\n"
+                    f"{r['seconds_per_path']!r},{r['seconds_per_batch']!r},{ratio}\n"
                 )
     return EXIT_OK
 

@@ -30,11 +30,12 @@ __all__ = [
 # roundoff cannot flip the index at exact dyadic points.
 _SNAP_TOL = 1e-9
 
-# The most distinct grid-map nodes drawn through their exact Gram factor (n <= 1229);
-# more take the circulant. The factor's build grows as the cube of the node count
-# (about 1 ms at n = 256 and 13 ms at n = 1229 on a 2-vCPU Xeon VM, `selfsim bench`'s
-# build_seconds), and at 512 nodes it holds 2 MiB.
-_DENSE_NODES = 512
+# The most distinct grid-map nodes drawn through their exact Gram factor (n <= 262);
+# more take the circulant. 128 covers n = 256 (126 nodes), where the factor's build
+# costs about 0.3 ms more than the circulant's and each path about 7 us less. The
+# build grows as the cube of the node count (about 12 ms at 512 nodes, n = 1229,
+# against under 1 ms for the circulant), which only commands of many paths repay.
+_DENSE_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     """The map of `simulate_lamperti`: a draw of the stationary sequence at the
     grid map's distinct nodes, gathered to the grid and scaled by t^H.
 
-    Up to `_DENSE_NODES` distinct nodes (n <= 1229) the draw is the exact Cholesky
+    Up to `_DENSE_NODES` distinct nodes (n <= 262) the draw is the exact Cholesky
     factor of their Gram, one normal per node and `info` {"jitter": ...}; above,
     it is the clamped circulant of lags 0..n, `info` {"clamped_mass", "embedding_size"}.
     """
@@ -94,6 +95,9 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         row = acf(np.arange(grid.n + 1), grid.n, hurst)
         lower, jitter = _ladder_cholesky(row[np.abs(nodes[:, None] - nodes)])
         slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
+        # Fortran order makes the draw's operand L^T C-ordered: OpenBLAS multiplies that
+        # about 20 % faster than the transposed view, and its first call is cheaper.
+        lower = np.asfortranarray(lower)
         draw = _dense_map(lower, lambda y: scale * np.take(y, slot, axis=1))
         return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
@@ -120,8 +124,8 @@ def simulate_lamperti(
 
     The output is X(j/n) = (j/n)^H U(g(j)/n) for the stationary sequence U
     with the rescaled autocovariance, read at the grid map's nodes g(j).
-    The joint law is approximate (the gather). Up to 512 distinct nodes
-    (n <= 1229) U is drawn at the nodes through the exact factor of their
+    The joint law is approximate (the gather). Up to 128 distinct nodes
+    (n <= 262) U is drawn at the nodes through the exact factor of their
     Gram, so every marginal matches the target law to rounding. Above, U(k/n),
     k = 0..n, is drawn by circulant embedding, and the marginals are exact
     only when no eigenvalue is clamped (``info["clamped_mass"] == 0``). For

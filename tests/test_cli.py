@@ -736,19 +736,6 @@ class TestBench:
         assert code == 0
         rows = json.loads(out.read_text())
         assert len(rows) == 4
-        assert all(r["seconds_per_path"] > 0 and r["build_seconds"] > 0 for r in rows)
+        assert all(r["seconds_per_path"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]
         assert len(ratios) == 2
-
-    def test_bench_csv_carries_build_seconds(self, tmp_path):
-        # the builder call's seconds, as the last column, after the timed draw's
-        out = tmp_path / "bench.csv"
-        argv = "bench --process sfbm --method lamperti --n 64,2048 --hurst 0.8 --paths 3"
-        assert run([*argv.split(), "--out", str(out)]) == 0
-        rows = list(csv.DictReader(io.StringIO(out.read_text())))
-        assert list(rows[0]) == [
-            "method", "n", "paths", "seconds_per_path", "seconds_per_batch",
-            "ratio_vs_previous_n", "build_seconds",
-        ]
-        assert [r["n"] for r in rows] == ["64", "2048"]
-        assert all(float(r["build_seconds"]) > 0 for r in rows)

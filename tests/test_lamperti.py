@@ -99,7 +99,7 @@ def implied_covariance(sampler):
 
 
 class TestDenseRoute:
-    """Up to `_DENSE_NODES` distinct grid-map nodes (n <= 1229), the stationary stage is
+    """Up to `_DENSE_NODES` distinct grid-map nodes (n <= 262), the stationary stage is
     the exact factor of the nodes' Gram: one normal per node, nothing clamped."""
 
     ACF = {"fbm": lamperti_acf_fbm, "sfbm": lamperti_acf_sfbm}
@@ -107,33 +107,31 @@ class TestDenseRoute:
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_implied_covariance_is_the_gathered_lamperti_law(self, process):
         # s_i s_j r(|g(i) - g(j)|) with s = t^H, the law the paper's gather defines
-        for n in [*range(2, 40), 64, 100, 128, 256, 1229]:
+        for n in [*range(2, 40), 64, 100, 128, 256, 262]:
             index, t = grid_map(n).index, GridSpec(n).times()
             for hurst in (0.01, 0.3, 0.5, 0.8, 0.95, 0.999):
                 sampler = lamperti_sampler(process, hurst, GridSpec(n))
                 row = self.ACF[process](np.arange(n + 1), n, hurst)
                 target = np.outer(t**hurst, t**hurst) * row[np.abs(index[:, None] - index)]
                 error = np.abs(implied_covariance(sampler) - target).max()
-                # A^T A sums k products an entry: 3.7e-15 of the max at k = 512
-                tol = 2e-15 if n <= 256 else 5e-15
-                assert error <= tol * np.abs(target).max(), (n, hurst)
+                assert error <= 2e-15 * np.abs(target).max(), (n, hurst)
                 assert sampler.k == len(np.unique(index))
 
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_no_jitter_up_to_the_cutover(self, process):
-        for n in (2, 3, 17, 256, 600, 1000, 1228, 1229):
+        for n in (2, 3, 17, 100, 200, 256, 261, 262):
             for hurst in (0.01, 0.5, 0.95, 0.999):
                 assert lamperti_sampler(process, hurst, GridSpec(n)).info == {"jitter": 0.0}
 
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_route_boundary(self, process):
-        dense = lamperti_sampler(process, 0.8, GridSpec(1229))
-        assert len(np.unique(grid_map(1229).index)) == _DENSE_NODES == dense.k
+        dense = lamperti_sampler(process, 0.8, GridSpec(262))
+        assert len(np.unique(grid_map(262).index)) == _DENSE_NODES == dense.k
         assert dense.info == {"jitter": 0.0}
-        circulant = lamperti_sampler(process, 0.8, GridSpec(1230))
-        assert len(np.unique(grid_map(1230).index)) == _DENSE_NODES + 1
+        circulant = lamperti_sampler(process, 0.8, GridSpec(263))
+        assert len(np.unique(grid_map(263).index)) == _DENSE_NODES + 1
         assert set(circulant.info) == {"clamped_mass", "embedding_size"}
-        assert circulant.info["embedding_size"] == 2460 and circulant.k > _DENSE_NODES
+        assert circulant.info["embedding_size"] == 526 and circulant.k > _DENSE_NODES
 
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     @pytest.mark.parametrize("hurst", [0.3, 0.8, 0.95])

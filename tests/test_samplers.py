@@ -35,7 +35,7 @@ def batch_values(sampler, count, seed):
 
 def lamperti_circulant(hurst, n):
     """Lamperti fBm through the circulant of lags 0 .. n at any n >= 2: the route its
-    sampler takes above the dense cutover (n >= 1230), gathered and scaled by t^H."""
+    sampler takes above the dense cutover (n >= 263), gathered and scaled by t^H."""
     grid = GridSpec(n)
     index, scale = grid_map(n).index, grid.times() ** hurst
     finish = lambda y: scale * np.take(y, index, axis=1)
@@ -418,7 +418,7 @@ class TestCirculantMap:
         assert _circulant_draw(spec)[0] == k and spec.m == 512
         assert lamperti_sampler("fbm", hurst, GridSpec(256)).k == 126
 
-    @pytest.mark.parametrize("n", [1230, 2048])
+    @pytest.mark.parametrize("n", [263, 2048])
     def test_lamperti_sampler_above_the_cutover_is_lamperti_circulant(self, n):
         sampler, circulant = lamperti_sampler("fbm", 0.8, GridSpec(n)), lamperti_circulant(0.8, n)
         z = np.random.default_rng(n).standard_normal((3, sampler.k))
