@@ -20,12 +20,10 @@ from .core import (
     generate_batch,
 )
 from .covmodels import (
-    CovarianceKernel,
     fbm_cov,
     fgn_acf,
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
-    make_kernel,
     sfbm_cov,
 )
 from .lamperti import (

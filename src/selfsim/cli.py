@@ -10,7 +10,9 @@ Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
 (including invalid process/method combinations, flags a command does not
 take, malformed values, bad config files, an unwritable output path and a
 grid too large to allocate), 3 numerical failure (a Cholesky factor that
-stays indefinite through the whole jitter ladder).
+stays indefinite through the whole jitter ladder). A reader that closes
+standard output early (`selfsim simulate | head -1`) is not an error: the
+rest of the output is dropped, and the command returns its own code.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .core import (
     ReplicateBatch,
     generate_batch,
 )
-from .covmodels import make_kernel
 from .lamperti import error_bound_diagnostics, lamperti_sampler, marginal_variance_profile
 from .samplers import (
     MA_DEFAULT_SUBSTEPS,
@@ -60,10 +61,7 @@ EXIT_NUMERICAL = 3
 # resolved options and a grid and returns its LinearSampler.
 METHOD_TABLE = {
     "bm-cumsum": (("bm",), lambda o, grid: bm_sampler(grid)),
-    "cholesky": (
-        ("fbm", "sfbm"),
-        lambda o, grid: cholesky_sampler(make_kernel(o.process, o.hurst), grid),
-    ),
+    "cholesky": (("fbm", "sfbm"), lambda o, grid: cholesky_sampler(o.process, o.hurst, grid)),
     "davies-harte": (("fbm",), lambda o, grid: davies_harte_sampler(grid, o.hurst)),
     "ma-truncated": (
         ("fbm",),
@@ -176,13 +174,19 @@ def _build_sampler(o: argparse.Namespace, method, n):
 def _open_out(out):
     """The output stream; an unwritable path is a usage error.
 
-    The file is opened at offset 0 without truncation, and its old tail is
-    cut only when the block succeeds. So a command that opens it before its
-    work fails on a bad path at once. A failed run removes a file it
-    created; one that fails before writing leaves an existing file as it was.
+    On standard output, a closed pipe ends the writing: fd 1 then points at
+    the null device, so the interpreter's final flush stays quiet. A file is
+    opened at offset 0 without truncation, and its old tail is cut only when
+    the block succeeds. So a command that opens it before its work fails on a
+    bad path at once. A failed run removes a file it created; one that fails
+    before writing leaves an existing file as it was.
     """
     if out is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     created = not os.path.lexists(out)
     try:
@@ -279,8 +283,7 @@ def cmd_verify(o: argparse.Namespace) -> int:
             if o.suite == "marginals":
                 reports.append(marginal_variance_profile(batch))
             elif o.suite == "covariance":
-                kernel = make_kernel("fbm" if o.process == "bm" else o.process, o.hurst)
-                reports.append(covariance_match(batch, kernel))
+                reports.append(covariance_match(batch))
             elif o.suite == "normality":
                 for node in sorted({max(1, n // 4), max(1, n // 2), n}):
                     reports.append(normality_check(batch, node))

@@ -9,20 +9,17 @@ U(k/n) = n^{-H(k/n-1)} X(n^{k/n-1}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ParameterError
 
 __all__ = [
-    "CovarianceKernel",
     "fbm_cov",
     "sfbm_cov",
     "fgn_acf",
     "lamperti_acf_fbm",
     "lamperti_acf_sfbm",
-    "make_kernel",
 ]
 
 
@@ -92,20 +89,8 @@ def lamperti_acf_sfbm(k, n: int, hurst: float):
 _COVARIANCES = {"fbm": fbm_cov, "sfbm": sfbm_cov}
 
 
-@dataclass(frozen=True)
-class CovarianceKernel:
-    """A bivariate covariance c(s, t) of a named process: fbm or sfbm."""
-
-    process: str
-    hurst: float
-
-    def gram(self, times: np.ndarray) -> np.ndarray:
-        """Gram matrix on a vector of time points (vectorized)."""
-        t = np.asarray(times, dtype=float)
-        return _COVARIANCES[self.process](t[:, None], t[None, :], self.hurst)
-
-
-def make_kernel(process: str, hurst: float) -> CovarianceKernel:
+def _covariance(process: str):
+    """The covariance c(s, t, hurst) of a named process: fbm or sfbm."""
     if process not in _COVARIANCES:
-        raise ParameterError(f"no covariance kernel for process {process!r}")
-    return CovarianceKernel(process, _check_hurst(hurst))
+        raise ParameterError(f"unknown process {process!r}")
+    return _COVARIANCES[process]

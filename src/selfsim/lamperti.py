@@ -13,9 +13,9 @@ import numpy as np
 
 from . import core
 from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
-from .covmodels import _COVARIANCES, _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
+from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
 from .samplers import _circulant_sampler, _dense_map, _ladder_cholesky
-from .verify import VerificationReport
+from .verify import VerificationReport, _target
 
 __all__ = [
     "LampertiGridMap",
@@ -95,9 +95,6 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         row = acf(np.arange(grid.n + 1), grid.n, hurst)
         lower, jitter = _ladder_cholesky(row[np.abs(nodes[:, None] - nodes)])
         slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
-        # Fortran order makes the draw's operand L^T C-ordered: OpenBLAS multiplies that
-        # about 20 % faster than the transposed view, and its first call is cheaper.
-        lower = np.asfortranarray(lower)
         draw = _dense_map(lower, lambda y: scale * np.take(y, slot, axis=1))
         return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
@@ -158,21 +155,18 @@ def _node_variance(values: np.ndarray) -> np.ndarray:
 
 def marginal_variance_profile(batch: ReplicateBatch, tol_multiplier: float = 4.0):
     """Empirical per-node variance against the exact marginal profile c(t, t) of the
-    batch's process and H (bm is fBm at H = 1/2).
+    law the batch names (`verify._target`).
 
     Returns a VerificationReport whose details carry one record per node
     with the estimate, target, and standard error Var * sqrt(2/M); a sample
     variance needs at least 2 replicates.
     """
-    cov = _COVARIANCES.get("fbm" if batch.process == "bm" else batch.process)
-    if cov is None:
-        raise ParameterError(f"unknown process {batch.process!r}")
+    t = batch.grid.times()
+    target = _target(batch, t, t)
     values = batch.values
     m, n = values.shape
     if m < 2:
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
-    t = batch.grid.times()
-    target = cov(t, t, batch.hurst)
     estimate = _node_variance(values)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ParameterError, ReplicateBatch
-from .covmodels import CovarianceKernel
+from .covmodels import _covariance
 
 __all__ = [
     "VerificationReport",
@@ -115,13 +115,19 @@ def _band_report(check, batch, deviation, multiplier, detail, **fields) -> Verif
     return VerificationReport.of(check, batch, verdict, worst, multiplier, details, **fields)
 
 
+def _target(batch: ReplicateBatch, s, t):
+    """c(s, t) of the law the batch names: its process's covariance at its H,
+    bm being fBm at H = 1/2."""
+    return _covariance("fbm" if batch.process == "bm" else batch.process)(s, t, batch.hurst)
+
+
 def covariance_match(
     batch: ReplicateBatch,
-    kernel: CovarianceKernel,
     tol_multiplier: float = DEFAULT_TOL_MULTIPLIER,
     stride: int | None = None,
 ) -> VerificationReport:
-    """Empirical covariance versus the exact kernel on a (strided) subgrid.
+    """Empirical covariance on a (strided) subgrid versus the exact covariance of
+    the law the batch names (`_target`).
 
     Passes iff at least 95% of entries deviate by no more than
     tol_multiplier standard errors and none by more than twice that.
@@ -134,18 +140,9 @@ def covariance_match(
     cov = _sample_cov(values)
     se = _cov_se(cov, batch.count)
     times = (nodes + 1) / n
-    target = kernel.gram(times)
-    deviation = np.abs(cov - target) / se
+    deviation = np.abs(cov - _target(batch, times[:, None], times[None, :])) / se
     detail = {"nodes": [int(v + 1) for v in nodes]}
-    return _band_report(
-        "covariance-match",
-        batch,
-        deviation,
-        tol_multiplier,
-        detail,
-        process=kernel.process,
-        hurst=kernel.hurst,
-    )
+    return _band_report("covariance-match", batch, deviation, tol_multiplier, detail)
 
 
 def ks_distance(sample: np.ndarray) -> float:

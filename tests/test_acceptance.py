@@ -18,7 +18,6 @@ from selfsim.covmodels import (
     lamperti_acf_fbm,
     lamperti_acf_sfbm,
     fgn_acf,
-    make_kernel,
     sfbm_cov,
 )
 from selfsim.lamperti import error_bound_diagnostics, lamperti_sampler
@@ -63,8 +62,7 @@ def dh_batch(hurst, n, count, seed):
 @functools.lru_cache(maxsize=8)
 def cholesky_batch(hurst, n, count, seed):
     grid = GridSpec(n)
-    kernel = make_kernel("fbm", hurst)
-    return generate_batch(cholesky_sampler(kernel, grid), count, seed)
+    return generate_batch(cholesky_sampler("fbm", hurst, grid), count, seed)
 
 
 def marginal_variance_worst(process, hurst, nodes, n=256, count=20_000, seed=101):
@@ -191,7 +189,6 @@ class TestAcceptance:
         # its ~4.9 SE bias sits on the band's edge at this replicate count.
         n, hurst, count = 64, 0.8, 20_000
         grid = GridSpec(n)
-        kernel = make_kernel("fbm", hurst)
         c_h2 = normalizing_constant_CH(hurst) ** 2
         a = hurst - 0.5
         # (1+v)^a - v^a, written so that it does not cancel for large v
@@ -200,7 +197,7 @@ class TestAcceptance:
         results, law, bias = {}, {}, {}
         for truncation, seed in ((2.0, 106), (50.0, 107)):
             batch = generate_batch(ma_sampler(grid, hurst, truncation=truncation), count, seed)
-            results[truncation] = covariance_match(batch, kernel)
+            results[truncation] = covariance_match(batch)
             weights = _ma_weights(n, hurst, truncation, MA_DEFAULT_SUBSTEPS)
             implied = weights @ weights.T
             cov, se = empirical_covariance(batch, pairs)

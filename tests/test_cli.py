@@ -200,7 +200,6 @@ class TestSimulate:
     def test_every_pair_matches_public_sampler(self, tmp_path):
         from selfsim.cli import METHOD_TABLE, PROCESSES
         from selfsim.core import GridSpec, RngStream
-        from selfsim.covmodels import make_kernel
         from selfsim.lamperti import simulate_lamperti
         from selfsim.samplers import (
             bm_sampler,
@@ -211,8 +210,8 @@ class TestSimulate:
 
         public = {
             ("bm", "bm-cumsum"): lambda p, h, g, r: bm_sampler(g)(r),
-            ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(make_kernel(p, h), g)(r),
-            ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(make_kernel(p, h), g)(r),
+            ("fbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(p, h, g)(r),
+            ("sfbm", "cholesky"): lambda p, h, g, r: cholesky_sampler(p, h, g)(r),
             ("fbm", "davies-harte"): lambda p, h, g, r: davies_harte_fbm(g, h, r),
             ("fbm", "ma-truncated"): lambda p, h, g, r: ma_truncated_fbm(g, h, r),
             ("fbm", "lamperti"): lambda p, h, g, r: simulate_lamperti(p, h, g, r),
@@ -558,6 +557,17 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
         assert (tmp_path / f"seq{i}").read_bytes() == alone.read_bytes()
 
 
+def test_closed_pipe_exits_quietly():
+    # the reader takes one line of about 2 MB and closes the pipe: the command
+    # drops the rest and returns its own code, with no traceback
+    argv = [sys.executable, "-m", "selfsim.cli", "simulate", "--n", "4096", "--paths", "20"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"path_id,t,value\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        assert proc.stderr.read() == b""
+
+
 class TestOutputFile:
     @pytest.fixture
     def sampling(self, monkeypatch):
@@ -670,6 +680,15 @@ class TestVerifyCommand:
         assert run([*argv.split(), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["n"] == 1 and report["details"][0]["target"] == 1.0
+
+    def test_bm_covariance_report_names_bm(self, tmp_path):
+        # a bm batch is judged against fBm at H = 1/2, and its report names bm
+        out = tmp_path / "report.json"
+        argv = "verify --suite covariance --process bm --method bm-cumsum --n 16 --paths 500"
+        assert run([*argv.split(), "--seed", "11", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["check"] == "covariance-match"
+        assert (report["process"], report["hurst"]) == ("bm", 0.5)
 
     def test_equivalence_suite(self, tmp_path):
         out = tmp_path / "report.json"

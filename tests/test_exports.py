@@ -1,12 +1,14 @@
 """Package exports: every public name the package lists resolves, every name
-the benchmark imports from it resolves, and the package imports without scipy.
-Also the suite's own node-id list of slow tests."""
+the benchmark imports from it resolves, the README's library example runs,
+and the package imports without scipy. Also the suite's own node-id list of
+slow tests."""
 
 import ast
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -47,6 +49,14 @@ def test_benchmark_imports_resolve():
     assert imported
     missing = [f"{m}.{name}" for m, name in imported if not hasattr(importlib.import_module(m), name)]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    # the README's one python block shows the public API: a renamed or re-signed
+    # name fails here instead of leaving the example stale
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
 
 
 def test_stale_slow_id_is_a_usage_error(monkeypatch, request):

@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm, make_kernel
+from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm
 from selfsim.lamperti import grid_map, lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
@@ -78,7 +78,7 @@ class TestCholeskyFactor:
 
     def test_reconstructs_fbm_gram(self):
         times = np.array([0.25, 0.5, 0.75, 1.0])
-        gram = make_kernel("fbm", 0.5).gram(times)
+        gram = _covariance("fbm")(times[:, None], times[None, :], 0.5)
         lower, _ = cholesky_factor(gram)
         rebuilt = lower @ lower.T
         assert rebuilt[3, 3] == pytest.approx(1.0, abs=1e-12)
@@ -128,7 +128,8 @@ class TestCholeskyFactor:
         # Both are backward stable: L L^T within 2e-15 of max|G|. Their L differ by
         # up to about eps * cond(G), so the 1e-11 gate on L holds to H = 0.9; fBm at
         # n = 512 differs by 2.3e-11 at H = 0.95 and 6.0e-11 at H = 0.99.
-        gram = make_kernel(process, hurst).gram(GridSpec(n).times())
+        times = GridSpec(n).times()
+        gram = _covariance(process)(times[:, None], times[None, :], hurst)
         lower, jitter = cholesky_factor(gram)
         target = gram + jitter * np.eye(n)
         c, info = lapack.dpotrf(target, lower=1)
@@ -143,41 +144,37 @@ class TestCholeskyFactor:
 class TestCholeskySample:
     def test_covariance_matches_kernel(self):
         grid = GridSpec(16)
-        kernel = make_kernel("fbm", 0.7)
-        values = batch_values(cholesky_sampler(kernel, grid), 50_000, 31)
+        values = batch_values(cholesky_sampler("fbm", 0.7, grid), 50_000, 31)
         emp = np.cov(values, rowvar=False)
-        target = kernel.gram(grid.times())
+        t = grid.times()
+        target = _covariance("fbm")(t[:, None], t[None, :], 0.7)
         m = values.shape[0]
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target**2) / m)
         assert np.max(np.abs(emp - target) / se) <= 5.0
 
     def test_brownian_reduction_increment_variance(self):
         grid = GridSpec(32)
-        kernel = make_kernel("fbm", 0.5)
-        values = batch_values(cholesky_sampler(kernel, grid), 20_000, 32)
+        values = batch_values(cholesky_sampler("fbm", 0.5, grid), 20_000, 32)
         incr = np.diff(np.hstack([np.zeros((values.shape[0], 1)), values]), axis=1)
         assert incr.var(ddof=1) == pytest.approx(1 / 32, rel=0.05)
 
     def test_kernel_built_directly_is_validated(self):
         from selfsim.core import ParameterError
-        from selfsim.covmodels import CovarianceKernel
 
-        for kernel in (CovarianceKernel("bm", 0.5), CovarianceKernel("fbm", 1.5)):
+        for process, hurst in (("bm", 0.5), ("fbm", 1.5)):
             with pytest.raises(ParameterError):
-                cholesky_sampler(kernel, GridSpec(4))(RngStream(0, 0))
+                cholesky_sampler(process, hurst, GridSpec(4))(RngStream(0, 0))
 
     def test_sfbm_terminal_variance(self):
         grid = GridSpec(16)
-        kernel = make_kernel("sfbm", 0.7)
-        values = batch_values(cholesky_sampler(kernel, grid), 20_000, 33)
+        values = batch_values(cholesky_sampler("sfbm", 0.7, grid), 20_000, 33)
         target = 2.0 - 2.0**0.4
         assert values[:, -1].var(ddof=1) == pytest.approx(target, rel=0.05)
 
     def test_deterministic(self):
         grid = GridSpec(16)
-        kernel = make_kernel("fbm", 0.3)
-        a = cholesky_sampler(kernel, grid)(RngStream(4, 4)).values
-        b = cholesky_sampler(kernel, grid)(RngStream(4, 4)).values
+        a = cholesky_sampler("fbm", 0.3, grid)(RngStream(4, 4)).values
+        b = cholesky_sampler("fbm", 0.3, grid)(RngStream(4, 4)).values
         assert np.array_equal(a, b)
 
 
@@ -624,12 +621,11 @@ class TestMovingAverage:
 
 def _public_sampler(method, process, hurst, grid):
     """The per-path public sampler of a METHOD_TABLE pair, with the CLI defaults."""
-    from selfsim.covmodels import make_kernel
     from selfsim.lamperti import simulate_lamperti
 
     return {
         "bm-cumsum": lambda rng: bm_sampler(grid)(rng),
-        "cholesky": lambda rng: cholesky_sampler(make_kernel(process, hurst), grid)(rng),
+        "cholesky": lambda rng: cholesky_sampler(process, hurst, grid)(rng),
         "davies-harte": lambda rng: davies_harte_fbm(grid, hurst, rng),
         "ma-truncated": lambda rng: ma_truncated_fbm(grid, hurst, rng),
         "lamperti": lambda rng: simulate_lamperti(process, hurst, grid, rng),
@@ -689,7 +685,7 @@ class TestLinearSamplers:
 
         builds = {
             "bm-cumsum": lambda: bm_sampler(GridSpec(16)),
-            "cholesky": lambda: cholesky_sampler(make_kernel("fbm", 0.7), GridSpec(16)),
+            "cholesky": lambda: cholesky_sampler("fbm", 0.7, GridSpec(16)),
             "davies-harte": lambda: davies_harte_sampler(GridSpec(16), 0.7),
             "ma-truncated": lambda: ma_sampler(GridSpec(16), 0.7),
             "lamperti": lambda: lamperti_sampler("sfbm", 0.7, GridSpec(16)),
@@ -721,8 +717,7 @@ class TestDenseMapRows:
             for n, t in ((2, 2.0), (16, 1.0), (32, 2.0), (64, 50.0))
         },
         **{
-            f"chol-{n}": cholesky_sampler(make_kernel("fbm", 0.7), GridSpec(n))
-            for n in (32, 64, 256)
+            f"chol-{n}": cholesky_sampler("fbm", 0.7, GridSpec(n)) for n in (32, 64, 256)
         },
         # verify-lamperti's shape: 128-row blocks of 126 normals, with a gather
         "lamperti-fbm-256": lamperti_sampler("fbm", 0.8, GridSpec(256)),

@@ -14,7 +14,7 @@ from selfsim.core import (
     RngStream,
     generate_batch,
 )
-from selfsim.covmodels import fbm_cov, make_kernel
+from selfsim.covmodels import fbm_cov
 from selfsim.lamperti import marginal_variance_profile
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
 from selfsim.verify import (
@@ -35,10 +35,7 @@ def synthetic_batch(values, method="cholesky", process="fbm", hurst=0.5):
 
 # Each check on a batch, and the report fields it takes from elsewhere than the batch.
 CHECKS = {
-    "covariance-match": (
-        lambda batch: covariance_match(batch, make_kernel("fbm", 0.7)),
-        {"process": "fbm", "hurst": 0.7},
-    ),
+    "covariance-match": (covariance_match, {}),
     "normality": (lambda batch: normality_check(batch, 8), {}),
     "method-equivalence": (
         lambda batch: method_equivalence(
@@ -70,8 +67,7 @@ def test_report_fields_come_from_the_batch(check):
 class TestEmpiricalCovariance:
     def test_exact_sampler_vs_kernel(self):
         grid = GridSpec(16)
-        kernel = make_kernel("fbm", 0.7)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 50_000, 60)
+        batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 50_000, 60)
         est, se = empirical_covariance(batch, [(8, 16)])
         target = fbm_cov(0.5, 1.0, 0.7)
         assert abs(est[0] - target) <= 4 * se[0]
@@ -97,28 +93,25 @@ class TestEmpiricalCovariance:
 class TestCovarianceMatch:
     def test_exact_sampler_passes(self):
         grid = GridSpec(32)
-        kernel = make_kernel("fbm", 0.6)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 61)
-        assert covariance_match(batch, kernel).verdict
+        batch = generate_batch(cholesky_sampler("fbm", 0.6, grid), 20_000, 61)
+        assert covariance_match(batch).verdict
 
     def test_wrong_kernel_fails(self):
-        # negative control: paths with H=0.8 against the H=0.5 kernel
+        # negative control: paths with H=0.8 against the H=0.5 law
         grid = GridSpec(32)
         batch = generate_batch(davies_harte_sampler(grid, 0.8), 20_000, 62)
-        assert not covariance_match(batch, make_kernel("fbm", 0.5)).verdict
+        assert not covariance_match(dataclasses.replace(batch, hurst=0.5)).verdict
 
     def test_stride_defaults(self):
         grid = GridSpec(128)
-        kernel = make_kernel("fbm", 0.5)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 5_000, 63)
-        report = covariance_match(batch, kernel)
+        batch = generate_batch(cholesky_sampler("fbm", 0.5, grid), 5_000, 63)
+        report = covariance_match(batch)
         assert len(report.details[0]["nodes"]) == 32  # stride 4 above n=64
 
     def test_report_roundtrip(self):
         grid = GridSpec(16)
-        kernel = make_kernel("fbm", 0.5)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 1_000, 64)
-        report = covariance_match(batch, kernel)
+        batch = generate_batch(cholesky_sampler("fbm", 0.5, grid), 1_000, 64)
+        report = covariance_match(batch)
         payload = report.to_dict()
         for key in (
             "check",
@@ -166,9 +159,8 @@ class TestNormality:
 class TestMethodEquivalence:
     def test_same_law_passes(self):
         grid = GridSpec(32)
-        kernel = make_kernel("fbm", 0.7)
         a = generate_batch(davies_harte_sampler(grid, 0.7), 20_000, 66)
-        b = generate_batch(cholesky_sampler(kernel, grid), 20_000, 67)
+        b = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 67)
         assert method_equivalence(a, b).verdict
 
     def test_different_hurst_fails(self):
@@ -201,15 +193,13 @@ class TestMethodEquivalence:
 class TestQuantileScaling:
     def test_self_similar_sampler_passes(self):
         grid = GridSpec(64)
-        kernel = make_kernel("fbm", 0.7)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 72)
+        batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 72)
         assert quantile_scaling_check(batch, 0.5, 0.7).verdict
 
     def test_wrong_exponent_fails(self):
         # scaling by the wrong index breaks the quantile match
         grid = GridSpec(64)
-        kernel = make_kernel("fbm", 0.7)
-        batch = generate_batch(cholesky_sampler(kernel, grid), 20_000, 73)
+        batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 73)
         assert not quantile_scaling_check(batch, 0.5, 0.2).verdict
 
     def test_off_grid_scale_rejected(self):
