@@ -31,7 +31,6 @@ from .lamperti import (
     error_bound_diagnostics,
     grid_map,
     lamperti_sampler,
-    marginal_variance_profile,
     simulate_lamperti,
 )
 from .samplers import (
@@ -51,6 +50,8 @@ from .verify import (
     VerificationReport,
     covariance_match,
     empirical_covariance,
+    error_bound_check,
+    marginal_variance_profile,
     method_equivalence,
     normality_check,
     quantile_scaling_check,

@@ -27,9 +27,7 @@ import sys
 import time
 from contextlib import contextmanager
 
-import numpy as np
-
-from . import __version__
+from . import __version__, verify
 from .core import (
     DEFAULT_SEED,
     GridSpec,
@@ -37,7 +35,7 @@ from .core import (
     ReplicateBatch,
     generate_batch,
 )
-from .lamperti import error_bound_diagnostics, lamperti_sampler, marginal_variance_profile
+from .lamperti import lamperti_sampler
 from .samplers import (
     MA_DEFAULT_SUBSTEPS,
     MA_DEFAULT_TRUNCATION,
@@ -50,7 +48,6 @@ from .samplers import (
     davies_harte_sampler,
     ma_sampler,
 )
-from .verify import VerificationReport, covariance_match, method_equivalence, normality_check
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -174,8 +171,9 @@ def _build_sampler(o: argparse.Namespace, method, n):
 def _open_out(out):
     """The output stream; an unwritable path is a usage error.
 
-    On standard output, a closed pipe ends the writing: fd 1 then points at
-    the null device, so the interpreter's final flush stays quiet. A file is
+    A closed pipe, on standard output or named by `out`, ends the writing: its
+    descriptor then points at the null device, so the final flush stays quiet,
+    and the command returns its own code. A file is
     opened at offset 0 without truncation, and its old tail is cut only when
     the block succeeds. So a command that opens it before its work fails on a
     bad path at once. A failed run removes a file it created; one that fails
@@ -196,6 +194,10 @@ def _open_out(out):
     with open(fd, "w", newline="") as stream:
         try:
             yield stream
+            stream.flush()
+        except BrokenPipeError:  # a pipe has no tail to cut
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            return
         except BaseException:
             if created:
                 os.unlink(out)
@@ -255,42 +257,28 @@ def cmd_simulate(o: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _error_bound_report(n_values, hurst) -> VerificationReport:
-    diag = error_bound_diagnostics(n_values, hurst)
-    first, last = diag["entries"][0], diag["entries"][-1]
-    # rate confirmation against log(n)/n with 50% slack; a(2) = 0, so no division by a
-    expected_ratio = (np.log(last["n"]) / last["n"]) / (np.log(first["n"]) / first["n"])
-    rate_ok = last["a"] < expected_ratio * 1.5 * first["a"]
-    verdict = diag["a_decreasing"] and diag["b_decreasing"] and rate_ok
-    c1 = diag["c1_fitted"]
-    return VerificationReport(
-        "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, diag["entries"]
-    )
-
-
 def cmd_verify(o: argparse.Namespace) -> int:
     n = o.n[0]
-    reports: list[VerificationReport] = []
+    reports: list[verify.VerificationReport] = []
     with _open_out(o.out) as stream:
         if o.suite == "error-bound":
             _builder(o, o.method)  # it draws nothing, but the pair must be valid all the same
-            reports.append(_error_bound_report(o.n, o.hurst))
+            reports.append(verify.error_bound_check(o.n, o.hurst))
         else:
             sampler = _build_sampler(o, o.method, n)
             if o.suite == "equivalence":
                 base_sampler = _build_sampler(o, o.baseline, n)
             batch = generate_batch(sampler, o.paths, o.seed)
             if o.suite == "marginals":
-                reports.append(marginal_variance_profile(batch))
+                reports.append(verify.marginal_variance_profile(batch))
             elif o.suite == "covariance":
-                reports.append(covariance_match(batch))
+                reports.append(verify.covariance_match(batch))
             elif o.suite == "normality":
                 for node in sorted({max(1, n // 4), max(1, n // 2), n}):
-                    reports.append(normality_check(batch, node))
+                    reports.append(verify.normality_check(batch, node))
             elif o.suite == "equivalence":
                 base_batch = generate_batch(base_sampler, o.paths, o.seed + 1)
-                diagonal_only = "lamperti" in (o.method, o.baseline)
-                reports.append(method_equivalence(batch, base_batch, diagonal_only=diagonal_only))
+                reports.append(verify.method_equivalence(batch, base_batch))
         dicts = [r.to_dict() for r in reports]
         stream.write(json.dumps(dicts if len(dicts) > 1 else dicts[0], indent=2) + "\n")
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERDICT

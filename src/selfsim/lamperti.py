@@ -11,18 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .core import GridSpec, LinearSampler, ParameterError, ReplicateBatch, RngStream, SamplePath
+from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
 from .samplers import _circulant_sampler, _dense_map, _ladder_cholesky
-from .verify import VerificationReport, _target
 
 __all__ = [
     "LampertiGridMap",
     "grid_map",
     "lamperti_sampler",
     "simulate_lamperti",
-    "marginal_variance_profile",
     "error_bound_diagnostics",
 ]
 
@@ -133,60 +130,6 @@ def simulate_lamperti(
     return lamperti_sampler(process, hurst, grid)(rng)
 
 
-def _node_variance(values: np.ndarray) -> np.ndarray:
-    """`values.var(axis=0, ddof=1)` with its bits, in row blocks of `core._BLOCK_NORMALS`
-    floats. For n >= 2 numpy sums the squares down axis 0 one row at a time, and row 0
-    of `buf` carries that sum from block to block; one column it sums pairwise, so n = 1
-    keeps var."""
-    m, n = values.shape
-    if n == 1:
-        return values.var(axis=0, ddof=1)
-    mean = values.sum(axis=0) / m
-    rows = max(1, core._BLOCK_NORMALS // n)
-    buf = np.zeros((rows + 1, n))
-    for start in range(0, m, rows):
-        block = values[start : start + rows]
-        squares = buf[1 : len(block) + 1]
-        np.subtract(block, mean, out=squares)
-        np.multiply(squares, squares, out=squares)
-        np.add.reduce(buf[: len(block) + 1], axis=0, out=buf[0])
-    return buf[0] / (m - 1)
-
-
-def marginal_variance_profile(batch: ReplicateBatch, tol_multiplier: float = 4.0):
-    """Empirical per-node variance against the exact marginal profile c(t, t) of the
-    law the batch names (`verify._target`).
-
-    Returns a VerificationReport whose details carry one record per node
-    with the estimate, target, and standard error Var * sqrt(2/M); a sample
-    variance needs at least 2 replicates.
-    """
-    t = batch.grid.times()
-    target = _target(batch, t, t)
-    values = batch.values
-    m, n = values.shape
-    if m < 2:
-        raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
-    estimate = _node_variance(values)
-    se = target * math.sqrt(2.0 / m)
-    deviation = np.abs(estimate - target) / se
-    details = [
-        {
-            "node": int(j + 1),
-            "t": float(t[j]),
-            "estimate": float(estimate[j]),
-            "target": float(target[j]),
-            "se": float(se[j]),
-            "deviation_se": float(deviation[j]),
-        }
-        for j in range(n)
-    ]
-    worst = float(deviation.max())
-    return VerificationReport.of(
-        "marginal-variance", batch, bool(worst <= tol_multiplier), worst, tol_multiplier, details
-    )
-
-
 def error_bound_diagnostics(n_list, hurst: float) -> dict:
     """Deterministic factors of the approximation error bound.
 
@@ -195,6 +138,7 @@ def error_bound_diagnostics(n_list, hurst: float) -> dict:
     theorem. Reports the fitted constants sup_n a(n) n / log n (and the b
     analogue) and whether a, b decrease along increasing n. H must lie in
     (0, 1), and n_list must hold at least two strictly increasing sizes.
+    `verify.error_bound_check` judges these factors and gives the verdict.
     """
     hurst = _check_hurst(hurst)
     sizes = [int(n) for n in n_list]

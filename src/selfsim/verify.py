@@ -1,6 +1,7 @@
-"""Statistical verification harness: empirical moments against exact
-covariance oracles, marginal normality, cross-method equivalence, and the
-one-dimensional scaling-law check.
+"""Statistical verification harness: every check, each a function of a batch (or
+two, or a list of grid sizes) with its rule fixed here. Covariance and marginal
+variance against the law the batch names, marginal normality, cross-method
+equivalence, the one-dimensional scaling law, and the error-bound verdict.
 """
 
 from __future__ import annotations
@@ -10,21 +11,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import ParameterError, ReplicateBatch
 from .covmodels import _covariance
+from .lamperti import error_bound_diagnostics
 
 __all__ = [
     "VerificationReport",
     "empirical_covariance",
     "covariance_match",
+    "marginal_variance_profile",
     "normality_check",
     "method_equivalence",
     "quantile_scaling_check",
+    "error_bound_check",
 ]
 
 # Asymptotic 1% Kolmogorov-Smirnov critical value: D <= KS_CRIT / sqrt(M).
 KS_CRIT_1PCT = 1.63
 
+# The tolerance of every standard-error check, in standard errors.
 DEFAULT_TOL_MULTIPLIER = 4.0
 
 # Full-grid covariance comparisons above this size use a stride-4 subgrid.
@@ -96,9 +102,8 @@ def empirical_covariance(batch: ReplicateBatch, node_pairs):
     return cov[idx[:, 0], idx[:, 1]], se[idx[:, 0], idx[:, 1]]
 
 
-def _grid_nodes(n: int, stride: int | None) -> np.ndarray:
-    if stride is None:
-        stride = 1 if n <= STRIDE_THRESHOLD else 4
+def _grid_nodes(n: int) -> np.ndarray:
+    stride = 1 if n <= STRIDE_THRESHOLD else 4
     return np.arange(stride, n + 1, stride) - 1
 
 
@@ -108,11 +113,12 @@ def _band_verdict(deviation: np.ndarray, multiplier: float) -> tuple[bool, float
     return bool(within >= 0.95 and worst <= 2.0 * multiplier), worst
 
 
-def _band_report(check, batch, deviation, multiplier, detail, **fields) -> VerificationReport:
-    """The `_band_verdict` report; `detail` gains the fraction within `multiplier`."""
-    verdict, worst = _band_verdict(deviation, multiplier)
-    details = [{**detail, "fraction_within": float(np.mean(deviation <= multiplier))}]
-    return VerificationReport.of(check, batch, verdict, worst, multiplier, details, **fields)
+def _band_report(check, batch, deviation, detail, **fields) -> VerificationReport:
+    """The `_band_verdict` report at the tolerance; `detail` gains the fraction within."""
+    tolerance = DEFAULT_TOL_MULTIPLIER
+    verdict, worst = _band_verdict(deviation, tolerance)
+    details = [{**detail, "fraction_within": float(np.mean(deviation <= tolerance))}]
+    return VerificationReport.of(check, batch, verdict, worst, tolerance, details, **fields)
 
 
 def _target(batch: ReplicateBatch, s, t):
@@ -121,28 +127,80 @@ def _target(batch: ReplicateBatch, s, t):
     return _covariance("fbm" if batch.process == "bm" else batch.process)(s, t, batch.hurst)
 
 
-def covariance_match(
-    batch: ReplicateBatch,
-    tol_multiplier: float = DEFAULT_TOL_MULTIPLIER,
-    stride: int | None = None,
-) -> VerificationReport:
-    """Empirical covariance on a (strided) subgrid versus the exact covariance of
-    the law the batch names (`_target`).
+def covariance_match(batch: ReplicateBatch) -> VerificationReport:
+    """Empirical covariance on a subgrid (stride 4 above `STRIDE_THRESHOLD` nodes)
+    versus the exact covariance of the law the batch names (`_target`).
 
     Passes iff at least 95% of entries deviate by no more than
-    tol_multiplier standard errors and none by more than twice that.
+    `DEFAULT_TOL_MULTIPLIER` standard errors and none by more than twice that.
     """
     if batch.count < 100:
         raise ParameterError("need at least 100 replicates")
     n = batch.n
-    nodes = _grid_nodes(n, stride)
+    nodes = _grid_nodes(n)
     values = batch.values[:, nodes]
     cov = _sample_cov(values)
     se = _cov_se(cov, batch.count)
     times = (nodes + 1) / n
     deviation = np.abs(cov - _target(batch, times[:, None], times[None, :])) / se
     detail = {"nodes": [int(v + 1) for v in nodes]}
-    return _band_report("covariance-match", batch, deviation, tol_multiplier, detail)
+    return _band_report("covariance-match", batch, deviation, detail)
+
+
+def _node_variance(values: np.ndarray) -> np.ndarray:
+    """`values.var(axis=0, ddof=1)` with its bits, in row blocks of `core._BLOCK_NORMALS`
+    floats. For n >= 2 numpy sums the squares down axis 0 one row at a time, and row 0
+    of `buf` carries that sum from block to block; one column it sums pairwise, so n = 1
+    keeps var."""
+    m, n = values.shape
+    if n == 1:
+        return values.var(axis=0, ddof=1)
+    mean = values.sum(axis=0) / m
+    rows = max(1, core._BLOCK_NORMALS // n)
+    buf = np.zeros((rows + 1, n))
+    for start in range(0, m, rows):
+        block = values[start : start + rows]
+        squares = buf[1 : len(block) + 1]
+        np.subtract(block, mean, out=squares)
+        np.multiply(squares, squares, out=squares)
+        np.add.reduce(buf[: len(block) + 1], axis=0, out=buf[0])
+    return buf[0] / (m - 1)
+
+
+def marginal_variance_profile(batch: ReplicateBatch) -> VerificationReport:
+    """Empirical per-node variance against the exact marginal profile c(t, t) of the
+    law the batch names (`_target`).
+
+    Returns a VerificationReport whose details carry one record per node
+    with the estimate, target, and standard error Var * sqrt(2/M); a sample
+    variance needs at least 2 replicates. Passes iff no node deviates by more
+    than `DEFAULT_TOL_MULTIPLIER` standard errors.
+    """
+    t = batch.grid.times()
+    target = _target(batch, t, t)
+    values = batch.values
+    m, n = values.shape
+    if m < 2:
+        raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
+    estimate = _node_variance(values)
+    se = target * math.sqrt(2.0 / m)
+    deviation = np.abs(estimate - target) / se
+    details = [
+        {
+            "node": int(j + 1),
+            "t": float(t[j]),
+            "estimate": float(estimate[j]),
+            "target": float(target[j]),
+            "se": float(se[j]),
+            "deviation_se": float(deviation[j]),
+        }
+        for j in range(n)
+    ]
+    worst = float(deviation.max())
+    tolerance = DEFAULT_TOL_MULTIPLIER
+    return VerificationReport.of(
+        "marginal-variance", batch, bool(worst <= tolerance), worst, tolerance, details
+    )
 
 
 def ks_distance(sample: np.ndarray) -> float:
@@ -169,73 +227,57 @@ def normality_check(batch: ReplicateBatch, node: int) -> VerificationReport:
     )
 
 
-def method_equivalence(
-    batch_a: ReplicateBatch,
-    batch_b: ReplicateBatch,
-    tol_multiplier: float = DEFAULT_TOL_MULTIPLIER,
-    stride: int | None = None,
-    diagonal_only: bool = False,
-) -> VerificationReport:
+def method_equivalence(batch_a: ReplicateBatch, batch_b: ReplicateBatch) -> VerificationReport:
     """Entrywise comparison of two methods' empirical covariances.
 
-    Deviations are scaled by pooled standard errors; the pass rule matches
-    covariance_match. With diagonal_only, only variances are compared (the
-    right scope for methods that are exact in marginal law only).
+    Deviations are scaled by pooled standard errors; the subgrid and the pass
+    rule match covariance_match. When either method is lamperti, only
+    variances are compared: it is exact in marginal law only.
     """
     if batch_a.n != batch_b.n:
         raise ParameterError("batches must share the same grid")
     if min(batch_a.count, batch_b.count) < 2:
         raise ParameterError("need at least 2 replicates in each batch for sample covariances")
     n = batch_a.n
-    nodes = _grid_nodes(n, stride)
+    nodes = _grid_nodes(n)
     cov_a = _sample_cov(batch_a.values[:, nodes])
     cov_b = _sample_cov(batch_b.values[:, nodes])
     se = np.sqrt(_cov_se(cov_a, batch_a.count) ** 2 + _cov_se(cov_b, batch_b.count) ** 2)
     deviation = np.abs(cov_a - cov_b) / se
+    diagonal_only = "lamperti" in (batch_a.method, batch_b.method)
     if diagonal_only:
         deviation = np.diag(deviation)
-    detail = {"baseline": batch_b.method, "diagonal_only": bool(diagonal_only)}
+    detail = {"baseline": batch_b.method, "diagonal_only": diagonal_only}
     method = f"{batch_a.method} vs {batch_b.method}"
-    return _band_report(
-        "method-equivalence", batch_a, deviation, tol_multiplier, detail, method=method
-    )
+    return _band_report("method-equivalence", batch_a, deviation, detail, method=method)
 
 
-def quantile_scaling_check(
-    batch: ReplicateBatch,
-    scale: float,
-    hurst: float,
-    tol_multiplier: float = 4.0,
-    quantiles: np.ndarray | None = None,
-    n_bootstrap: int = 200,
-    bootstrap_seed: int = 0,
-) -> VerificationReport:
-    """One-dimensional self-similarity: X(a)/a^H should match X(1) in law.
+def quantile_scaling_check(batch: ReplicateBatch, scale: float) -> VerificationReport:
+    """One-dimensional self-similarity at the batch's H: X(a)/a^H should match X(1)
+    in law, for the scale a = `scale` on a grid node.
 
-    Compares quantiles (5%..95%) of the rescaled node a*n against node n,
-    with paired bootstrap standard errors of the quantile differences.
+    Compares quantiles (5%..95%) of the rescaled node a*n against node n, with
+    paired bootstrap standard errors of the quantile differences (200 draws from
+    Philox key 0). Passes iff no difference exceeds `DEFAULT_TOL_MULTIPLIER` of them.
     """
     n = batch.n
     j = int(round(scale * n))
     if not (1 <= j <= n) or abs(scale * n - j) > 1e-9:
         raise ParameterError(f"scale {scale} does not land on a grid node of n={n}")
-    if quantiles is None:
-        quantiles = np.arange(0.05, 0.951, 0.05)
+    quantiles = np.arange(0.05, 0.951, 0.05)
     values = batch.values
-    x_scaled = values[:, j - 1] / scale**hurst
+    x_scaled = values[:, j - 1] / scale**batch.hurst
     x_ref = values[:, n - 1]
     q_scaled = np.quantile(x_scaled, quantiles)
     q_ref = np.quantile(x_ref, quantiles)
     diff = q_scaled - q_ref
 
-    boot_rng = np.random.Generator(np.random.Philox(key=bootstrap_seed))
+    boot_rng = np.random.Generator(np.random.Philox(key=0))
     m = batch.count
-    boot_diffs = np.empty((n_bootstrap, quantiles.size))
-    for b in range(n_bootstrap):
+    boot_diffs = np.empty((200, quantiles.size))
+    for row in boot_diffs:
         idx = boot_rng.integers(0, m, size=m)
-        boot_diffs[b] = np.quantile(x_scaled[idx], quantiles) - np.quantile(
-            x_ref[idx], quantiles
-        )
+        row[:] = np.quantile(x_scaled[idx], quantiles) - np.quantile(x_ref[idx], quantiles)
     se = boot_diffs.std(axis=0, ddof=1)
     deviation = np.abs(diff) / se
     worst = float(deviation.max())
@@ -247,7 +289,25 @@ def quantile_scaling_check(
             "se": [float(s) for s in se],
         }
     ]
-    verdict = bool(worst <= tol_multiplier)
+    tolerance = DEFAULT_TOL_MULTIPLIER
     return VerificationReport.of(
-        "quantile-scaling", batch, verdict, worst, tol_multiplier, details, hurst=hurst
+        "quantile-scaling", batch, bool(worst <= tolerance), worst, tolerance, details
+    )
+
+
+def error_bound_check(n_list, hurst: float) -> VerificationReport:
+    """The verdict on `lamperti.error_bound_diagnostics(n_list, hurst)`: a(n) and
+    b(n) decrease along n_list, and a falls from the first size to the last at
+    least as fast as log(n)/n, with 50% slack. The details are the per-size
+    factors; worst_deviation and tolerance are both the fitted constant c1.
+    """
+    diag = error_bound_diagnostics(n_list, hurst)
+    first, last = diag["entries"][0], diag["entries"][-1]
+    # a(2) = 0, so the rate is compared by multiplying, not dividing, by a
+    expected_ratio = (np.log(last["n"]) / last["n"]) / (np.log(first["n"]) / first["n"])
+    rate_ok = last["a"] < expected_ratio * 1.5 * first["a"]
+    verdict = bool(diag["a_decreasing"] and diag["b_decreasing"] and rate_ok)
+    c1 = diag["c1_fitted"]
+    return VerificationReport(
+        "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, diag["entries"]
     )

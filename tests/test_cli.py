@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from selfsim.cli import main
+from selfsim.verify import error_bound_check
 
 
 def run(args):
@@ -559,13 +560,15 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
 
 def test_closed_pipe_exits_quietly():
     # the reader takes one line of about 2 MB and closes the pipe: the command
-    # drops the rest and returns its own code, with no traceback
+    # drops the rest and returns its own code, with no traceback, on standard
+    # output and where --out names the pipe
     argv = [sys.executable, "-m", "selfsim.cli", "simulate", "--n", "4096", "--paths", "20"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline() == b"path_id,t,value\n"
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 0
-        assert proc.stderr.read() == b""
+    for out in ([], ["--out", "/dev/stdout"]):
+        with subprocess.Popen(argv + out, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"path_id,t,value\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0, out
+            assert proc.stderr.read() == b"", out
 
 
 class TestOutputFile:
@@ -724,6 +727,14 @@ class TestVerifyCommand:
         report = json.loads(out.read_text())
         assert report["details"][0]["a"] == 0.0
         assert report["verdict"] == "fail"
+
+    @pytest.mark.parametrize("sizes, code", [("16,64,256,1024", 0), ("2,8", 1)])
+    def test_error_bound_json_is_the_library_check(self, tmp_path, sizes, code):
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "error-bound", "--hurst", "0.7", "--n", sizes]
+        assert run([*argv, "--out", str(out)]) == code
+        report = error_bound_check([int(n) for n in sizes.split(",")], 0.7)
+        assert json.loads(out.read_text()) == report.to_dict()
 
     def test_report_layout_is_indented_json(self, tmp_path):
         out = tmp_path / "report.json"

@@ -1,7 +1,8 @@
 """Package exports: every public name the package lists resolves, every name
 the benchmark imports from it resolves, the README's library example runs,
-and the package imports without scipy. Also the suite's own node-id list of
-slow tests."""
+the package imports without scipy, and no module imports one above it (the
+samplers below the checks, the checks below the CLI). Also the suite's own
+node-id list of slow tests."""
 
 import ast
 import importlib
@@ -49,6 +50,29 @@ def test_benchmark_imports_resolve():
     assert imported
     missing = [f"{m}.{name}" for m, name in imported if not hasattr(importlib.import_module(m), name)]
     assert missing == []
+
+
+def _package_imports(name: str) -> set:
+    """The selfsim modules that src/selfsim/<name>.py imports, relatively or not."""
+    tree = ast.parse((ROOT / "src" / "selfsim" / f"{name}.py").read_text())
+    dotted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            dotted += [f"selfsim.{node.module or alias.name}" for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted += [f"{node.module}.{alias.name}" for alias in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("selfsim.")}
+
+
+def test_modules_import_no_layer_above():
+    # a sampler module that imported the checks would tie the law's builders to
+    # the harness that judges them
+    for name in ("core", "covmodels", "samplers", "lamperti"):
+        assert not _package_imports(name) & {"verify", "cli"}, name
+    assert "lamperti" in _package_imports("verify")  # the guard sees a real import
+    assert "cli" not in _package_imports("verify")
 
 
 def test_readme_library_example_runs():

@@ -18,13 +18,12 @@ from selfsim.core import (
 from selfsim.covmodels import _COVARIANCES, lamperti_acf_fbm, lamperti_acf_sfbm
 from selfsim.lamperti import (
     _DENSE_NODES,
-    _node_variance,
     error_bound_diagnostics,
     grid_map,
     lamperti_sampler,
-    marginal_variance_profile,
     simulate_lamperti,
 )
+from selfsim.verify import _node_variance, marginal_variance_profile
 
 
 class TestGridMap:

@@ -15,13 +15,13 @@ from selfsim.core import (
     generate_batch,
 )
 from selfsim.covmodels import fbm_cov
-from selfsim.lamperti import marginal_variance_profile
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
 from selfsim.verify import (
     VerificationReport,
     covariance_match,
     empirical_covariance,
     ks_distance,
+    marginal_variance_profile,
     method_equivalence,
     normality_check,
     quantile_scaling_check,
@@ -43,7 +43,7 @@ CHECKS = {
         ),
         {"method": "cholesky vs davies-harte"},
     ),
-    "quantile-scaling": (lambda batch: quantile_scaling_check(batch, 0.5, 0.6), {"hurst": 0.6}),
+    "quantile-scaling": (lambda batch: quantile_scaling_check(batch, 0.5), {}),
     "marginal-variance": (marginal_variance_profile, {}),
 }
 
@@ -181,6 +181,26 @@ class TestMethodEquivalence:
             with pytest.raises(ParameterError):
                 method_equivalence(a, b)
 
+    @pytest.mark.parametrize(
+        "method_a, method_b, diagonal_only",
+        [
+            ("lamperti", "cholesky", True),
+            ("cholesky", "lamperti", True),
+            ("davies-harte", "cholesky", False),
+        ],
+    )
+    def test_lamperti_is_judged_on_variances_alone(self, method_a, method_b, diagonal_only):
+        # the same variances, independent against identical columns: only the
+        # covariances differ, which a check of lamperti (exact in marginal law
+        # only) does not judge
+        rng = np.random.Generator(np.random.Philox(key=13))
+        independent = rng.standard_normal((2_000, 4))
+        identical = np.repeat(rng.standard_normal((2_000, 1)), 4, axis=1)
+        a = synthetic_batch(independent, method=method_a)
+        report = method_equivalence(a, synthetic_batch(identical, method=method_b))
+        assert report.details[0]["diagonal_only"] is diagonal_only
+        assert report.verdict is diagonal_only
+
     def test_rerun_identical(self):
         grid = GridSpec(16)
         a = generate_batch(davies_harte_sampler(grid, 0.6), 2_000, 70)
@@ -194,18 +214,18 @@ class TestQuantileScaling:
     def test_self_similar_sampler_passes(self):
         grid = GridSpec(64)
         batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 72)
-        assert quantile_scaling_check(batch, 0.5, 0.7).verdict
+        assert quantile_scaling_check(batch, 0.5).verdict
 
     def test_wrong_exponent_fails(self):
-        # scaling by the wrong index breaks the quantile match
+        # scaling by the wrong index breaks the quantile match: H = 0.7 paths at H = 0.2
         grid = GridSpec(64)
         batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 73)
-        assert not quantile_scaling_check(batch, 0.5, 0.2).verdict
+        assert not quantile_scaling_check(dataclasses.replace(batch, hurst=0.2), 0.5).verdict
 
     def test_off_grid_scale_rejected(self):
         batch = synthetic_batch(np.random.default_rng(0).standard_normal((200, 10)))
         with pytest.raises(ParameterError):
-            quantile_scaling_check(batch, 1 / 3, 0.5)
+            quantile_scaling_check(batch, 1 / 3)
 
 
 class TestSeCalibration:
