@@ -6,11 +6,13 @@ from it, and each option is resolved and checked once, through its cast,
 before a command runs, so a malformed option is a usage error even where it
 is not used.
 
-Exit codes: 0 success, 1 a verification verdict failed, 2 usage error
-(including invalid process/method combinations, flags a command does not
-take, malformed values, bad config files, an unwritable output path and a
-grid too large to allocate), 3 numerical failure (a Cholesky factor that
-stays indefinite through the whole jitter ladder). A reader that closes
+Every `verify` run writes one report object. Exit codes: 0 success, 1 a
+verification verdict failed, 2 usage error (including invalid process/method
+combinations, flags a command does not take, malformed values, bad config
+files, an unwritable output path, a grid too large to allocate, and fewer
+paths than a suite needs: 2 for marginals and equivalence, 100 for covariance,
+1000 for normality), 3 numerical failure (a Cholesky factor that stays
+indefinite through the whole jitter ladder). A reader that closes
 standard output early (`selfsim simulate | head -1`) is not an error: the
 rest of the output is dropped, and the command returns its own code.
 """
@@ -68,7 +70,14 @@ METHOD_TABLE = {
 }
 PROCESSES = tuple(sorted({p for processes, _ in METHOD_TABLE.values() for p in processes}))
 
-SUITES = ("marginals", "covariance", "normality", "equivalence", "error-bound")
+# The check of each suite that draws a batch (equivalence: a --baseline one too, seed + 1).
+BATCH_CHECKS = {
+    "marginals": verify.marginal_variance_profile,
+    "covariance": verify.covariance_match,
+    "normality": verify.normality_check,
+    "equivalence": verify.method_equivalence,
+}
+SUITES = (*BATCH_CHECKS, "error-bound")
 FORMATS = ("csv", "json")
 
 
@@ -258,30 +267,17 @@ def cmd_simulate(o: argparse.Namespace) -> int:
 
 
 def cmd_verify(o: argparse.Namespace) -> int:
-    n = o.n[0]
-    reports: list[verify.VerificationReport] = []
     with _open_out(o.out) as stream:
         if o.suite == "error-bound":
             _builder(o, o.method)  # it draws nothing, but the pair must be valid all the same
-            reports.append(verify.error_bound_check(o.n, o.hurst))
+            report = verify.error_bound_check(o.n, o.hurst)
         else:
-            sampler = _build_sampler(o, o.method, n)
-            if o.suite == "equivalence":
-                base_sampler = _build_sampler(o, o.baseline, n)
-            batch = generate_batch(sampler, o.paths, o.seed)
-            if o.suite == "marginals":
-                reports.append(verify.marginal_variance_profile(batch))
-            elif o.suite == "covariance":
-                reports.append(verify.covariance_match(batch))
-            elif o.suite == "normality":
-                for node in sorted({max(1, n // 4), max(1, n // 2), n}):
-                    reports.append(verify.normality_check(batch, node))
-            elif o.suite == "equivalence":
-                base_batch = generate_batch(base_sampler, o.paths, o.seed + 1)
-                reports.append(verify.method_equivalence(batch, base_batch))
-        dicts = [r.to_dict() for r in reports]
-        stream.write(json.dumps(dicts if len(dicts) > 1 else dicts[0], indent=2) + "\n")
-    return EXIT_OK if all(r.verdict for r in reports) else EXIT_VERDICT
+            methods = (o.method, o.baseline) if o.suite == "equivalence" else (o.method,)
+            samplers = [_build_sampler(o, method, o.n[0]) for method in methods]
+            batches = [generate_batch(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
+            report = BATCH_CHECKS[o.suite](*batches)
+        stream.write(json.dumps(report.to_dict(), indent=2) + "\n")
+    return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
 def cmd_bench(o: argparse.Namespace) -> int:

@@ -214,16 +214,19 @@ def ks_distance(sample: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def normality_check(batch: ReplicateBatch, node: int) -> VerificationReport:
-    """Marginal Gaussianity at a 1-based node, at the asymptotic 1% level."""
+def normality_check(batch: ReplicateBatch) -> VerificationReport:
+    """Marginal Gaussianity at the 1-based nodes n/4, n/2 and n (each at least 1), at
+    the asymptotic 1% level: one KS distance per node in the details, and a pass iff
+    every node is within the critical value."""
     if batch.count < 1000:
         raise ParameterError("need at least 1000 replicates for the KS check")
-    values = batch.values[:, node - 1]
-    distance = ks_distance(values)
+    n = batch.n
+    nodes = sorted({max(1, n // 4), max(1, n // 2), n})
+    details = [{"node": j, "ks_distance": ks_distance(batch.values[:, j - 1])} for j in nodes]
+    worst = max(d["ks_distance"] for d in details)
     tolerance = KS_CRIT_1PCT / math.sqrt(batch.count)
-    details = [{"node": int(node), "ks_distance": distance}]
     return VerificationReport.of(
-        "normality", batch, bool(distance <= tolerance), distance, tolerance, details
+        "normality", batch, bool(worst <= tolerance), worst, tolerance, details
     )
 
 
@@ -252,21 +255,20 @@ def method_equivalence(batch_a: ReplicateBatch, batch_b: ReplicateBatch) -> Veri
     return _band_report("method-equivalence", batch_a, deviation, detail, method=method)
 
 
-def quantile_scaling_check(batch: ReplicateBatch, scale: float) -> VerificationReport:
-    """One-dimensional self-similarity at the batch's H: X(a)/a^H should match X(1)
-    in law, for the scale a = `scale` on a grid node.
+def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
+    """One-dimensional self-similarity at the batch's H and the scale a = 1/2:
+    X(a)/a^H should match X(1) in law, so the grid size n must be even.
 
-    Compares quantiles (5%..95%) of the rescaled node a*n against node n, with
+    Compares quantiles (5%..95%) of the rescaled node n/2 against node n, with
     paired bootstrap standard errors of the quantile differences (200 draws from
     Philox key 0). Passes iff no difference exceeds `DEFAULT_TOL_MULTIPLIER` of them.
     """
     n = batch.n
-    j = int(round(scale * n))
-    if not (1 <= j <= n) or abs(scale * n - j) > 1e-9:
-        raise ParameterError(f"scale {scale} does not land on a grid node of n={n}")
+    if n % 2:
+        raise ParameterError(f"the scale 1/2 lands on no grid node of odd n={n}")
     quantiles = np.arange(0.05, 0.951, 0.05)
     values = batch.values
-    x_scaled = values[:, j - 1] / scale**batch.hurst
+    x_scaled = values[:, n // 2 - 1] / 0.5**batch.hurst
     x_ref = values[:, n - 1]
     q_scaled = np.quantile(x_scaled, quantiles)
     q_ref = np.quantile(x_ref, quantiles)
@@ -283,7 +285,7 @@ def quantile_scaling_check(batch: ReplicateBatch, scale: float) -> VerificationR
     worst = float(deviation.max())
     details = [
         {
-            "scale": float(scale),
+            "scale": 0.5,
             "quantiles": [float(q) for q in quantiles],
             "difference": [float(d) for d in diff],
             "se": [float(s) for s in se],

@@ -237,24 +237,20 @@ class TestAcceptance:
     @pytest.mark.parametrize("hurst", [0.2, 0.8])
     def test_09_lamperti_normality(self, hurst):
         n, count = 256, 10_000
-        batch = lamperti_batch("fbm", hurst, n, count, 108)
-        worst = 0.0
-        ok = True
-        for node in (n // 4, n // 2, n):
-            result = normality_check(batch, node)
-            worst = max(worst, result.worst_deviation)
-            ok = ok and result.verdict
+        result = normality_check(lamperti_batch("fbm", hurst, n, count, 108))
+        assert [d["node"] for d in result.details] == [n // 4, n // 2, n]
+        ok = result.verdict
         report(
             "9 lamperti marginal normality",
             ok,
-            f"H={hurst}, worst KS={worst:.4f}, crit={1.63 / math.sqrt(count):.4f}",
+            f"H={hurst}, worst KS={result.worst_deviation:.4f}, crit={result.tolerance:.4f}",
         )
         assert ok
 
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_10_quantile_scaling(self, process):
         batch = lamperti_batch(process, 0.7, 256, 20_000, 109)
-        result = quantile_scaling_check(batch, 0.5)
+        result = quantile_scaling_check(batch)
         ok = result.verdict
         report(
             "10 one-dimensional scaling law",

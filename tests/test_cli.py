@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from selfsim.cli import main
-from selfsim.verify import error_bound_check
+from selfsim.core import GridSpec, generate_batch
+from selfsim.samplers import davies_harte_sampler
+from selfsim.verify import error_bound_check, ks_distance
 
 
 def run(args):
@@ -417,6 +419,8 @@ MALFORMED = [
     (["verify", "--suite", "marginals", "--n", "16"], None),
     (["simulate", "--n", "16"], "embedding_cap = 6\n"),
     (["verify", "--suite", "equivalence", "--n", "16"], None),
+    (["verify", "--suite", "covariance", "--n", "16", "--paths", "99"], None),
+    (["verify", "--suite", "normality", "--n", "16", "--paths", "999"], None),
     (["simulate", "--n", "16", "--substeps", "0"], None),
     (["simulate", "--n", "16", "--truncation", "0.5"], None),
     (["simulate", "--n", "16"], "truncation = nan\n"),
@@ -471,6 +475,8 @@ MALFORMED = [
         "marginals-one-path",
         "cfg-embedding-cap",
         "equivalence-one-path",
+        "covariance-99-paths",
+        "normality-999-paths",
         "unused-substeps-zero",
         "unused-truncation-below-1",
         "cfg-unused-truncation-nan",
@@ -735,6 +741,40 @@ class TestVerifyCommand:
         assert run([*argv, "--out", str(out)]) == code
         report = error_bound_check([int(n) for n in sizes.split(",")], 0.7)
         assert json.loads(out.read_text()) == report.to_dict()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--suite marginals --n 16 --paths 300",
+            "--suite covariance --n 16 --paths 300",
+            "--suite normality --n 16 --paths 1000",
+            "--suite equivalence --n 16 --paths 300",
+            "--suite error-bound --n 16,64",
+        ],
+    )
+    def test_every_suite_writes_one_report(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        code = run(["verify", *argv.split(), "--seed", "5", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert isinstance(report, dict)
+        assert code == (0 if report["verdict"] == "pass" else 1)
+
+    @pytest.mark.parametrize("n, nodes", [(1, [1]), (2, [1, 2]), (3, [1, 3]), (16, [4, 8, 16])])
+    def test_normality_judges_its_own_nodes(self, n, nodes, tmp_path):
+        # one report: a KS distance per node n/4, n/2, n (each at least 1) of the
+        # batch, the largest its worst deviation, and the exit code its verdict
+        out = tmp_path / "report.json"
+        argv = ["verify", "--suite", "normality", "--n", str(n), "--paths", "1000"]
+        code = run([*argv, "--seed", "5", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert report["check"] == "normality"
+        assert [d["node"] for d in report["details"]] == nodes
+        batch = generate_batch(davies_harte_sampler(GridSpec(n), 0.5), 1000, 5)
+        distances = [ks_distance(batch.values[:, j - 1]) for j in nodes]
+        assert [d["ks_distance"] for d in report["details"]] == distances
+        assert report["worst_deviation"] == max(distances)
+        assert code == (0 if report["verdict"] == "pass" else 1)
+        assert report["verdict"] == ("pass" if max(distances) <= report["tolerance"] else "fail")
 
     def test_report_layout_is_indented_json(self, tmp_path):
         out = tmp_path / "report.json"

@@ -2,6 +2,7 @@
 negative controls."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from selfsim.core import (
 )
 from selfsim.covmodels import fbm_cov
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
+from selfsim import verify
 from selfsim.verify import (
     VerificationReport,
     covariance_match,
@@ -36,16 +38,34 @@ def synthetic_batch(values, method="cholesky", process="fbm", hurst=0.5):
 # Each check on a batch, and the report fields it takes from elsewhere than the batch.
 CHECKS = {
     "covariance-match": (covariance_match, {}),
-    "normality": (lambda batch: normality_check(batch, 8), {}),
+    "normality": (normality_check, {}),
     "method-equivalence": (
         lambda batch: method_equivalence(
             batch, synthetic_batch(batch.values[::-1], method="davies-harte")
         ),
         {"method": "cholesky vs davies-harte"},
     ),
-    "quantile-scaling": (lambda batch: quantile_scaling_check(batch, 0.5), {}),
+    "quantile-scaling": (quantile_scaling_check, {}),
     "marginal-variance": (marginal_variance_profile, {}),
 }
+
+
+def test_checks_take_their_data_alone():
+    # a check's rule and tolerance are fixed in the module: no node, scale,
+    # tolerance or stride parameter, so a knob cannot come back unnoticed
+    checks = {
+        name: list(inspect.signature(getattr(verify, name)).parameters)
+        for name in verify.__all__
+        if inspect.signature(getattr(verify, name)).return_annotation == "VerificationReport"
+    }
+    assert checks == {
+        "covariance_match": ["batch"],
+        "marginal_variance_profile": ["batch"],
+        "normality_check": ["batch"],
+        "method_equivalence": ["batch_a", "batch_b"],
+        "quantile_scaling_check": ["batch"],
+        "error_bound_check": ["n_list", "hurst"],
+    }
 
 
 @pytest.mark.parametrize("check", CHECKS)
@@ -133,12 +153,14 @@ class TestNormality:
     def test_gaussian_passes(self):
         grid = GridSpec(16)
         batch = generate_batch(bm_sampler(grid), 10_000, 65)
-        assert normality_check(batch, 16).verdict
+        report = normality_check(batch)
+        assert report.verdict
+        assert [d["node"] for d in report.details] == [4, 8, 16]
 
     def test_uniform_noise_fails(self):
         rng = np.random.Generator(np.random.Philox(key=9))
         values = rng.uniform(-1, 1, size=(10_000, 4))
-        assert not normality_check(synthetic_batch(values), 4).verdict
+        assert not normality_check(synthetic_batch(values)).verdict
 
     def test_ks_distance_of_normal_sample_is_small(self):
         rng = np.random.Generator(np.random.Philox(key=10))
@@ -153,7 +175,7 @@ class TestNormality:
     def test_requires_minimum_replicates(self):
         batch = synthetic_batch(np.zeros((500, 4)))
         with pytest.raises(ParameterError):
-            normality_check(batch, 1)
+            normality_check(batch)
 
 
 class TestMethodEquivalence:
@@ -214,18 +236,19 @@ class TestQuantileScaling:
     def test_self_similar_sampler_passes(self):
         grid = GridSpec(64)
         batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 72)
-        assert quantile_scaling_check(batch, 0.5).verdict
+        assert quantile_scaling_check(batch).verdict
 
     def test_wrong_exponent_fails(self):
         # scaling by the wrong index breaks the quantile match: H = 0.7 paths at H = 0.2
         grid = GridSpec(64)
         batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 73)
-        assert not quantile_scaling_check(dataclasses.replace(batch, hurst=0.2), 0.5).verdict
+        assert not quantile_scaling_check(dataclasses.replace(batch, hurst=0.2)).verdict
 
     def test_off_grid_scale_rejected(self):
-        batch = synthetic_batch(np.random.default_rng(0).standard_normal((200, 10)))
+        # the scale 1/2 of an odd grid falls between two nodes
+        batch = synthetic_batch(np.random.default_rng(0).standard_normal((200, 9)))
         with pytest.raises(ParameterError):
-            quantile_scaling_check(batch, 1 / 3)
+            quantile_scaling_check(batch)
 
 
 class TestSeCalibration:
