@@ -22,8 +22,7 @@ from .core import (
 from .covmodels import (
     fbm_cov,
     fgn_acf,
-    lamperti_acf_fbm,
-    lamperti_acf_sfbm,
+    lamperti_acf,
     sfbm_cov,
 )
 from .lamperti import (

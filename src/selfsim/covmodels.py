@@ -18,8 +18,7 @@ __all__ = [
     "fbm_cov",
     "sfbm_cov",
     "fgn_acf",
-    "lamperti_acf_fbm",
-    "lamperti_acf_sfbm",
+    "lamperti_acf",
 ]
 
 
@@ -63,27 +62,17 @@ def fgn_acf(k, n: int, hurst: float):
     return (0.5 * np.where(lag < 2, near, tail) / n**h2).reshape(np.shape(k))[()]
 
 
-def _lamperti_acf(process: str, k, n: int, hurst: float):
-    """Cov(U(0), U(k/n)) = c(n^-x, n^x) with x = k / (2n), c the process's covariance."""
-    x = np.abs(np.atleast_1d(k)) * (math.log(n) / (2.0 * n))
-    return _COVARIANCES[process](np.exp(-x), np.exp(x), hurst).reshape(np.shape(k))[()]
+def lamperti_acf(process: str, k, n: int, hurst: float):
+    """Autocovariance at lag k (int or array) of the inverse-Lamperti rescaling
+    of a process, fbm or sfbm: Cov(U(0), U(k/n)) = c(n^-x, n^x) with x = k / (2n),
+    c the process's covariance.
 
-
-def lamperti_acf_fbm(k, n: int, hurst: float):
-    """Autocovariance at lag k (int or array) of the inverse-Lamperti rescaling of fBm.
-
-    rho(k) = ((n^{-Hk/n} + n^{Hk/n}) - (n^{k/(2n)} - n^{-k/(2n)})^{2H}) / 2,
-    so rho(0) = 1 (the rescaled sequence has unit variance).
-    """
-    return _lamperti_acf("fbm", k, n, hurst)
-
-
-def lamperti_acf_sfbm(k, n: int, hurst: float):
-    """Autocovariance at lag k (int or array) of the inverse-Lamperti rescaling of sfBm.
-
+    For fbm rho(k) = ((n^{-Hk/n} + n^{Hk/n}) - (n^{k/(2n)} - n^{-k/(2n)})^{2H}) / 2,
+    so rho(0) = 1 (the rescaled sequence has unit variance); for sfbm
     rho(0) = 2 - 2^{2H-1}, the variance of sfBm at t = 1.
     """
-    return _lamperti_acf("sfbm", k, n, hurst)
+    x = np.abs(np.atleast_1d(k)) * (math.log(n) / (2.0 * n))
+    return _covariance(process)(np.exp(-x), np.exp(x), hurst).reshape(np.shape(k))[()]
 
 
 _COVARIANCES = {"fbm": fbm_cov, "sfbm": sfbm_cov}

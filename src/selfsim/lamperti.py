@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
-from .covmodels import _check_hurst, lamperti_acf_fbm, lamperti_acf_sfbm
+from .covmodels import _check_hurst, lamperti_acf
 from .samplers import _circulant_sampler, _dense_map, _ladder_cholesky
 
 __all__ = [
@@ -66,27 +66,31 @@ def grid_map(n: int) -> LampertiGridMap:
 
 @functools.lru_cache(maxsize=64)
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
-    """The map of `simulate_lamperti`: a draw of the stationary sequence at the
-    grid map's distinct nodes, gathered to the grid and scaled by t^H.
+    """The map of `simulate_lamperti`: a draw of the stationary sequence with the
+    autocovariance `lamperti_acf(process, ...)` at the grid map's distinct nodes,
+    gathered to the grid and scaled by t^H.
 
     Up to `_DENSE_NODES` distinct nodes (n <= 262) the draw is the exact Cholesky
     factor of their Gram, one normal per node and `info` {"jitter": ...}; above,
     it is the clamped circulant of lags 0..n, `info` {"clamped_mass", "embedding_size"}.
+    For fbm the clamp fires from about H = 0.72 on: at n = 2048, H = 0.8, it zeroes
+    1901 of 4096 eigenvalues, and as a clamped bin draws no normal, k is 2195 of
+    4096. It inflates Var U, and so every marginal variance, by a relative
+    `clamped_mass` of 6.922e-5 at H = 0.8 and 9.679e-4 at H = 0.95 (n = 2048).
+    For sfbm at n = 32 768, H = 0.8, nothing clamps.
     """
     hurst = float(hurst)
-    if process not in ("fbm", "sfbm"):
-        raise ParameterError(f"lamperti method supports fbm and sfbm, not {process!r}")
     if grid.n < 2:
         raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {grid.n}")
     index, scale = grid_map(grid.n).index, grid.times() ** hurst
-    acf = lamperti_acf_fbm if process == "fbm" else lamperti_acf_sfbm
+    acf = functools.partial(lamperti_acf, process)
     # The stationary sequence is read at the nodes g(j) in 0..n: the map sends
     # j = 1 to 0, so one extra lag of the autocovariance is needed. The map is
     # nondecreasing, so a node is new where it steps: 126 of 257 at n = 256.
     nodes = index[np.concatenate(([True], index[1:] != index[:-1]))]
     if len(nodes) <= _DENSE_NODES:
         # The exact Gram r(|S_a - S_b|) of the nodes, from lags 0..n alone, where
-        # `lamperti_acf_fbm` is accurate (ROADMAP item 10). It is symmetric by
+        # `lamperti_acf` is accurate (ROADMAP item 10). It is symmetric by
         # construction, so it skips `cholesky_factor`'s check; its jitter is 0.0
         # for every n up to the cutover, H = 0.999 included.
         row = acf(np.arange(grid.n + 1), grid.n, hurst)
@@ -96,14 +100,12 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
     # autocovariance falls with the lag (fbm, n = 256, H = 0.95: 1 at lag 0,
-    # 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf_fbm` cancels past lag
-    # n (0.0 at lag 8n), so a larger embedding built from it is more indefinite,
+    # 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf` cancels past lag n
+    # (0.0 at lag 8n), so a larger embedding built from it is more indefinite,
     # not less (ROADMAP item 10). The negative eigenvalues are clamped to zero at
     # the minimal embedding instead (the nonnegative-definite part of the
-    # circulant), which raises Var U by the spectrum's `clamped_mass`. For fbm the
-    # clamp fires from about H = 0.72 on: at n = 2048, H = 0.8, it zeroes 1901 of
-    # 4096 eigenvalues. A clamped bin has weight zero and draws no normal, so k is
-    # below m: 2195 of 4096 there. For sfbm at n = 32 768, H = 0.8, nothing clamps.
+    # circulant), which raises Var U by the spectrum's `clamped_mass`; the
+    # docstring above gives its size.
     finish = lambda y: scale * np.take(y, index, axis=1)
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
 
@@ -122,21 +124,19 @@ def simulate_lamperti(
     (n <= 262) U is drawn at the nodes through the exact factor of their
     Gram, so every marginal matches the target law to rounding. Above, U(k/n),
     k = 0..n, is drawn by circulant embedding, and the marginals are exact
-    only when no eigenvalue is clamped (``info["clamped_mass"] == 0``). For
-    fbm with H above about 0.72 the clamp inflates Var U, and so every
-    marginal variance, by a relative 6.922e-5 at H = 0.8 and 9.679e-4 at
-    H = 0.95 (n = 2048).
+    only when no eigenvalue is clamped (``info["clamped_mass"] == 0``);
+    `lamperti_sampler` gives the clamp's size for fbm from about H = 0.72 on.
     """
     return lamperti_sampler(process, hurst, grid)(rng)
 
 
-def error_bound_diagnostics(n_list, hurst: float) -> dict:
-    """Deterministic factors of the approximation error bound.
+def error_bound_diagnostics(n_list, hurst: float) -> list[dict]:
+    """Deterministic factors of the approximation error bound: one record
+    {n, a, b, a_rate, b_rate} per size.
 
     For each n: a(n) = max_j |n^{H theta(j)/n} - 1| and
     b(n) = max_j |n^{-theta(j)/n} - 1|, both O(log(n)/n) by the mean value
-    theorem. Reports the fitted constants sup_n a(n) n / log n (and the b
-    analogue) and whether a, b decrease along increasing n. H must lie in
+    theorem, with the rates a(n) n / log n and b(n) n / log n. H must lie in
     (0, 1), and n_list must hold at least two strictly increasing sizes.
     `verify.error_bound_check` judges these factors and gives the verdict.
     """
@@ -160,13 +160,4 @@ def error_bound_diagnostics(n_list, hurst: float) -> dict:
                 "b_rate": b * n / log_n,
             }
         )
-    a_seq = [e["a"] for e in entries]
-    b_seq = [e["b"] for e in entries]
-    return {
-        "hurst": hurst,
-        "entries": entries,
-        "c1_fitted": max(e["a_rate"] for e in entries),
-        "c2_fitted": max(e["b_rate"] for e in entries),
-        "a_decreasing": all(x > y for x, y in zip(a_seq, a_seq[1:])),
-        "b_decreasing": all(x > y for x, y in zip(b_seq, b_seq[1:])),
-    }
+    return entries

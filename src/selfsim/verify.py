@@ -298,18 +298,20 @@ def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
 
 
 def error_bound_check(n_list, hurst: float) -> VerificationReport:
-    """The verdict on `lamperti.error_bound_diagnostics(n_list, hurst)`: a(n) and
-    b(n) decrease along n_list, and a falls from the first size to the last at
-    least as fast as log(n)/n, with 50% slack. The details are the per-size
-    factors; worst_deviation and tolerance are both the fitted constant c1.
+    """The verdict on the factors `lamperti.error_bound_diagnostics(n_list, hurst)`:
+    a(n) and b(n) decrease along n_list, and a falls from the first size to the
+    last at least as fast as log(n)/n, with 50% slack. The details are the factor
+    records; worst_deviation and tolerance are both the fitted constant
+    c1 = max a_rate.
     """
-    diag = error_bound_diagnostics(n_list, hurst)
-    first, last = diag["entries"][0], diag["entries"][-1]
+    entries = error_bound_diagnostics(n_list, hurst)
+    first, last = entries[0], entries[-1]
+    decreasing = all(x[key] > y[key] for key in ("a", "b") for x, y in zip(entries, entries[1:]))
     # a(2) = 0, so the rate is compared by multiplying, not dividing, by a
     expected_ratio = (np.log(last["n"]) / last["n"]) / (np.log(first["n"]) / first["n"])
     rate_ok = last["a"] < expected_ratio * 1.5 * first["a"]
-    verdict = bool(diag["a_decreasing"] and diag["b_decreasing"] and rate_ok)
-    c1 = diag["c1_fitted"]
+    c1 = max(e["a_rate"] for e in entries)
+    verdict = bool(decreasing and rate_ok)
     return VerificationReport(
-        "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, diag["entries"]
+        "error-bound", "lamperti", "any", hurst, last["n"], 0, verdict, c1, c1, entries
     )

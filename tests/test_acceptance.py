@@ -15,12 +15,11 @@ from scipy import integrate
 from selfsim.core import GridSpec, generate_batch
 from selfsim.covmodels import (
     fbm_cov,
-    lamperti_acf_fbm,
-    lamperti_acf_sfbm,
+    lamperti_acf,
     fgn_acf,
     sfbm_cov,
 )
-from selfsim.lamperti import error_bound_diagnostics, lamperti_sampler
+from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     MA_DEFAULT_SUBSTEPS,
     _circulant_draw,
@@ -36,6 +35,7 @@ from selfsim.verify import (
     _band_verdict,
     covariance_match,
     empirical_covariance,
+    error_bound_check,
     method_equivalence,
     normality_check,
     quantile_scaling_check,
@@ -106,11 +106,8 @@ class TestAcceptance:
                 for k in range(n + 1):
                     worst = max(
                         worst,
-                        abs(lamperti_acf_fbm(k, n, hurst) - oracle(fbm_cov, k, n, hurst)),
-                        abs(
-                            lamperti_acf_sfbm(k, n, hurst)
-                            - oracle(sfbm_cov, k, n, hurst)
-                        ),
+                        abs(lamperti_acf("fbm", k, n, hurst) - oracle(fbm_cov, k, n, hurst)),
+                        abs(lamperti_acf("sfbm", k, n, hurst) - oracle(sfbm_cov, k, n, hurst)),
                     )
         ok = worst <= 1e-10
         report("3 rescaled ACF oracle", ok, f"worst abs diff={worst:.2e}")
@@ -145,16 +142,13 @@ class TestAcceptance:
 
     def test_06_error_bound_rate(self):
         ladder = [2**8, 2**10, 2**12, 2**14]
-        diag = error_bound_diagnostics(ladder, 0.5)
-        rates_bounded = all(
-            e["a_rate"] <= diag["c1_fitted"] + 1e-15 for e in diag["entries"]
-        )
-        ok = rates_bounded and diag["a_decreasing"]
-        report(
-            "6 error-bound rate",
-            ok,
-            f"c1={diag['c1_fitted']:.3f}, a decreasing={diag['a_decreasing']}",
-        )
+        result = error_bound_check(ladder, 0.5)
+        c1 = result.worst_deviation
+        rates_bounded = all(e["a_rate"] <= c1 + 1e-15 for e in result.details)
+        a = [e["a"] for e in result.details]
+        a_decreasing = all(x > y for x, y in zip(a, a[1:]))
+        ok = rates_bounded and a_decreasing
+        report("6 error-bound rate", ok, f"c1={c1:.3f}, a decreasing={a_decreasing}")
         assert ok
 
     @pytest.mark.parametrize("method", ["lamperti", "davies-harte"])

@@ -1,6 +1,7 @@
 """Covariance kernels and stationary autocovariances against independent
 brute-force oracles."""
 
+import functools
 import math
 
 import mpmath
@@ -11,9 +12,8 @@ from selfsim.core import ParameterError
 from selfsim.covmodels import (
     fbm_cov,
     fgn_acf,
-    lamperti_acf_fbm,
+    lamperti_acf,
     _covariance,
-    lamperti_acf_sfbm,
     sfbm_cov,
 )
 
@@ -117,28 +117,28 @@ class TestLampertiAcf:
     def test_fbm_unit_variance(self):
         for n in (8, 64, 256):
             for hurst in HURSTS:
-                assert lamperti_acf_fbm(0, n, hurst) == pytest.approx(1.0, abs=1e-14)
+                assert lamperti_acf("fbm", 0, n, hurst) == pytest.approx(1.0, abs=1e-14)
 
     def test_fbm_half_closed_form(self):
         n, k = 8, 3
-        assert lamperti_acf_fbm(k, n, 0.5) == pytest.approx(
+        assert lamperti_acf("fbm", k, n, 0.5) == pytest.approx(
             n ** (-k / (2 * n)), abs=1e-14
         )
 
     def test_sfbm_lag_zero(self):
         for hurst in HURSTS:
-            assert lamperti_acf_sfbm(0, 16, hurst) == pytest.approx(
+            assert lamperti_acf("sfbm", 0, 16, hurst) == pytest.approx(
                 2.0 - 2.0 ** (2 * hurst - 1), abs=1e-14
             )
-        assert lamperti_acf_sfbm(0, 16, 0.5) == pytest.approx(1.0, abs=1e-15)
+        assert lamperti_acf("sfbm", 0, 16, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_fbm_brute_force_single(self):
-        assert lamperti_acf_fbm(2, 8, 0.7) == pytest.approx(
+        assert lamperti_acf("fbm", 2, 8, 0.7) == pytest.approx(
             lamperti_cov_oracle(fbm_cov, 2, 8, 0.7), abs=1e-12
         )
 
     def test_sfbm_brute_force_single(self):
-        assert lamperti_acf_sfbm(2, 8, 0.7) == pytest.approx(
+        assert lamperti_acf("sfbm", 2, 8, 0.7) == pytest.approx(
             lamperti_cov_oracle(sfbm_cov, 2, 8, 0.7), abs=1e-12
         )
 
@@ -146,27 +146,32 @@ class TestLampertiAcf:
     @pytest.mark.parametrize("n", [8, 64])
     def test_brute_force_lattice(self, n, hurst):
         for k in range(n + 1):
-            assert lamperti_acf_fbm(k, n, hurst) == pytest.approx(
+            assert lamperti_acf("fbm", k, n, hurst) == pytest.approx(
                 lamperti_cov_oracle(fbm_cov, k, n, hurst), abs=1e-10
             )
-            assert lamperti_acf_sfbm(k, n, hurst) == pytest.approx(
+            assert lamperti_acf("sfbm", k, n, hurst) == pytest.approx(
                 lamperti_cov_oracle(sfbm_cov, k, n, hurst), abs=1e-10
             )
 
     @pytest.mark.parametrize("hurst", HURSTS)
     def test_bounded_by_lag_zero(self, hurst):
         n = 64
-        r0f = lamperti_acf_fbm(0, n, hurst)
-        r0s = lamperti_acf_sfbm(0, n, hurst)
+        r0f = lamperti_acf("fbm", 0, n, hurst)
+        r0s = lamperti_acf("sfbm", 0, n, hurst)
         for k in range(1, n + 1):
-            assert abs(lamperti_acf_fbm(k, n, hurst)) <= r0f + 1e-12
-            assert abs(lamperti_acf_sfbm(k, n, hurst)) <= r0s + 1e-12
+            assert abs(lamperti_acf("fbm", k, n, hurst)) <= r0f + 1e-12
+            assert abs(lamperti_acf("sfbm", k, n, hurst)) <= r0s + 1e-12
+
+    def test_unknown_process_rejected(self):
+        with pytest.raises(ParameterError, match="unknown process"):
+            lamperti_acf("bm", 1, 8, 0.5)
 
 
-ACFS = {"fgn": fgn_acf, "lamperti-fbm": lamperti_acf_fbm, "lamperti-sfbm": lamperti_acf_sfbm}
-
-
-@pytest.mark.parametrize("acf", ACFS.values(), ids=ACFS)
+@pytest.mark.parametrize(
+    "acf",
+    [fgn_acf, functools.partial(lamperti_acf, "fbm"), functools.partial(lamperti_acf, "sfbm")],
+    ids=["fgn", "lamperti-fbm", "lamperti-sfbm"],
+)
 @pytest.mark.parametrize("n, hurst", [(16, 0.05), (257, 0.3), (4096, 0.7), (1000, 0.99)])
 def test_scalar_lag_gives_the_array_bits(acf, n, hurst):
     # numpy takes other loops for scalar operands than for arrays; a lag
@@ -222,6 +227,8 @@ def test_lamperti_acf_against_mpmath(process):
     # measured 3.2e-12 (fbm) and 2.0e-10 (sfbm) of rho(0), at n = 32768, H = 0.99,
     # where sfbm's rho(0) is 0.028 and its terms are about 3e4; the per-lag
     # scalar formulas this replaced lost 2.3e-11 and 1.8e-9
-    acf = ACFS[f"lamperti-{process}"]
-    of_zero, _ = acf_errors_against_mpmath(acf, lambda k, n, h: mp_lamperti_acf(process, k, n, h))
+    of_zero, _ = acf_errors_against_mpmath(
+        functools.partial(lamperti_acf, process),
+        lambda k, n, h: mp_lamperti_acf(process, k, n, h),
+    )
     assert of_zero <= {"fbm": 5e-12, "sfbm": 3e-10}[process]

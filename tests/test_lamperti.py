@@ -15,7 +15,7 @@ from selfsim.core import (
     RngStream,
     generate_batch,
 )
-from selfsim.covmodels import _COVARIANCES, lamperti_acf_fbm, lamperti_acf_sfbm
+from selfsim.covmodels import _COVARIANCES, lamperti_acf
 from selfsim.lamperti import (
     _DENSE_NODES,
     error_bound_diagnostics,
@@ -23,7 +23,7 @@ from selfsim.lamperti import (
     lamperti_sampler,
     simulate_lamperti,
 )
-from selfsim.verify import _node_variance, marginal_variance_profile
+from selfsim.verify import _node_variance, error_bound_check, marginal_variance_profile
 
 
 class TestGridMap:
@@ -66,7 +66,7 @@ class TestSimulateLamperti:
         assert np.array_equal(a, b)
 
     def test_rejects_unknown_process(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="unknown process"):
             simulate_lamperti("bm", 0.5, GridSpec(8), RngStream(0, 0))
 
     def test_fbm_terminal_variance(self):
@@ -101,8 +101,6 @@ class TestDenseRoute:
     """Up to `_DENSE_NODES` distinct grid-map nodes (n <= 262), the stationary stage is
     the exact factor of the nodes' Gram: one normal per node, nothing clamped."""
 
-    ACF = {"fbm": lamperti_acf_fbm, "sfbm": lamperti_acf_sfbm}
-
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_implied_covariance_is_the_gathered_lamperti_law(self, process):
         # s_i s_j r(|g(i) - g(j)|) with s = t^H, the law the paper's gather defines
@@ -110,7 +108,7 @@ class TestDenseRoute:
             index, t = grid_map(n).index, GridSpec(n).times()
             for hurst in (0.01, 0.3, 0.5, 0.8, 0.95, 0.999):
                 sampler = lamperti_sampler(process, hurst, GridSpec(n))
-                row = self.ACF[process](np.arange(n + 1), n, hurst)
+                row = lamperti_acf(process, np.arange(n + 1), n, hurst)
                 target = np.outer(t**hurst, t**hurst) * row[np.abs(index[:, None] - index)]
                 error = np.abs(implied_covariance(sampler) - target).max()
                 assert error <= 2e-15 * np.abs(target).max(), (n, hurst)
@@ -238,20 +236,33 @@ class TestVerifyMemory:
 class TestErrorBoundDiagnostics:
     def test_rate_bounded_and_decreasing(self):
         ladder = [2**8, 2**10, 2**12, 2**14]
-        diag = error_bound_diagnostics(ladder, 0.5)
-        assert diag["a_decreasing"] and diag["b_decreasing"]
-        for entry in diag["entries"]:
-            assert entry["a_rate"] <= diag["c1_fitted"] + 1e-15
-            assert entry["b_rate"] <= diag["c2_fitted"] + 1e-15
+        entries = error_bound_diagnostics(ladder, 0.5)
+        for key in ("a", "b"):
+            assert all(x[key] > y[key] for x, y in zip(entries, entries[1:]))
+        c1 = max(entry["a_rate"] for entry in entries)
+        c2 = max(entry["b_rate"] for entry in entries)
+        for entry in entries:
+            assert entry["a_rate"] <= c1 + 1e-15
+            assert entry["b_rate"] <= c2 + 1e-15
         # mean-value-theorem shape: constants stay of order H and 1
-        assert diag["c1_fitted"] <= 1.0
-        assert diag["c2_fitted"] <= 2.0
+        assert c1 <= 1.0
+        assert c2 <= 2.0
 
     def test_rate_confirmation_with_slack(self):
-        diag = error_bound_diagnostics([2**8, 2**14], 0.5)
-        a8, a14 = diag["entries"][0]["a"], diag["entries"][1]["a"]
+        entries = error_bound_diagnostics([2**8, 2**14], 0.5)
+        a8, a14 = entries[0]["a"], entries[1]["a"]
         expected = (math.log(2**14) / 2**14) / (math.log(2**8) / 2**8)
         assert a14 / a8 < expected * 1.5
+
+    @pytest.mark.parametrize("ladder", [[2**8, 2**10, 2**12, 2**14], [2, 8]])
+    def test_check_details_are_the_factor_records(self, ladder):
+        # the factors alone: the verdict and c1 are `error_bound_check`'s
+        entries = error_bound_diagnostics(ladder, 0.7)
+        assert all(set(entry) == {"n", "a", "b", "a_rate", "b_rate"} for entry in entries)
+        report = error_bound_check(ladder, 0.7)
+        assert report.details == entries
+        assert report.verdict == (ladder != [2, 8])  # a(2) = 0: a cannot fall from 2 to 8
+        assert report.worst_deviation == max(entry["a_rate"] for entry in entries)
 
     @pytest.mark.parametrize("hurst", [0.0, 1.0, 1.5, -0.3, float("nan")])
     def test_rejects_hurst_outside_unit_interval(self, hurst):
@@ -260,8 +271,8 @@ class TestErrorBoundDiagnostics:
 
     @pytest.mark.parametrize("sizes", [[4, 2], [8, 16, 4], [2, 2, 4], [256], []])
     def test_rejects_sizes_not_strictly_increasing(self, sizes):
-        # a_decreasing and b_decreasing read the list in order: a(2) = 0 < a(4), so
-        # [4, 2] would report both True
+        # `error_bound_check` reads the factors in list order: a(2) = 0 < a(4), so
+        # [4, 2] would read as a and b decreasing
         with pytest.raises(ParameterError, match="strictly increasing"):
             error_bound_diagnostics(sizes, 0.7)
 

@@ -1,6 +1,7 @@
 """Sampler tests: Monte Carlo moments against exact kernels, the circulant
 clamp and its bound, and Cholesky jitter handling."""
 
+import functools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ import pytest
 from scipy.linalg import lapack
 
 from selfsim.core import GridSpec, RngStream, generate_batch
-from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf_fbm, lamperti_acf_sfbm
+from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf
 from selfsim.lamperti import grid_map, lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
@@ -39,7 +40,8 @@ def lamperti_circulant(hurst, n):
     grid = GridSpec(n)
     index, scale = grid_map(n).index, grid.times() ** hurst
     finish = lambda y: scale * np.take(y, index, axis=1)
-    return _circulant_sampler(grid, "lamperti", "fbm", hurst, lamperti_acf_fbm, n + 1, finish)
+    acf = functools.partial(lamperti_acf, "fbm")
+    return _circulant_sampler(grid, "lamperti", "fbm", hurst, acf, n + 1, finish)
 
 
 def circulant_row(spectrum, rng):
@@ -202,7 +204,7 @@ class TestCirculantSpectrum:
 
     CLAMP_CASES = {
         # (first row of the stationary covariance, live slots k = m - clamped)
-        "lamperti-fbm-0.8": (lamperti_acf_fbm(np.arange(257), 256, 0.8), 512 - 209),
+        "lamperti-fbm-0.8": (lamperti_acf("fbm", np.arange(257), 256, 0.8), 512 - 209),
         "squared-exponential": (np.exp(-((np.arange(32) / 8) ** 2)), 62 - 20),
         "fgn-0.7": (fgn_acf(np.arange(256), 256, 0.7), 510),
     }
@@ -230,7 +232,11 @@ class TestCirculantSpectrum:
     def test_clamped_mass_is_the_implied_acf_error(self, row, live):
         assert _circulant_draw(self.check_implied_acf(row))[0] == live
 
-    @pytest.mark.parametrize("acf", [lamperti_acf_fbm, lamperti_acf_sfbm, fgn_acf])
+    @pytest.mark.parametrize(
+        "acf",
+        [functools.partial(lamperti_acf, "fbm"), functools.partial(lamperti_acf, "sfbm"), fgn_acf],
+        ids=["lamperti_acf_fbm", "lamperti_acf_sfbm", "fgn_acf"],
+    )
     def test_clamped_mass_is_the_implied_acf_error_sweep(self, acf):
         # the Lamperti sequence has n + 1 lags (indices 0..n), fGn n; fGn clamps nothing
         length = lambda n: n if acf is fgn_acf else n + 1
@@ -242,7 +248,7 @@ class TestCirculantSpectrum:
     @pytest.mark.parametrize("hurst", [0.3, 0.8])
     def test_sampler_info_carries_clamped_mass(self, hurst):
         # lamperti takes the circulant above its dense cutover only: n = 2048 here
-        lamperti = circulant_spectrum(lamperti_acf_fbm(np.arange(2049), 2048, hurst))
+        lamperti = circulant_spectrum(lamperti_acf("fbm", np.arange(2049), 2048, hurst))
         fgn = circulant_spectrum(fgn_acf(np.arange(256), 256, hurst))
         for sampler, spec in [
             (lamperti_sampler("fbm", hurst, GridSpec(2048)), lamperti),
@@ -317,9 +323,9 @@ def _full_hermitian_draw(eigenvalues):
 # stationary rows: fGn has n lags, the Lamperti sequence n + 1
 CIRCULANT_ROWS = {
     **{f"fgn-{n}-{h}": fgn_acf(np.arange(n), n, h) for n in (2, 3, 16, 256, 1024) for h in (0.3, 0.8)},
-    **{f"lamperti-fbm-256-{h}": lamperti_acf_fbm(np.arange(257), 256, h) for h in (0.3, 0.8)},
+    **{f"lamperti-fbm-256-{h}": lamperti_acf("fbm", np.arange(257), 256, h) for h in (0.3, 0.8)},
     **{
-        f"lamperti-sfbm-{n}-{h}": lamperti_acf_sfbm(np.arange(n + 1), n, h)
+        f"lamperti-sfbm-{n}-{h}": lamperti_acf("sfbm", np.arange(n + 1), n, h)
         for n, h in ((64, 0.99), (256, 0.8))
     },
 }
@@ -411,7 +417,7 @@ class TestCirculantMap:
     def test_lamperti_fbm_live_slot_count(self, hurst, k):
         # the live slots of lamperti fBm's circulant at n = 256; below the cutover
         # its sampler draws one normal per distinct grid-map node, 126 here
-        spec = circulant_spectrum(lamperti_acf_fbm(np.arange(257), 256, hurst))
+        spec = circulant_spectrum(lamperti_acf("fbm", np.arange(257), 256, hurst))
         assert _circulant_draw(spec)[0] == k and spec.m == 512
         assert lamperti_sampler("fbm", hurst, GridSpec(256)).k == 126
 
