@@ -344,6 +344,44 @@ class TestWriters:
                         _reference_json, batch, self.META
                     ), (process, method, n)
 
+    @pytest.mark.parametrize(
+        "chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)], ids=["C-1", "C", "C+1", "2C+3"]
+    )
+    def test_chunk_boundaries_match_reference(self, chunks, extra):
+        from selfsim.cli import _CHUNK, _write_csv, _write_json
+
+        n = chunks * _CHUNK + extra
+        batch = generate_batch(davies_harte_sampler(GridSpec(n), 0.7), 3, 17)
+        assert _rendered(_write_csv, batch) == _rendered(_reference_csv, batch)
+        assert _rendered(_write_json, batch, self.META) == _rendered(
+            _reference_json, batch, self.META
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_write_exceeds_a_chunk(self, fmt):
+        # A float's shortest repr has at most 24 characters. So a CSV cell of path
+        # 0 ("\n0,", the t repr, ",", the value repr) has at most 52, and a JSON
+        # value (",\n      " and its repr) at most 32; 64 more cover a path's head.
+        from selfsim.cli import _CHUNK, _write_csv, _write_json
+
+        sizes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                sizes.append(len(text))
+                return super().write(text)
+
+        batch = generate_batch(davies_harte_sampler(GridSpec(3 * _CHUNK + 1), 0.7), 1, 17)
+        stream = Recorder()
+        if fmt == "csv":
+            _write_csv(batch, stream)
+            bound, reference = 52 * _CHUNK + 64, _rendered(_reference_csv, batch)
+        else:
+            _write_json(batch, self.META, stream)
+            bound, reference = 32 * _CHUNK + 64, _rendered(_reference_json, batch, self.META)
+        assert stream.getvalue() == reference
+        assert max(sizes) <= bound < len(reference) // 2
+
     def test_edge_reprs_match_reference(self):
         from selfsim.cli import _write_csv, _write_json
         from selfsim.core import GridSpec, ReplicateBatch
@@ -567,14 +605,17 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
 def test_closed_pipe_exits_quietly():
     # the reader takes one line of about 2 MB and closes the pipe: the command
     # drops the rest and returns its own code, with no traceback, on standard
-    # output and where --out names the pipe
-    argv = [sys.executable, "-m", "selfsim.cli", "simulate", "--n", "4096", "--paths", "20"]
-    for out in ([], ["--out", "/dev/stdout"]):
-        with subprocess.Popen(argv + out, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-            assert proc.stdout.readline() == b"path_id,t,value\n"
-            proc.stdout.close()
-            assert proc.wait(timeout=60) == 0, out
-            assert proc.stderr.read() == b"", out
+    # output and where --out names the pipe; the pipe closes between paths, or
+    # inside one path that spans several chunks
+    simulate = [sys.executable, "-m", "selfsim.cli", "simulate"]
+    for size in (["--n", "4096", "--paths", "20"], ["--n", "50000", "--paths", "1"]):
+        for out in ([], ["--out", "/dev/stdout"]):
+            argv = simulate + size + out
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                assert proc.stdout.readline() == b"path_id,t,value\n"
+                proc.stdout.close()
+                assert proc.wait(timeout=60) == 0, argv
+                assert proc.stderr.read() == b"", argv
 
 
 class TestOutputFile:
@@ -626,6 +667,15 @@ class TestOutputFile:
         out.write_text("kept\n")
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
         assert out.read_text() == "kept\n"
+
+    def test_out_file_names_its_encoding(self, tmp_path):
+        # a file opened in the locale's default encoding raises EncodingWarning here
+        out = tmp_path / "x.csv"
+        argv = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+        argv += ["-m", "selfsim.cli", "simulate", "--out", str(out)]
+        result = subprocess.run(argv, capture_output=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert out.read_bytes().startswith(b"path_id,t,value\n0,0.0,0.0\n")
 
     def test_shorter_output_replaces_existing_file(self, tmp_path):
         fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
