@@ -18,6 +18,7 @@ from .core import (
     RngStream,
     SamplePath,
     generate_batch,
+    generate_blocks,
 )
 from .covmodels import (
     fbm_cov,

@@ -36,6 +36,7 @@ from .core import (
     ParameterError,
     ReplicateBatch,
     generate_batch,
+    generate_blocks,
 )
 from .lamperti import lamperti_sampler
 from .samplers import (
@@ -293,7 +294,10 @@ def cmd_verify(o: argparse.Namespace) -> int:
         else:
             methods = (o.method, o.baseline) if o.suite == "equivalence" else (o.method,)
             samplers = [_build_sampler(o, method, o.n[0]) for method in methods]
-            batches = [generate_batch(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
+            # marginals merges each block's moments, so it takes the blocks one at a
+            # time and never holds the (paths, n) array
+            draw = generate_blocks if o.suite == "marginals" else generate_batch
+            batches = [draw(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
             report = BATCH_CHECKS[o.suite](*batches)
         stream.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return EXIT_OK if report.verdict else EXIT_VERDICT

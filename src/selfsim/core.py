@@ -5,14 +5,15 @@ All samplers in this package are deterministic functions of their parameters
 and an :class:`RngStream`. Streams are counter-based (Philox), so replicate i
 of a batch can be generated in any order, on any worker, and always yields the
 same path. Every built-in sampler is a :class:`LinearSampler` x = A z whose
-cached builder computes the map A once, and `generate_batch` draws a block of
-paths at a time through it into one (count, n) array.
+cached builder computes the map A once. One loop draws a block of paths at a
+time through it: `generate_blocks` yields each block as a `ReplicateBatch`, and
+`generate_batch` copies the blocks into one (count, n) array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -25,6 +26,7 @@ __all__ = [
     "RngStream",
     "LinearSampler",
     "ReplicateBatch",
+    "generate_blocks",
     "generate_batch",
 ]
 
@@ -37,8 +39,8 @@ _MASK64 = (1 << 64) - 1
 # intp, and the circulant embedding of n points takes 2n floats, 16 bytes a point.
 _MAX_GRID = np.iinfo(np.intp).max // 16
 
-# The normals (or floats) one block of a batch's work holds: `generate_batch`'s block
-# of normals, and the row blocks of the marginal variance.
+# The normals (or floats) one block of a batch's work holds: a drawn block's normals,
+# and the row blocks of the marginal variance's moments.
 _BLOCK_NORMALS = 2**14
 
 
@@ -142,8 +144,8 @@ class LinearSampler:
 
     @property
     def _block_rows(self) -> int:
-        """Rows per block of `generate_batch`: `_BLOCK_NORMALS` normals, or a multiple of
-        the GEMM height."""
+        """Rows per drawn block: `_BLOCK_NORMALS` normals, or a multiple of the GEMM
+        height."""
         height = getattr(self.draw, "gemm_rows", 1)
         return max(height, _BLOCK_NORMALS // self.k // height * height)
 
@@ -191,6 +193,67 @@ class ReplicateBatch:
         return self.grid.n
 
 
+def _draw(sampler: LinearSampler, count: int, base_seed: int, stream_ids):
+    """Check a request for `count` paths of `sampler`, then return its masked seed, its
+    stream ids (None for 0 .. count - 1) and the generator of its blocks.
+
+    The generator is the one draw loop: it yields (start, ids, values) for each
+    block of `sampler._block_rows` rows, the ids made one block at a time. The
+    blocks' one Philox is re-keyed to each stream from a plain-int `_philox_state`,
+    so the row of stream i holds the bits of sampler(RngStream(base_seed, i)).values.
+    """
+    if not isinstance(sampler, LinearSampler):
+        raise TypeError(f"paths are drawn by a LinearSampler, not {type(sampler).__name__}")
+    if count < 1:
+        raise ParameterError("replicate count must be positive")
+    if count > np.iinfo(np.intp).max // 8 // sampler.grid.n:
+        raise ParameterError(f"a ({count}, {sampler.grid.n}) batch exceeds the largest array")
+    ids = None if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
+    if ids is not None and len(ids) != count:
+        raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
+    seed = base_seed & _MASK64
+
+    def blocks():
+        bits = Philox(0)
+        normal = Generator(bits).standard_normal
+        state = _philox_state(seed, 0)
+        key = state["state"]["key"]
+        z = np.empty((sampler._block_rows, sampler.k))
+        for start in range(0, count, len(z)):
+            block = range(start, min(count, start + len(z)))
+            block = block if ids is None else ids[start : block.stop]
+            for row, stream_id in zip(z, block):
+                key[1] = stream_id
+                bits.state = state
+                normal(out=row)
+            yield start, block, sampler.draw(z[: len(block)])
+
+    return seed, ids, blocks()
+
+
+def generate_blocks(
+    sampler: LinearSampler,
+    count: int,
+    base_seed: int,
+    stream_ids: Sequence[int] | None = None,
+) -> Iterator[ReplicateBatch]:
+    """The paths of `generate_batch(sampler, count, base_seed, stream_ids)` as
+    consecutive `ReplicateBatch` blocks of `sampler._block_rows` rows (the last one
+    shorter), each with the bits of its rows of that batch.
+
+    The request is checked at the call, before anything is drawn; each block is
+    drawn when it is asked for, so a consumer that drops each block holds one.
+    """
+    seed, _, blocks = _draw(sampler, count, base_seed, stream_ids)
+    return (
+        ReplicateBatch(
+            sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
+            seed, tuple(ids), dict(sampler.info),
+        )
+        for _, ids, values in blocks
+    )
+
+
 def generate_batch(
     sampler: LinearSampler,
     count: int,
@@ -200,36 +263,15 @@ def generate_batch(
     """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]).
 
     The result is independent of generation order because stream i is fully
-    determined by (base_seed, i). The paths are drawn in blocks of
-    `sampler._block_rows` rows: the batch's one Philox is re-keyed to each
-    stream from a plain-int `_philox_state`, so row i holds the bits of
-    RngStream(base_seed, i).normals(k), and equals
+    determined by (base_seed, i). The blocks of `generate_blocks`' loop are copied
+    into one (count, n) array, which is checked once: row i equals
     sampler(RngStream(base_seed, i)).values.
     """
-    if not isinstance(sampler, LinearSampler):
-        raise TypeError(f"generate_batch takes a LinearSampler, not {type(sampler).__name__}")
-    if count < 1:
-        raise ParameterError("replicate count must be positive")
-    if count > np.iinfo(np.intp).max // 8 // sampler.grid.n:
-        raise ParameterError(f"a ({count}, {sampler.grid.n}) batch exceeds the largest array")
-    ids = tuple(range(count)) if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
-    if len(ids) != count:
-        raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
-    seed = base_seed & _MASK64
-    bits = Philox(0)
-    normal = Generator(bits).standard_normal
-    state = _philox_state(seed, 0)
-    key = state["state"]["key"]
-    z = np.empty((sampler._block_rows, sampler.k))
+    seed, ids, blocks = _draw(sampler, count, base_seed, stream_ids)
     values = np.empty((count, sampler.grid.n))
-    for start in range(0, count, len(z)):
-        block = ids[start : start + len(z)]
-        for row, stream_id in zip(z, block):
-            key[1] = stream_id
-            bits.state = state
-            normal(out=row)
-        values[start : start + len(block)] = sampler.draw(z[: len(block)])
+    for start, block, rows in blocks:
+        values[start : start + len(block)] = rows
     return ReplicateBatch(
         sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
-        seed, ids, dict(sampler.info),
+        seed, ids or tuple(range(count)), dict(sampler.info),
     )

@@ -147,42 +147,62 @@ def covariance_match(batch: ReplicateBatch) -> VerificationReport:
     return _band_report("covariance-match", batch, deviation, detail)
 
 
-def _node_variance(values: np.ndarray) -> np.ndarray:
-    """`values.var(axis=0, ddof=1)` with its bits, in row blocks of `core._BLOCK_NORMALS`
-    floats. For n >= 2 numpy sums the squares down axis 0 one row at a time, and row 0
-    of `buf` carries that sum from block to block; one column it sums pairwise, so n = 1
-    keeps var."""
-    m, n = values.shape
-    if n == 1:
-        return values.var(axis=0, ddof=1)
-    mean = values.sum(axis=0) / m
-    rows = max(1, core._BLOCK_NORMALS // n)
-    buf = np.zeros((rows + 1, n))
-    for start in range(0, m, rows):
-        block = values[start : start + rows]
-        squares = buf[1 : len(block) + 1]
-        np.subtract(block, mean, out=squares)
-        np.multiply(squares, squares, out=squares)
-        np.add.reduce(buf[: len(block) + 1], axis=0, out=buf[0])
-    return buf[0] / (m - 1)
+def _node_moments(blocks) -> tuple[ReplicateBatch | None, int, np.ndarray | None]:
+    """The first of `blocks`, their total row count and each node's sum of squared
+    deviations M2, with no block kept.
 
-
-def marginal_variance_profile(batch: ReplicateBatch) -> VerificationReport:
-    """Empirical per-node variance against the exact marginal profile c(t, t) of the
-    law the batch names (`_target`).
-
-    Returns a VerificationReport whose details carry one record per node
-    with the estimate, target, and standard error Var * sqrt(2/M); a sample
-    variance needs at least 2 replicates. Passes iff no node deviates by more
-    than `DEFAULT_TOL_MULTIPLIER` standard errors.
+    (count, mean, M2) is merged over row blocks of at most `core._BLOCK_NORMALS`
+    floats by the pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37:242,
+    1983). A row block's M2 is `np.var`'s two-pass sum, so rows that fit in one
+    row block keep `values.var(axis=0, ddof=1)`'s bits. The merged means are taken
+    relative to the first row block's mean, each corrected by its block's sum of
+    residuals, so a mean far from zero costs no accuracy. A block of another grid,
+    method, process or hurst than the first is refused.
     """
-    t = batch.grid.times()
-    target = _target(batch, t, t)
-    values = batch.values
-    m, n = values.shape
+    first, m, m2 = None, 0, None
+    for block in blocks:
+        law = (block.process, block.method, block.hurst, block.n)
+        if first is None:
+            first, first_law, shift = block, law, None
+            rows = max(1, core._BLOCK_NORMALS // block.n)
+            buf, mean, m2 = np.empty((rows, block.n)), np.zeros(block.n), np.zeros(block.n)
+        elif law != first_law:
+            raise ParameterError(
+                f"a block of (process, method, hurst, n) = {law} in a check of {first_law}"
+            )
+        for start in range(0, block.count, rows):
+            chunk = block.values[start : start + rows]
+            k = len(chunk)
+            mean_k = chunk.sum(axis=0) / k
+            if shift is None:
+                shift = mean_k
+            y = np.subtract(chunk, mean_k, out=buf[:k])
+            delta = (mean_k - shift) + y.sum(axis=0) / k - mean
+            y *= y
+            mean += delta * (k / (m + k))
+            m2 += y.sum(axis=0) + delta * delta * (m * k / (m + k))
+            m += k
+    return first, m, m2
+
+
+def marginal_variance_profile(batch) -> VerificationReport:
+    """Empirical per-node variance of a batch, or of the blocks of one law that an
+    iterable such as `core.generate_blocks` yields, against the exact marginal
+    profile c(t, t) of the law they name (`_target`).
+
+    The variance merges the moments of row blocks (`_node_moments`), so blocks
+    drawn one at a time are judged without their (count, n) batch. Returns a
+    VerificationReport whose details carry one record per node with the
+    estimate, target, and standard error Var * sqrt(2/M), M the total row count;
+    a sample variance needs at least 2 replicates. Passes iff no node deviates
+    by more than `DEFAULT_TOL_MULTIPLIER` standard errors.
+    """
+    first, m, m2 = _node_moments([batch] if isinstance(batch, ReplicateBatch) else batch)
     if m < 2:
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
-    estimate = _node_variance(values)
+    t = first.grid.times()
+    target = _target(first, t, t)
+    estimate = m2 / (m - 1)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se
     details = [
@@ -194,12 +214,13 @@ def marginal_variance_profile(batch: ReplicateBatch) -> VerificationReport:
             "se": float(se[j]),
             "deviation_se": float(deviation[j]),
         }
-        for j in range(n)
+        for j in range(first.n)
     ]
     worst = float(deviation.max())
     tolerance = DEFAULT_TOL_MULTIPLIER
     return VerificationReport.of(
-        "marginal-variance", batch, bool(worst <= tolerance), worst, tolerance, details
+        "marginal-variance", first, bool(worst <= tolerance), worst, tolerance, details,
+        m_replicates=m,
     )
 
 

@@ -46,7 +46,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        lines = out.read_text().splitlines()
+        lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "path_id,t,value"
         assert len(lines) == 1 + 1025  # header + t=0 row + 1024 nodes
         assert lines[1] == "0,0.0,0.0"
@@ -94,7 +94,7 @@ class TestSimulate:
                 str(out),
             ]
         )
-        with open(out) as fh:
+        with open(out, encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         parsed = np.array([float(r["value"]) for r in rows[1:]])
         expected = davies_harte_fbm(GridSpec(64), 0.6, RngStream(11, 0)).values
@@ -124,7 +124,7 @@ class TestSimulate:
             ]
         )
         assert code == 0
-        payload = json.loads(out.read_text())
+        payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["meta"]["process"] == "sfbm"
         assert "artifact_version" in payload["meta"]
         assert len(payload["paths"]) == 2
@@ -137,11 +137,11 @@ class TestSimulate:
         out = tmp_path / "p.json"
         argv = "simulate --process fbm --method lamperti --hurst 0.8 --format json --n"
         assert run([*argv.split(), "2048", "--out", str(out)]) == 0
-        meta = json.loads(out.read_text())["meta"]
+        meta = json.loads(out.read_text(encoding="utf-8"))["meta"]
         assert meta["embedding_size"] == 4096 and "clamped_count" not in meta
         assert meta["clamped_mass"] == pytest.approx(6.9220e-5, rel=1e-4)
         assert run([*argv.split(), "256", "--out", str(out)]) == 0
-        meta = json.loads(out.read_text())["meta"]
+        meta = json.loads(out.read_text(encoding="utf-8"))["meta"]
         assert meta["jitter"] == 0.0
         assert not {"clamped_mass", "embedding_size", "clamped_count"} & set(meta)
 
@@ -167,7 +167,7 @@ class TestSimulate:
             assert err == "error: lamperti method needs a grid of n >= 2 points, got n = 1\n"
             assert not out.exists()
         else:
-            assert err == "" and len(out.read_text().splitlines()) == 1 + 3 * 2
+            assert err == "" and len(out.read_text(encoding="utf-8").splitlines()) == 1 + 3 * 2
 
     def test_invalid_combination_exits_2(self):
         assert (
@@ -229,7 +229,7 @@ class TestSimulate:
             argv = ["simulate", "--process", process, "--method", method, "--hurst", str(hurst)]
             argv += ["--n", str(n), "--paths", str(count), "--seed", str(seed), "--out", str(out)]
             assert run(argv) == 0
-            with open(out) as fh:
+            with open(out, encoding="utf-8") as fh:
                 rows = list(csv.DictReader(fh))
             values = np.array([float(r["value"]) for r in rows]).reshape(count, n + 1)
             for i in range(count):
@@ -269,7 +269,7 @@ class TestSimulate:
 
     def test_config_file_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("method = davies-harte\nn = 16\nhurst = 0.7\nseed = 9\n")
+        cfg.write_text("method = davies-harte\nn = 16\nhurst = 0.7\nseed = 9\n", encoding="utf-8")
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
         # flag overrides the config's hurst
@@ -549,7 +549,10 @@ MALFORMED = [
 def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
     if config is not None:
         cfg = tmp_path / "run.cfg"
-        (cfg.write_bytes if isinstance(config, bytes) else cfg.write_text)(config)
+        if isinstance(config, bytes):
+            cfg.write_bytes(config)
+        else:
+            cfg.write_text(config, encoding="utf-8")
         argv = argv + ["--config", str(cfg)]
     if "--out" not in argv:
         argv = argv + ["--out", str(tmp_path / "out")]
@@ -587,7 +590,10 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path):
     # `main` reuses one parser: each call in a sequence writes what the same
     # command writes alone, in a fresh interpreter
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("process = sfbm\nmethod = cholesky\nhurst = 0.3\nn = 24\npaths = 2\nformat = json")
+    cfg.write_text(
+        "process = sfbm\nmethod = cholesky\nhurst = 0.3\nn = 24\npaths = 2\nformat = json",
+        encoding="utf-8",
+    )
     commands = [
         "simulate --format json --paths 3 --process fbm --method lamperti --hurst 0.8 --n 32",
         "simulate",
@@ -664,9 +670,9 @@ class TestOutputFile:
         out = tmp_path / "x.csv"
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
         assert not out.exists()
-        out.write_text("kept\n")
+        out.write_text("kept\n", encoding="utf-8")
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
-        assert out.read_text() == "kept\n"
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
     def test_out_file_names_its_encoding(self, tmp_path):
         # a file opened in the locale's default encoding raises EncodingWarning here
@@ -679,7 +685,7 @@ class TestOutputFile:
 
     def test_shorter_output_replaces_existing_file(self, tmp_path):
         fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
-        reused.write_text("x" * 100_000)
+        reused.write_text("x" * 100_000, encoding="utf-8")
         for out in (fresh, reused):
             assert run(["simulate", "--n", "16", "--paths", "2", "--out", str(out)]) == 0
         assert reused.read_bytes() == fresh.read_bytes()
@@ -702,7 +708,7 @@ class TestVerifyCommand:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["verdict"] == "pass"
 
     def test_marginals_suite(self, tmp_path):
@@ -729,7 +735,7 @@ class TestVerifyCommand:
             ]
         )
         assert code == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["check"] == "marginal-variance"
         assert report["verdict"] == "pass"
 
@@ -737,7 +743,7 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = "verify --suite marginals --method davies-harte --n 1 --paths 300 --seed 3"
         assert run([*argv.split(), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["n"] == 1 and report["details"][0]["target"] == 1.0
 
     def test_bm_covariance_report_names_bm(self, tmp_path):
@@ -745,7 +751,7 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = "verify --suite covariance --process bm --method bm-cumsum --n 16 --paths 500"
         assert run([*argv.split(), "--seed", "11", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["check"] == "covariance-match"
         assert (report["process"], report["hurst"]) == ("bm", 0.5)
 
@@ -780,7 +786,7 @@ class TestVerifyCommand:
         # every residual of grid_map(2) is 0, so a(2) = 0 and a does not decrease
         out = tmp_path / "report.json"
         assert run(["verify", "--suite", "error-bound", "--n", "2,4", "--out", str(out)]) == 1
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["details"][0]["a"] == 0.0
         assert report["verdict"] == "fail"
 
@@ -790,7 +796,7 @@ class TestVerifyCommand:
         argv = ["verify", "--suite", "error-bound", "--hurst", "0.7", "--n", sizes]
         assert run([*argv, "--out", str(out)]) == code
         report = error_bound_check([int(n) for n in sizes.split(",")], 0.7)
-        assert json.loads(out.read_text()) == report.to_dict()
+        assert json.loads(out.read_text(encoding="utf-8")) == report.to_dict()
 
     @pytest.mark.parametrize(
         "argv",
@@ -805,7 +811,7 @@ class TestVerifyCommand:
     def test_every_suite_writes_one_report(self, argv, tmp_path):
         out = tmp_path / "report.json"
         code = run(["verify", *argv.split(), "--seed", "5", "--out", str(out)])
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert isinstance(report, dict)
         assert code == (0 if report["verdict"] == "pass" else 1)
 
@@ -816,7 +822,7 @@ class TestVerifyCommand:
         out = tmp_path / "report.json"
         argv = ["verify", "--suite", "normality", "--n", str(n), "--paths", "1000"]
         code = run([*argv, "--seed", "5", "--out", str(out)])
-        report = json.loads(out.read_text())
+        report = json.loads(out.read_text(encoding="utf-8"))
         assert report["check"] == "normality"
         assert [d["node"] for d in report["details"]] == nodes
         batch = generate_batch(davies_harte_sampler(GridSpec(n), 0.5), 1000, 5)
@@ -829,7 +835,7 @@ class TestVerifyCommand:
     def test_report_layout_is_indented_json(self, tmp_path):
         out = tmp_path / "report.json"
         assert run(["verify", "--suite", "error-bound", "--n", "64,256", "--out", str(out)]) == 0
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
@@ -854,7 +860,7 @@ class TestBench:
             ]
         )
         assert code == 0
-        rows = json.loads(out.read_text())
+        rows = json.loads(out.read_text(encoding="utf-8"))
         assert len(rows) == 4
         assert all(r["seconds_per_path"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]

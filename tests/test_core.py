@@ -15,8 +15,10 @@ from selfsim.core import (
     _BLOCK_NORMALS,
     _philox_state,
     generate_batch,
+    generate_blocks,
 )
-from selfsim.samplers import bm_sampler
+from selfsim.lamperti import lamperti_sampler
+from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler, ma_sampler
 
 
 class TestGridSpec:
@@ -189,6 +191,72 @@ def test_batch_constructs_one_philox(monkeypatch):
     assert len(built) == 1
     for stream_id, row in enumerate(batch.values):
         assert same_bits(row, sampler(RngStream(11, stream_id)).values)
+
+
+def assert_blocks_are_the_batch(sampler, count, stream_ids=None):
+    """The blocks of `generate_blocks` are the rows of `generate_batch`, bit for bit,
+    in blocks of `sampler._block_rows` rows with the batch's fields."""
+    batch = generate_batch(sampler, count, 5, stream_ids=stream_ids)
+    blocks = list(generate_blocks(sampler, count, 5, stream_ids=stream_ids))
+    sizes = [block.count for block in blocks]
+    rows = sampler._block_rows
+    assert sizes == [rows] * (count // rows) + ([count % rows] if count % rows else [])
+    assert same_bits(np.concatenate([block.values for block in blocks]), batch.values)
+    assert sum((block.stream_ids for block in blocks), ()) == batch.stream_ids
+    fields = ("grid", "method", "process", "hurst", "seed", "info")
+    for block in blocks:
+        assert [getattr(block, f) for f in fields] == [getattr(batch, f) for f in fields]
+        assert block.info is not sampler.info
+
+
+class TestGenerateBlocks:
+    SAMPLERS = {
+        "bm-cumsum": lambda: bm_sampler(GridSpec(16)),
+        "cholesky": lambda: cholesky_sampler("sfbm", 0.7, GridSpec(64)),
+        "davies-harte": lambda: davies_harte_sampler(GridSpec(256), 0.3),
+        "ma-truncated": lambda: ma_sampler(GridSpec(16), 0.7, truncation=2, substeps=2),
+        # n = 256 draws through the dense node factor, n = 300 through the circulant
+        "lamperti-dense": lambda: lamperti_sampler("fbm", 0.8, GridSpec(256)),
+        "lamperti-circulant": lambda: lamperti_sampler("fbm", 0.8, GridSpec(300)),
+    }
+
+    @pytest.mark.parametrize("method", SAMPLERS)
+    def test_blocks_are_the_batch(self, method):
+        sampler = self.SAMPLERS[method]()
+        rows = sampler._block_rows
+        for count in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            assert_blocks_are_the_batch(sampler, count)
+            ids = [2**64 - 1 - 3 * i for i in range(count)]
+            assert_blocks_are_the_batch(sampler, count, stream_ids=ids)
+
+    def test_request_checked_at_the_call(self):
+        def draw(z):
+            raise AssertionError("drawn for a refused request")
+
+        sampler = LinearSampler(GridSpec(16), "identity", "bm", 0.5, 16, draw, {})
+        with pytest.raises(ParameterError, match="positive"):
+            generate_blocks(sampler, 0, 1)
+        with pytest.raises(ParameterError, match="largest array"):
+            generate_blocks(sampler, 2**62, 1)
+        with pytest.raises(ValueError, match="stream_ids"):
+            generate_blocks(sampler, 3, 1, stream_ids=[0, 1])
+        with pytest.raises(TypeError, match="LinearSampler"):
+            generate_blocks(lambda rng: None, 3, 1)
+
+    def test_blocks_are_drawn_when_asked(self):
+        drawn = []
+
+        def draw(z):
+            drawn.append(len(z))
+            return z
+
+        sampler = LinearSampler(
+            GridSpec(_BLOCK_NORMALS), "identity", "bm", 0.5, _BLOCK_NORMALS, draw, {}
+        )
+        blocks = generate_blocks(sampler, 3, 1)  # one row a block
+        assert drawn == []
+        next(blocks)
+        assert drawn == [1]
 
 
 class TestReplicateBatch:

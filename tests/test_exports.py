@@ -40,7 +40,7 @@ def test_every_listed_name_resolves():
 def test_benchmark_imports_resolve():
     # the benchmark's bit gate checks simulate output against public samplers:
     # deleting one would pass this suite and break only the benchmark
-    tree = ast.parse((ROOT / "perfbench" / "gates.py").read_text())
+    tree = ast.parse((ROOT / "perfbench" / "gates.py").read_text(encoding="utf-8"))
     imported = [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -54,7 +54,7 @@ def test_benchmark_imports_resolve():
 
 def _package_imports(name: str) -> set:
     """The selfsim modules that src/selfsim/<name>.py imports, relatively or not."""
-    tree = ast.parse((ROOT / "src" / "selfsim" / f"{name}.py").read_text())
+    tree = ast.parse((ROOT / "src" / "selfsim" / f"{name}.py").read_text(encoding="utf-8"))
     dotted = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -98,5 +98,7 @@ def test_import_loads_numpy_alone():
         "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
         "print('numpy.random' in sys.modules, 'numpy.fft' in sys.modules)"
     )
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, encoding="utf-8"
+    )
     assert result.stdout.split("\n")[:2] == ["[]", "True True"], result.stderr

@@ -8,12 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from selfsim import cli
 from selfsim.core import (
     _BLOCK_NORMALS,
     GridSpec,
     ParameterError,
+    ReplicateBatch,
     RngStream,
     generate_batch,
+    generate_blocks,
 )
 from selfsim.covmodels import _COVARIANCES, lamperti_acf
 from selfsim.lamperti import (
@@ -23,7 +26,8 @@ from selfsim.lamperti import (
     lamperti_sampler,
     simulate_lamperti,
 )
-from selfsim.verify import _node_variance, error_bound_check, marginal_variance_profile
+from selfsim.samplers import cholesky_sampler
+from selfsim.verify import _node_moments, error_bound_check, marginal_variance_profile
 
 
 class TestGridMap:
@@ -178,33 +182,122 @@ class TestVarianceProfile:
         assert not marginal_variance_profile(batch).verdict
 
 
+class TestBlocks:
+    """The marginals check takes the blocks of `generate_blocks` one at a time."""
+
+    @pytest.mark.parametrize("process, hurst", [("fbm", 0.8), ("sfbm", 0.3)])
+    def test_blocks_and_batch_give_one_report(self, process, hurst):
+        sampler = lamperti_sampler(process, hurst, GridSpec(64))
+        whole = marginal_variance_profile(generate_batch(sampler, 3_000, 17))
+        streamed = marginal_variance_profile(generate_blocks(sampler, 3_000, 17))
+        assert (streamed.verdict, streamed.m_replicates) == (whole.verdict, 3_000)
+        assert streamed.to_dict().keys() == whole.to_dict().keys()
+        for a, b in zip(streamed.details, whole.details):
+            assert a["estimate"] == pytest.approx(b["estimate"], rel=1e-13)
+            assert (a["node"], a["target"], a["se"]) == (b["node"], b["target"], b["se"])
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda: lamperti_sampler("sfbm", 0.8, GridSpec(64)),
+            lambda: lamperti_sampler("fbm", 0.7, GridSpec(64)),
+            lambda: lamperti_sampler("fbm", 0.8, GridSpec(32)),
+            lambda: cholesky_sampler("fbm", 0.8, GridSpec(64)),
+        ],
+        ids=["process", "hurst", "grid", "method"],
+    )
+    def test_blocks_of_mixed_laws_rejected(self, other):
+        first = generate_batch(lamperti_sampler("fbm", 0.8, GridSpec(64)), 10, 1)
+        with pytest.raises(ParameterError, match="a block of"):
+            marginal_variance_profile([first, generate_batch(other(), 10, 2)])
+
+    @pytest.mark.parametrize("blocks", [[], "one row"], ids=["none", "one-row"])
+    def test_fewer_than_two_rows_rejected(self, blocks):
+        if blocks:
+            blocks = generate_blocks(lamperti_sampler("fbm", 0.8, GridSpec(64)), 1, 1)
+        with pytest.raises(ParameterError, match="at least 2 replicates"):
+            marginal_variance_profile(blocks)
+
+
+def exact_variance(values: np.ndarray) -> np.ndarray:
+    """Each column's sample variance by a corrected two-pass sum in `math.fsum`:
+    sum (x - mu)^2 - (sum (x - mu))^2 / m, so the rounding of mu cancels."""
+    m = values.shape[0]
+    out = []
+    for column in values.T.tolist():
+        mu = math.fsum(column) / m
+        residuals = [x - mu for x in column]
+        m2 = math.fsum(r * r for r in residuals) - math.fsum(residuals) ** 2 / m
+        out.append(m2 / (m - 1))
+    return np.array(out)
+
+
+def merged_variance(values: np.ndarray) -> np.ndarray:
+    """Each column's sample variance from the merged moments of `_node_moments`."""
+    m, n = values.shape
+    batch = ReplicateBatch(GridSpec(n), values, "x", "bm", 0.5, 0, tuple(range(m)))
+    _, count, m2 = _node_moments([batch])
+    return m2 / (count - 1)
+
+
 class TestNodeVariance:
-    """The row-blocked variance has the bits of values.var(axis=0, ddof=1)."""
+    """Rows that fit in one row block keep the bits of values.var(axis=0, ddof=1):
+    a row block's M2 is numpy's own two-pass sum, and nothing is merged into it."""
 
     @staticmethod
     def cases():
         for n in (2, 3, 256, 32_768):
             rows = max(1, _BLOCK_NORMALS // n)
             counts = {2, 3, rows - 1, rows, rows + 1, 4_000}
-            # 4 000 rows of 32 768 would be a 1 GB array
-            yield from ((n, m) for m in sorted(counts) if m >= 2 and m * n <= 2**21)
+            # more rows than one row block merge, which TestNodeMoments covers
+            yield from ((n, m) for m in sorted(counts) if 2 <= m <= rows)
 
     @pytest.mark.parametrize("n, m", list(cases()))
     def test_bits_match_numpy_var(self, n, m):
         values = np.random.default_rng(n + m).standard_normal((m, n)) * 3.0 + 1.7
         expected = values.var(axis=0, ddof=1)
-        assert np.array_equal(_node_variance(values).view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(merged_variance(values).view(np.uint64), expected.view(np.uint64))
 
     def test_single_column_is_numpy_var(self):
-        # numpy sums one column pairwise, which row blocks would not reproduce
+        # numpy sums one column pairwise, and so does a row block's sum down axis 0
         values = np.random.default_rng(1).standard_normal((4_000, 1)) + 1.7
         expected = values.var(axis=0, ddof=1)
-        assert np.array_equal(_node_variance(values).view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(merged_variance(values).view(np.uint64), expected.view(np.uint64))
+
+
+class TestNodeMoments:
+    """The merged moments give each node's sample variance to rounding level."""
+
+    @staticmethod
+    def cases():
+        for n in (1, 2, 3, 256, 32_768):
+            rows = max(1, _BLOCK_NORMALS // n)
+            counts = {2, 3, rows - 1, rows, rows + 1, 4_000}
+            # 4 000 rows of 32 768 would be a 1 GB array
+            yield from ((n, m) for m in sorted(counts) if m >= 2 and m * n <= 2**21)
+
+    # offset 1e4 at unit scale is a condition number of 1e8: without the shift by
+    # the first row block's mean, the same merge errs by up to 5e-10 there
+    @pytest.mark.parametrize("offset, scale", [(0.0, 1.0), (1.7, 3.0), (1e4, 1.0)])
+    @pytest.mark.parametrize("n, m", list(cases()))
+    def test_variance_matches_exact_sum(self, n, m, offset, scale):
+        values = np.random.default_rng(n + m).standard_normal((m, n)) * scale + offset
+        batch = ReplicateBatch(GridSpec(n), values, "x", "bm", 0.5, 0, tuple(range(m)))
+        first, count, m2 = _node_moments([batch])
+        exact = exact_variance(values)
+        # a row block of k rows is summed row by row: a random walk of k roundings,
+        # plus a few for the shift, the mean and the merge (observed: at most
+        # 5.8e-15, at n = 3 with 5 461-row blocks; 7.9e-16 at n = 256)
+        k = min(m, max(1, _BLOCK_NORMALS // n))
+        bound = (4 * math.sqrt(k) + 16) * 2.0**-53
+        assert (first, count) == (batch, m)
+        assert np.max(np.abs(m2 / (m - 1) - exact) / exact) <= bound
 
 
 class TestVerifyMemory:
-    """A marginals run holds one (count, n) array: the statistics and the batch
-    check take no temporary of its size (4 000 lamperti paths of 256 points)."""
+    """A marginals run holds one block at a time: the statistics take no temporary
+    of a batch's size, the batch check none of its size either, and the command's
+    peak does not grow with --paths (lamperti paths of 256 points)."""
 
     @staticmethod
     def traced_peak(call):
@@ -231,6 +324,17 @@ class TestVerifyMemory:
         sampler = lamperti_sampler("fbm", 0.8, GridSpec(256))
         result, peak = self.traced_peak(lambda: generate_batch(sampler, 4_000, 61))
         assert peak - result.values.nbytes < batch.values.nbytes / 4
+
+    def test_marginals_command_peak(self, tmp_path):
+        # 40 000 paths are an 81.9 MB batch; the command holds a block of it
+        paths, n = 40_000, 256
+        argv = (
+            "verify --suite marginals --process fbm --method lamperti --hurst 0.8 "
+            f"--n {n} --paths {paths} --out {tmp_path / 'report.json'}"
+        ).split()
+        code, peak = self.traced_peak(lambda: cli.main(argv))
+        assert code in (0, 1)
+        assert peak < paths * n * 8 / 16
 
 
 class TestErrorBoundDiagnostics:
