@@ -230,19 +230,21 @@ def _chunks(n: int, end: str) -> list[tuple[slice, str]]:
 def _write_csv(batch: ReplicateBatch, stream) -> None:
     """Rows path_id,t,value with the t = 0 row first; one write per chunk of a path.
 
-    Each "t," cell is formatted once per batch, as repr(j / n) of Python ints.
+    Each "t," cell is formatted once per batch, as repr(j / n) of Python ints, when
+    the first path reaches its chunk, and kept only while another path follows: a
+    one-path batch holds O(_CHUNK) of them, not n.
     """
-    n = batch.n
-    chunks = [
-        (part, [f"{j / n!r}," for j in range(1, n + 1)[part]], end)
-        for part, end in _chunks(n, "\n")
-    ]
+    n, last = batch.n, batch.count - 1
+    chunks = _chunks(n, "\n")
+    times = [None] * len(chunks)
     stream.write("path_id,t,value\n")
     for i, row in enumerate(batch.values):
         sep, head = f"\n{i},", f"{i},0.0,0.0"
-        for part, times, end in chunks:
-            cells = map(operator.add, times, map(repr, row[part].tolist()))
-            stream.write(f"{head}{sep}{sep.join(cells)}{end}")
+        for c, (part, end) in enumerate(chunks):
+            cells = times[c] or [f"{j / n!r}," for j in range(1, n + 1)[part]]
+            times[c] = cells if i < last else None
+            values = map(repr, row[part].tolist())
+            stream.write(f"{head}{sep}{sep.join(map(operator.add, cells, values))}{end}")
             head = ""
 
 
@@ -263,6 +265,35 @@ def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
             head = sep
         head = ",\n    [\n      0.0,\n      "
     stream.write("\n  ]\n}\n")
+
+
+# The details of a report as one list: its records' items and the records themselves
+# are joined by the separator that json.dumps(..., indent=2) puts between items.
+_RECORDS = json.JSONEncoder(separators=(",\n      ", ": "))
+_SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass takes json.dumps
+
+
+def _report_text(report: dict) -> str:
+    """The text of json.dumps(report, indent=2).
+
+    When every record of report["details"] is a nonempty dict of `_SCALARS`, the list
+    is one call of the C encoder (`_RECORDS`), not the pure-Python indent layout,
+    and one replace re-indents the record boundaries. A JSON string holds no raw
+    newline, so "}," then the separator and "{" only sit between records. Any other
+    report (empty details, an empty record, a record holding a list or dict) is
+    json.dumps(report, indent=2) itself.
+    """
+    details = report["details"]
+    flat = (
+        details
+        and all(type(record) is dict and record for record in details)
+        and {type(v) for record in details for v in record.values()} <= _SCALARS
+    )
+    if not flat:
+        return json.dumps(report, indent=2)
+    body = _RECORDS.encode(details)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
+    head = json.dumps({**report, "details": []}, indent=2)  # one top-level "details" key
+    return head.replace('\n  "details": []', f'\n  "details": [\n    {{\n      {body}\n    }}\n  ]')
 
 
 def cmd_simulate(o: argparse.Namespace) -> int:
@@ -299,7 +330,7 @@ def cmd_verify(o: argparse.Namespace) -> int:
             draw = generate_blocks if o.suite == "marginals" else generate_batch
             batches = [draw(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
             report = BATCH_CHECKS[o.suite](*batches)
-        stream.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        stream.write(_report_text(report.to_dict()) + "\n")
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 

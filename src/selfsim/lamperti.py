@@ -96,7 +96,7 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         row = acf(np.arange(grid.n + 1), grid.n, hurst)
         lower, jitter = _ladder_cholesky(row[np.abs(nodes[:, None] - nodes)])
         slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
-        draw = _dense_map(lower, lambda y: scale * np.take(y, slot, axis=1))
+        draw = _dense_map(lower, _gather(slot, scale))
         return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
     # autocovariance falls with the lag (fbm, n = 256, H = 0.95: 1 at lag 0,
@@ -106,8 +106,19 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # the minimal embedding instead (the nonnegative-definite part of the
     # circulant), which raises Var U by the spectrum's `clamped_mass`; the
     # docstring above gives its size.
-    finish = lambda y: scale * np.take(y, index, axis=1)
+    finish = _gather(index, scale)
     return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
+
+
+def _gather(columns: np.ndarray, scale: np.ndarray):
+    """y -> y[:, columns] * scale: the gather is a new array, scaled in place."""
+
+    def finish(y):
+        x = np.take(y, columns, axis=1)
+        x *= scale
+        return x
+
+    return finish
 
 
 def simulate_lamperti(

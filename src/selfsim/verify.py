@@ -205,16 +205,10 @@ def marginal_variance_profile(batch) -> VerificationReport:
     estimate = m2 / (m - 1)
     se = target * math.sqrt(2.0 / m)
     deviation = np.abs(estimate - target) / se
+    columns = zip(t.tolist(), estimate.tolist(), target.tolist(), se.tolist(), deviation.tolist())
     details = [
-        {
-            "node": int(j + 1),
-            "t": float(t[j]),
-            "estimate": float(estimate[j]),
-            "target": float(target[j]),
-            "se": float(se[j]),
-            "deviation_se": float(deviation[j]),
-        }
-        for j in range(first.n)
+        {"node": j, "t": t_j, "estimate": e, "target": c, "se": s, "deviation_se": d}
+        for j, (t_j, e, c, s, d) in enumerate(columns, start=1)
     ]
     worst = float(deviation.max())
     tolerance = DEFAULT_TOL_MULTIPLIER

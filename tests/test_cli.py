@@ -382,6 +382,29 @@ class TestWriters:
         assert stream.getvalue() == reference
         assert max(sizes) <= bound < len(reference) // 2
 
+    def test_one_path_csv_holds_a_chunk_of_t_cells(self):
+        # a one-path batch formats each chunk's "t," cells as it writes that chunk and
+        # keeps none, so the writer's peak does not grow with n (16 chunks against 2)
+        import tracemalloc
+
+        from selfsim.cli import _CHUNK, _write_csv
+        from selfsim.samplers import bm_sampler
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        peaks = []
+        for chunks in (2, 16):
+            batch = generate_batch(bm_sampler(GridSpec(chunks * _CHUNK)), 1, 3)
+            tracemalloc.start()
+            try:
+                _write_csv(batch, Sink())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
     def test_edge_reprs_match_reference(self):
         from selfsim.cli import _write_csv, _write_json
         from selfsim.core import GridSpec, ReplicateBatch
@@ -413,6 +436,51 @@ class TestWriters:
             meta = json.loads(text)["meta"]
             del meta["artifact_version"]
             assert text == _rendered(_reference_json, batch, meta)
+
+
+class TestReportText:
+    """`cli._report_text` is json.dumps(report, indent=2), whatever the details hold."""
+
+    HEAD = {
+        "check": "x",
+        "method": "lamperti",
+        "process": "fbm",
+        "hurst": 0.8,
+        "n": 2,
+        "m_replicates": 3,
+        "verdict": "pass",
+        "worst_deviation": 1.5,
+        "tolerance": 4.0,
+    }
+    DETAILS = {
+        "empty": [],
+        "empty-record": [{}],
+        "empty-record-last": [{"node": 1}, {}],
+        "list": [{"nodes": [1, 5, 9]}],
+        "dict": [{"info": {"jitter": 0.0}}],
+        "flat-and-nested": [{"node": 1, "t": 0.5}, {"nodes": [1, 2]}, {"node": 2, "t": 1.0}],
+        "nonfinite": [{"a": math.nan, "b": math.inf}, {"c": -math.inf}],
+        "small": [{"a": -0.0, "b": 1e-05, "c": 5e-324, "d": 1e22}],
+        "none-bool": [{"a": None, "b": True, "c": False}, {"d": 0}],
+        "non-ascii": [{"name": "\u00e9 \u2603 \U0001d525", "\u00e9": 1}],
+        "boundary-string": [{"s": "},\n{"}, {"s": "},\n      {", "t": "}]"}],
+        "numpy-scalars": [{"a": np.float64(0.1), "b": np.float64(-0.0)}],
+        "one-record": [{"node": 1}],
+    }
+
+    @pytest.mark.parametrize("details", DETAILS.values(), ids=DETAILS.keys())
+    def test_equals_indented_dumps(self, details):
+        from selfsim.cli import _report_text
+
+        report = {**self.HEAD, "details": details}
+        assert _report_text(report) == json.dumps(report, indent=2)
+
+    def test_head_values_equal_indented_dumps(self):
+        from selfsim.cli import _report_text
+
+        head = {**self.HEAD, "method": "\u00e9", "worst_deviation": math.nan}
+        report = {**head, "details": [{"a": 1}]}
+        assert _report_text(report) == json.dumps(report, indent=2)
 
 
 # sizes no array can index: each is rejected where it enters, and the message says so
@@ -832,11 +900,32 @@ class TestVerifyCommand:
         assert code == (0 if report["verdict"] == "pass" else 1)
         assert report["verdict"] == ("pass" if max(distances) <= report["tolerance"] else "fail")
 
-    def test_report_layout_is_indented_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "--suite marginals --method lamperti --hurst 0.8 --n 16 --paths 300",
+            "--suite covariance --n 16 --paths 300",
+            "--suite normality --n 16 --paths 1000",
+            "--suite equivalence --method lamperti --n 16 --paths 300",
+            "--suite error-bound --n 64,256",
+        ],
+        ids=["marginals", "covariance", "normality", "equivalence", "error-bound"],
+    )
+    @pytest.mark.parametrize("verdict", ["pass", "fail"])
+    def test_report_layout_is_indented_json(self, argv, verdict, tmp_path, monkeypatch):
+        # a fail is forced by a zero tolerance, or for error-bound by sizes whose a(2) is 0
+        from selfsim import verify
+
+        if verdict == "fail":
+            monkeypatch.setattr(verify, "DEFAULT_TOL_MULTIPLIER", 0.0)
+            monkeypatch.setattr(verify, "KS_CRIT_1PCT", 0.0)
+            argv = argv.replace("64,256", "2,8")
         out = tmp_path / "report.json"
-        assert run(["verify", "--suite", "error-bound", "--n", "64,256", "--out", str(out)]) == 0
+        code = run(["verify", *argv.split(), "--seed", "5", "--out", str(out)])
         text = out.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        report = json.loads(text)
+        assert (report["verdict"], code) == (verdict, 0 if verdict == "pass" else 1)
+        assert text == json.dumps(report, indent=2) + "\n"
 
 
 class TestBench:

@@ -145,6 +145,23 @@ class TestDenseRoute:
         assert np.abs(variance - target).max() <= 1e-14 * target.max()
 
 
+@pytest.mark.parametrize("n, route", [(256, "jitter"), (300, "embedding_size")])
+@pytest.mark.parametrize("rows", [5, 16])
+def test_draw_leaves_its_block_and_returns_a_new_array(n, route, rows):
+    # the gathered path is scaled in place: it must be the draw's own new array, never
+    # the caller's block, a view of it or anything the cached sampler keeps
+    sampler = lamperti_sampler("fbm", 0.8, GridSpec(n))
+    assert route in sampler.info
+    z = np.random.default_rng(7).standard_normal((rows, sampler.k))
+    block = z.copy()
+    first, second = sampler.draw(z), sampler.draw(z)
+    assert np.array_equal(z, block)
+    assert first.shape == (rows, n) and np.array_equal(first, second)
+    assert not np.shares_memory(first, z) and not np.shares_memory(first, second)
+    first[:] = np.nan
+    assert np.array_equal(sampler.draw(z), second)
+
+
 class TestVarianceProfile:
     def test_brownian_midpoint(self):
         grid = GridSpec(64)

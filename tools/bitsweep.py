@@ -10,8 +10,10 @@ with ``--out`` a scratch file. It prints each case's exit code and the
 sha256 of its output in both trees, then the cases that differ.
 
 The cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 263,
-2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON; the
-four benchmark commands; and every ``verify`` suite. A pair that refuses an
+2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON; paths
+of three write chunks (n = 2 * cli._CHUNK + 1), one and three of them, of
+``bm-cumsum`` and ``davies-harte``, as CSV and as JSON; the four benchmark
+commands; and every ``verify`` suite. A pair that refuses an
 H or an n gives its exit code and an empty output in both trees.
 
 It is a tool, not a test: it gates nothing, and it exits 0 whatever differs.
@@ -39,6 +41,8 @@ PAIRS = (
 )
 GRID_SIZES = (1, 2, 3, 16, 64, 257, 263, 2048)
 HURSTS = (0.3, 0.7, 0.72, 0.8, 0.95, 0.99)
+# 2 * cli._CHUNK + 1: two whole write chunks of a path and one of a single value
+MULTI_CHUNK_N = 8193
 # the workloads of BENCHMARK.json (perfbench/run.py), at seed 1
 BENCHMARK = (
     "simulate --process fbm --method davies-harte --hurst 0.7 --n 1024 --paths 100 --format csv",
@@ -62,6 +66,13 @@ def cases() -> list[str]:
                         f"simulate --process {process} --method {method} --hurst {hurst}"
                         f" --n {n} --paths 3 --seed 11 --format {fmt}"
                     )
+    for process, method, hurst in (("bm", "bm-cumsum", 0.5), ("fbm", "davies-harte", 0.7)):
+        for paths in (1, 3):
+            for fmt in ("csv", "json"):
+                out.append(
+                    f"simulate --process {process} --method {method} --hurst {hurst}"
+                    f" --n {MULTI_CHUNK_N} --paths {paths} --seed 13 --format {fmt}"
+                )
     out += [f"{case} --seed 1" for case in BENCHMARK]
     for process, method in PAIRS:
         for hurst in (0.5,) if process == "bm" else (0.3, 0.8):
