@@ -34,8 +34,6 @@ from .core import (
     DEFAULT_SEED,
     GridSpec,
     ParameterError,
-    ReplicateBatch,
-    generate_batch,
     generate_blocks,
 )
 from .lamperti import lamperti_sampler
@@ -71,7 +69,7 @@ METHOD_TABLE = {
 }
 PROCESSES = tuple(sorted({p for processes, _ in METHOD_TABLE.values() for p in processes}))
 
-# The check of each suite that draws a batch (equivalence: a --baseline one too, seed + 1).
+# The check of each suite that draws paths, as blocks (equivalence: a --baseline run too, seed + 1).
 BATCH_CHECKS = {
     "marginals": verify.marginal_variance_profile,
     "covariance": verify.covariance_match,
@@ -227,18 +225,19 @@ def _chunks(n: int, end: str) -> list[tuple[slice, str]]:
     return [(slice(s, s + _CHUNK), "" if s + _CHUNK < n else end) for s in range(0, n, _CHUNK)]
 
 
-def _write_csv(batch: ReplicateBatch, stream) -> None:
-    """Rows path_id,t,value with the t = 0 row first; one write per chunk of a path.
+def _write_csv(blocks, n: int, count: int, stream) -> None:
+    """Rows path_id,t,value of the `count` paths of n values in `blocks`, the t = 0
+    row first; one write per chunk of a path.
 
-    Each "t," cell is formatted once per batch, as repr(j / n) of Python ints, when
-    the first path reaches its chunk, and kept only while another path follows: a
-    one-path batch holds O(_CHUNK) of them, not n.
+    Each "t," cell is formatted once, as repr(j / n) of Python ints, when the first
+    path reaches its chunk, and kept only while another path follows: one path
+    holds O(_CHUNK) of them, not n.
     """
-    n, last = batch.n, batch.count - 1
+    last = count - 1
     chunks = _chunks(n, "\n")
     times = [None] * len(chunks)
     stream.write("path_id,t,value\n")
-    for i, row in enumerate(batch.values):
+    for i, row in enumerate(row for block in blocks for row in block.values):
         sep, head = f"\n{i},", f"{i},0.0,0.0"
         for c, (part, end) in enumerate(chunks):
             cells = times[c] or [f"{j / n!r}," for j in range(1, n + 1)[part]]
@@ -248,18 +247,18 @@ def _write_csv(batch: ReplicateBatch, stream) -> None:
             head = ""
 
 
-def _write_json(batch: ReplicateBatch, meta: dict, stream) -> None:
-    """The layout of json.dump({"meta": ..., "paths": ...}, indent=2); one write per
-    chunk of a path.
+def _write_json(blocks, n: int, meta: dict, stream) -> None:
+    """The layout of json.dump({"meta": ..., "paths": ...}, indent=2) for the paths of
+    n values in `blocks`; one write per chunk of a path.
 
     repr equals the JSON token only for finite floats; ReplicateBatch rejects
     non-finite values, and this writer relies on that.
     """
-    chunks = _chunks(batch.n, "\n    ]")
+    chunks = _chunks(n, "\n    ]")
     head = json.dumps({"meta": {**meta, "artifact_version": __version__}}, indent=2)
     stream.write(f'{head[:-2]},\n  "paths": [\n')
     sep, head = ",\n      ", "    [\n      0.0,\n      "
-    for row in batch.values:
+    for row in (row for block in blocks for row in block.values):
         for part, end in chunks:
             stream.write(f"{head}{sep.join(map(repr, row[part].tolist()))}{end}")
             head = sep
@@ -299,9 +298,10 @@ def _report_text(report: dict) -> str:
 def cmd_simulate(o: argparse.Namespace) -> int:
     n = o.n[0]
     with _open_out(o.out) as stream:
-        batch = generate_batch(_build_sampler(o, o.method, n), o.paths, o.seed)
+        sampler = _build_sampler(o, o.method, n)
+        blocks = generate_blocks(sampler, o.paths, o.seed)
         if o.format == "csv":
-            _write_csv(batch, stream)
+            _write_csv(blocks, n, o.paths, stream)
         else:
             meta = {
                 "process": o.process,
@@ -311,9 +311,9 @@ def cmd_simulate(o: argparse.Namespace) -> int:
                 "paths": o.paths,
                 "seed": o.seed,
                 "format": o.format,
-                **batch.info,
+                **sampler.info,
             }
-            _write_json(batch, meta, stream)
+            _write_json(blocks, n, meta, stream)
     return EXIT_OK
 
 
@@ -325,11 +325,8 @@ def cmd_verify(o: argparse.Namespace) -> int:
         else:
             methods = (o.method, o.baseline) if o.suite == "equivalence" else (o.method,)
             samplers = [_build_sampler(o, method, o.n[0]) for method in methods]
-            # marginals merges each block's moments, so it takes the blocks one at a
-            # time and never holds the (paths, n) array
-            draw = generate_blocks if o.suite == "marginals" else generate_batch
-            batches = [draw(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
-            report = BATCH_CHECKS[o.suite](*batches)
+            blocks = [generate_blocks(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
+            report = BATCH_CHECKS[o.suite](*blocks)
         stream.write(_report_text(report.to_dict()) + "\n")
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
@@ -341,10 +338,11 @@ def cmd_bench(o: argparse.Namespace) -> int:
             previous = None
             for n in o.n:
                 sampler = _build_sampler(o, method, n)
-                generate_batch(sampler, 1, o.seed)  # warm-up: one-off costs go untimed
+                next(generate_blocks(sampler, 1, o.seed))  # warm-up: one-off costs go untimed
                 count = max(3, o.paths)
                 start = time.perf_counter()
-                generate_batch(sampler, count, o.seed)
+                for _ in generate_blocks(sampler, count, o.seed):
+                    pass
                 elapsed = time.perf_counter() - start
                 per_path = elapsed / count
                 row = {

@@ -12,7 +12,7 @@ time through it: `generate_blocks` yields each block as a `ReplicateBatch`, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -193,14 +193,19 @@ class ReplicateBatch:
         return self.grid.n
 
 
-def _draw(sampler: LinearSampler, count: int, base_seed: int, stream_ids):
-    """Check a request for `count` paths of `sampler`, then return its masked seed, its
-    stream ids (None for 0 .. count - 1) and the generator of its blocks.
+def generate_blocks(
+    sampler: LinearSampler,
+    count: int,
+    base_seed: int,
+    stream_ids: Sequence[int] | None = None,
+) -> Iterator[ReplicateBatch]:
+    """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]),
+    as consecutive `ReplicateBatch` blocks of `sampler._block_rows` rows (the last
+    one shorter). One Philox is re-keyed to each stream (`_philox_state`), so the
+    row of stream i holds the bits of sampler(RngStream(base_seed, i)).values.
 
-    The generator is the one draw loop: it yields (start, ids, values) for each
-    block of `sampler._block_rows` rows, the ids made one block at a time. The
-    blocks' one Philox is re-keyed to each stream from a plain-int `_philox_state`,
-    so the row of stream i holds the bits of sampler(RngStream(base_seed, i)).values.
+    The request is checked at the call, before anything is drawn; each block is
+    drawn when it is asked for, so a consumer that drops each block holds one.
     """
     if not isinstance(sampler, LinearSampler):
         raise TypeError(f"paths are drawn by a LinearSampler, not {type(sampler).__name__}")
@@ -208,8 +213,8 @@ def _draw(sampler: LinearSampler, count: int, base_seed: int, stream_ids):
         raise ParameterError("replicate count must be positive")
     if count > np.iinfo(np.intp).max // 8 // sampler.grid.n:
         raise ParameterError(f"a ({count}, {sampler.grid.n}) batch exceeds the largest array")
-    ids = None if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
-    if ids is not None and len(ids) != count:
+    ids = range(count) if stream_ids is None else tuple(i & _MASK64 for i in stream_ids)
+    if len(ids) != count:
         raise ValueError(f"stream_ids has {len(ids)} entries for a batch of {count}")
     seed = base_seed & _MASK64
 
@@ -220,38 +225,17 @@ def _draw(sampler: LinearSampler, count: int, base_seed: int, stream_ids):
         key = state["state"]["key"]
         z = np.empty((sampler._block_rows, sampler.k))
         for start in range(0, count, len(z)):
-            block = range(start, min(count, start + len(z)))
-            block = block if ids is None else ids[start : block.stop]
+            block = ids[start : start + len(z)]
             for row, stream_id in zip(z, block):
                 key[1] = stream_id
                 bits.state = state
                 normal(out=row)
-            yield start, block, sampler.draw(z[: len(block)])
+            yield ReplicateBatch(
+                sampler.grid, sampler.draw(z[: len(block)]), sampler.method,
+                sampler.process, sampler.hurst, seed, tuple(block), dict(sampler.info),
+            )
 
-    return seed, ids, blocks()
-
-
-def generate_blocks(
-    sampler: LinearSampler,
-    count: int,
-    base_seed: int,
-    stream_ids: Sequence[int] | None = None,
-) -> Iterator[ReplicateBatch]:
-    """The paths of `generate_batch(sampler, count, base_seed, stream_ids)` as
-    consecutive `ReplicateBatch` blocks of `sampler._block_rows` rows (the last one
-    shorter), each with the bits of its rows of that batch.
-
-    The request is checked at the call, before anything is drawn; each block is
-    drawn when it is asked for, so a consumer that drops each block holds one.
-    """
-    seed, _, blocks = _draw(sampler, count, base_seed, stream_ids)
-    return (
-        ReplicateBatch(
-            sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
-            seed, tuple(ids), dict(sampler.info),
-        )
-        for _, ids, values in blocks
-    )
+    return blocks()
 
 
 def generate_batch(
@@ -260,18 +244,12 @@ def generate_batch(
     base_seed: int,
     stream_ids: Sequence[int] | None = None,
 ) -> ReplicateBatch:
-    """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]).
-
-    The result is independent of generation order because stream i is fully
-    determined by (base_seed, i). The blocks of `generate_blocks`' loop are copied
-    into one (count, n) array, which is checked once: row i equals
-    sampler(RngStream(base_seed, i)).values.
-    """
-    seed, ids, blocks = _draw(sampler, count, base_seed, stream_ids)
-    values = np.empty((count, sampler.grid.n))
-    for start, block, rows in blocks:
-        values[start : start + len(block)] = rows
-    return ReplicateBatch(
-        sampler.grid, values, sampler.method, sampler.process, sampler.hurst,
-        seed, ids or tuple(range(count)), dict(sampler.info),
-    )
+    """The paths of `generate_blocks(sampler, count, base_seed, stream_ids)` in one
+    (count, n) array, row i equal to sampler(RngStream(base_seed, i)).values: a
+    library convenience, since every command draws by blocks."""
+    blocks = generate_blocks(sampler, count, base_seed, stream_ids)
+    values, ids = np.empty((count, sampler.grid.n)), []
+    for block in blocks:
+        values[len(ids) : len(ids) + block.count] = block.values
+        ids += block.stream_ids
+    return replace(block, values=values, stream_ids=tuple(ids))

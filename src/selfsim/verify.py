@@ -27,7 +27,9 @@ __all__ = [
     "error_bound_check",
 ]
 
-# Asymptotic 1% Kolmogorov-Smirnov critical value: D <= KS_CRIT / sqrt(M).
+# The Kolmogorov-Smirnov rule D <= KS_CRIT_1PCT / sqrt(M): the asymptotic 1% point for a
+# fully specified law. D of data standardized by their own mean and sd is smaller
+# (Lilliefors): its 1% point is about 1.05 / sqrt(M), so exact data almost never fail.
 KS_CRIT_1PCT = 1.63
 
 # The tolerance of every standard-error check, in standard errors.
@@ -53,19 +55,19 @@ class VerificationReport:
     details: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, check, batch, verdict, worst, tolerance, details, **fields):
-        """The report of `check` on `batch`: method, process, hurst, n and
-        m_replicates are the batch's unless `fields` overrides them."""
+    def of(cls, check, batch, count, verdict, worst, tolerance, details, **fields):
+        """The report of `check` on the `count` paths of `batch`'s law: method,
+        process, hurst and n are the batch's unless `fields` overrides them."""
         fields = {
             "method": batch.method,
             "process": batch.process,
             "hurst": batch.hurst,
             "n": batch.n,
-            "m_replicates": batch.count,
             **fields,
         }
         return cls(
             check,
+            m_replicates=count,
             verdict=verdict,
             worst_deviation=worst,
             tolerance=tolerance,
@@ -104,21 +106,47 @@ def empirical_covariance(batch: ReplicateBatch, node_pairs):
 
 def _grid_nodes(n: int) -> np.ndarray:
     stride = 1 if n <= STRIDE_THRESHOLD else 4
-    return np.arange(stride, n + 1, stride) - 1
+    return np.arange(stride, n + 1, stride)
 
 
-def _band_verdict(deviation: np.ndarray, multiplier: float) -> tuple[bool, float]:
-    worst = float(deviation.max())
-    within = float(np.mean(deviation <= multiplier))
-    return bool(within >= 0.95 and worst <= 2.0 * multiplier), worst
+def _ks_nodes(n: int) -> list[int]:
+    return sorted({max(1, n // 4), max(1, n // 2), n})
 
 
-def _band_report(check, batch, deviation, detail, **fields) -> VerificationReport:
-    """The `_band_verdict` report at the tolerance; `detail` gains the fraction within."""
+def _band_report(check, batch, count, deviation, detail, **fields) -> VerificationReport:
+    """A pass iff at least 95% of `deviation` is within the tolerance and none of it
+    beyond twice that; `detail` gains the fraction within."""
     tolerance = DEFAULT_TOL_MULTIPLIER
-    verdict, worst = _band_verdict(deviation, tolerance)
-    details = [{**detail, "fraction_within": float(np.mean(deviation <= tolerance))}]
-    return VerificationReport.of(check, batch, verdict, worst, tolerance, details, **fields)
+    worst = float(deviation.max())
+    within = float(np.mean(deviation <= tolerance))
+    verdict = bool(within >= 0.95 and worst <= 2.0 * tolerance)
+    details = [{**detail, "fraction_within": within}]
+    return VerificationReport.of(check, batch, count, verdict, worst, tolerance, details, **fields)
+
+
+def _blocks(batch):
+    """The blocks of `batch`, one at a time: a batch is one block, and an iterable
+    such as `core.generate_blocks` yields the blocks of one law. A block of another
+    (process, method, hurst, n) than the first is refused."""
+    first = None
+    for block in [batch] if isinstance(batch, ReplicateBatch) else batch:
+        law = (block.process, block.method, block.hurst, block.n)
+        first = first or law
+        if law != first:
+            raise ParameterError(
+                f"a block of (process, method, hurst, n) = {law} in a check of {first}"
+            )
+        yield block
+
+
+def _columns(batch, nodes) -> tuple[ReplicateBatch | None, np.ndarray]:
+    """The first of the blocks of `batch` (`_blocks`) and their columns at the 1-based
+    nodes(n), stacked in one (count, len(nodes(n))) array; no other block is kept."""
+    first, parts = None, []
+    for block in _blocks(batch):
+        first = first or block
+        parts.append(block.values[:, np.subtract(nodes(block.n), 1)])
+    return first, np.concatenate(parts) if parts else np.empty((0, 0))
 
 
 def _target(batch: ReplicateBatch, s, t):
@@ -127,49 +155,42 @@ def _target(batch: ReplicateBatch, s, t):
     return _covariance("fbm" if batch.process == "bm" else batch.process)(s, t, batch.hurst)
 
 
-def covariance_match(batch: ReplicateBatch) -> VerificationReport:
+def covariance_match(batch) -> VerificationReport:
     """Empirical covariance on a subgrid (stride 4 above `STRIDE_THRESHOLD` nodes)
-    versus the exact covariance of the law the batch names (`_target`).
+    versus the exact covariance of the law the batch names (`_target`). A batch, or
+    the blocks of one law (`_blocks`), of which only the subgrid's columns are kept.
 
     Passes iff at least 95% of entries deviate by no more than
     `DEFAULT_TOL_MULTIPLIER` standard errors and none by more than twice that.
     """
-    if batch.count < 100:
+    first, values = _columns(batch, _grid_nodes)
+    m = len(values)
+    if m < 100:
         raise ParameterError("need at least 100 replicates")
-    n = batch.n
-    nodes = _grid_nodes(n)
-    values = batch.values[:, nodes]
+    nodes = _grid_nodes(first.n)
     cov = _sample_cov(values)
-    se = _cov_se(cov, batch.count)
-    times = (nodes + 1) / n
-    deviation = np.abs(cov - _target(batch, times[:, None], times[None, :])) / se
-    detail = {"nodes": [int(v + 1) for v in nodes]}
-    return _band_report("covariance-match", batch, deviation, detail)
+    times = nodes / first.n
+    deviation = np.abs(cov - _target(first, times[:, None], times[None, :])) / _cov_se(cov, m)
+    return _band_report("covariance-match", first, m, deviation, {"nodes": nodes.tolist()})
 
 
-def _node_moments(blocks) -> tuple[ReplicateBatch | None, int, np.ndarray | None]:
-    """The first of `blocks`, their total row count and each node's sum of squared
-    deviations M2, with no block kept.
+def _node_moments(batch) -> tuple[ReplicateBatch | None, int, np.ndarray | None]:
+    """The first of the blocks of `batch` (`_blocks`), their total row count and each
+    node's sum of squared deviations M2, with no block kept.
 
     (count, mean, M2) is merged over row blocks of at most `core._BLOCK_NORMALS`
     floats by the pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37:242,
     1983). A row block's M2 is `np.var`'s two-pass sum, so rows that fit in one
     row block keep `values.var(axis=0, ddof=1)`'s bits. The merged means are taken
     relative to the first row block's mean, each corrected by its block's sum of
-    residuals, so a mean far from zero costs no accuracy. A block of another grid,
-    method, process or hurst than the first is refused.
+    residuals, so a mean far from zero costs no accuracy.
     """
     first, m, m2 = None, 0, None
-    for block in blocks:
-        law = (block.process, block.method, block.hurst, block.n)
+    for block in _blocks(batch):
         if first is None:
-            first, first_law, shift = block, law, None
+            first, shift = block, None
             rows = max(1, core._BLOCK_NORMALS // block.n)
             buf, mean, m2 = np.empty((rows, block.n)), np.zeros(block.n), np.zeros(block.n)
-        elif law != first_law:
-            raise ParameterError(
-                f"a block of (process, method, hurst, n) = {law} in a check of {first_law}"
-            )
         for start in range(0, block.count, rows):
             chunk = block.values[start : start + rows]
             k = len(chunk)
@@ -197,7 +218,7 @@ def marginal_variance_profile(batch) -> VerificationReport:
     a sample variance needs at least 2 replicates. Passes iff no node deviates
     by more than `DEFAULT_TOL_MULTIPLIER` standard errors.
     """
-    first, m, m2 = _node_moments([batch] if isinstance(batch, ReplicateBatch) else batch)
+    first, m, m2 = _node_moments(batch)
     if m < 2:
         raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
     t = first.grid.times()
@@ -213,8 +234,7 @@ def marginal_variance_profile(batch) -> VerificationReport:
     worst = float(deviation.max())
     tolerance = DEFAULT_TOL_MULTIPLIER
     return VerificationReport.of(
-        "marginal-variance", first, bool(worst <= tolerance), worst, tolerance, details,
-        m_replicates=m,
+        "marginal-variance", first, m, bool(worst <= tolerance), worst, tolerance, details
     )
 
 
@@ -229,45 +249,47 @@ def ks_distance(sample: np.ndarray) -> float:
     return float(max(upper, lower))
 
 
-def normality_check(batch: ReplicateBatch) -> VerificationReport:
-    """Marginal Gaussianity at the 1-based nodes n/4, n/2 and n (each at least 1), at
-    the asymptotic 1% level: one KS distance per node in the details, and a pass iff
-    every node is within the critical value."""
-    if batch.count < 1000:
+def normality_check(batch) -> VerificationReport:
+    """Marginal Gaussianity at the 1-based nodes n/4, n/2 and n (each at least 1) of a
+    batch, or of the blocks of one law (`_blocks`), of which only those columns are
+    kept: one KS distance per node in the details, and a pass iff every node is
+    within KS_CRIT_1PCT / sqrt(M), a bound well above the 1% point (KS_CRIT_1PCT)."""
+    first, values = _columns(batch, _ks_nodes)
+    m = len(values)
+    if m < 1000:
         raise ParameterError("need at least 1000 replicates for the KS check")
-    n = batch.n
-    nodes = sorted({max(1, n // 4), max(1, n // 2), n})
-    details = [{"node": j, "ks_distance": ks_distance(batch.values[:, j - 1])} for j in nodes]
+    nodes = _ks_nodes(first.n)
+    details = [{"node": j, "ks_distance": ks_distance(x)} for j, x in zip(nodes, values.T)]
     worst = max(d["ks_distance"] for d in details)
-    tolerance = KS_CRIT_1PCT / math.sqrt(batch.count)
+    tolerance = KS_CRIT_1PCT / math.sqrt(m)
     return VerificationReport.of(
-        "normality", batch, bool(worst <= tolerance), worst, tolerance, details
+        "normality", first, m, bool(worst <= tolerance), worst, tolerance, details
     )
 
 
-def method_equivalence(batch_a: ReplicateBatch, batch_b: ReplicateBatch) -> VerificationReport:
+def method_equivalence(batch_a, batch_b) -> VerificationReport:
     """Entrywise comparison of two methods' empirical covariances.
 
-    Deviations are scaled by pooled standard errors; the subgrid and the pass
-    rule match covariance_match. When either method is lamperti, only
-    variances are compared: it is exact in marginal law only.
+    Each is a batch, or the blocks of one law (`_blocks`), of which only the
+    subgrid's columns are kept. Deviations are scaled by pooled standard errors;
+    the subgrid and the pass rule match covariance_match. When either method is
+    lamperti, only variances are compared: it is exact in marginal law only.
     """
-    if batch_a.n != batch_b.n:
-        raise ParameterError("batches must share the same grid")
-    if min(batch_a.count, batch_b.count) < 2:
+    first_a, a = _columns(batch_a, _grid_nodes)
+    first_b, b = _columns(batch_b, _grid_nodes)
+    if min(len(a), len(b)) < 2:
         raise ParameterError("need at least 2 replicates in each batch for sample covariances")
-    n = batch_a.n
-    nodes = _grid_nodes(n)
-    cov_a = _sample_cov(batch_a.values[:, nodes])
-    cov_b = _sample_cov(batch_b.values[:, nodes])
-    se = np.sqrt(_cov_se(cov_a, batch_a.count) ** 2 + _cov_se(cov_b, batch_b.count) ** 2)
+    if first_a.n != first_b.n:
+        raise ParameterError("batches must share the same grid")
+    cov_a, cov_b = _sample_cov(a), _sample_cov(b)
+    se = np.sqrt(_cov_se(cov_a, len(a)) ** 2 + _cov_se(cov_b, len(b)) ** 2)
     deviation = np.abs(cov_a - cov_b) / se
-    diagonal_only = "lamperti" in (batch_a.method, batch_b.method)
+    diagonal_only = "lamperti" in (first_a.method, first_b.method)
     if diagonal_only:
         deviation = np.diag(deviation)
-    detail = {"baseline": batch_b.method, "diagonal_only": diagonal_only}
-    method = f"{batch_a.method} vs {batch_b.method}"
-    return _band_report("method-equivalence", batch_a, deviation, detail, method=method)
+    detail = {"baseline": first_b.method, "diagonal_only": diagonal_only}
+    method = f"{first_a.method} vs {first_b.method}"
+    return _band_report("method-equivalence", first_a, len(a), deviation, detail, method=method)
 
 
 def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
@@ -308,7 +330,7 @@ def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
     ]
     tolerance = DEFAULT_TOL_MULTIPLIER
     return VerificationReport.of(
-        "quantile-scaling", batch, bool(worst <= tolerance), worst, tolerance, details
+        "quantile-scaling", batch, m, bool(worst <= tolerance), worst, tolerance, details
     )
 
 

@@ -31,8 +31,7 @@ from selfsim.samplers import (
     normalizing_constant_CH,
 )
 from selfsim.verify import (
-    DEFAULT_TOL_MULTIPLIER,
-    _band_verdict,
+    _band_report,
     covariance_match,
     empirical_covariance,
     error_bound_check,
@@ -195,9 +194,9 @@ class TestAcceptance:
             weights = _ma_weights(n, hurst, truncation, MA_DEFAULT_SUBSTEPS)
             implied = weights @ weights.T
             cov, se = empirical_covariance(batch, pairs)
-            law[truncation] = _band_verdict(
-                np.abs(cov - implied.ravel()) / se, DEFAULT_TOL_MULTIPLIER
-            )
+            # the 4-standard-error band rule of covariance_match, against W W^T
+            match = _band_report("implied", batch, count, np.abs(cov - implied.ravel()) / se, {})
+            law[truncation] = (match.verdict, match.worst_deviation)
             missing = c_h2 * integrate.quad(tail, truncation, np.inf)[0]
             bias[truncation] = (implied[-1, -1] - 1.0, -missing)
         tight_fails = not results[2.0].verdict

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from selfsim.cli import main
-from selfsim.core import GridSpec, generate_batch
+from selfsim.core import GridSpec, generate_batch, generate_blocks
 from selfsim.samplers import davies_harte_sampler
 from selfsim.verify import error_bound_check, ks_distance
 
@@ -335,12 +335,10 @@ class TestWriters:
                 o = _options(argparse.Namespace(process=process, hurst=hurst), {})
                 for n in (2, 257):
                     batch = generate_batch(_build_sampler(o, method, n), 3, 17)
-                    assert _rendered(_write_csv, batch) == _rendered(_reference_csv, batch), (
-                        process,
-                        method,
-                        n,
-                    )
-                    assert _rendered(_write_json, batch, self.META) == _rendered(
+                    assert _rendered(_write_csv, [batch], n, 3) == _rendered(
+                        _reference_csv, batch
+                    ), (process, method, n)
+                    assert _rendered(_write_json, [batch], n, self.META) == _rendered(
                         _reference_json, batch, self.META
                     ), (process, method, n)
 
@@ -348,12 +346,15 @@ class TestWriters:
         "chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)], ids=["C-1", "C", "C+1", "2C+3"]
     )
     def test_chunk_boundaries_match_reference(self, chunks, extra):
+        # the writers take the paths as generate_blocks yields them, 1 or 2 rows a block
         from selfsim.cli import _CHUNK, _write_csv, _write_json
 
         n = chunks * _CHUNK + extra
-        batch = generate_batch(davies_harte_sampler(GridSpec(n), 0.7), 3, 17)
-        assert _rendered(_write_csv, batch) == _rendered(_reference_csv, batch)
-        assert _rendered(_write_json, batch, self.META) == _rendered(
+        sampler = davies_harte_sampler(GridSpec(n), 0.7)
+        batch = generate_batch(sampler, 3, 17)
+        csv_text = _rendered(_write_csv, generate_blocks(sampler, 3, 17), n, 3)
+        assert csv_text == _rendered(_reference_csv, batch)
+        assert _rendered(_write_json, generate_blocks(sampler, 3, 17), n, self.META) == _rendered(
             _reference_json, batch, self.META
         )
 
@@ -374,10 +375,10 @@ class TestWriters:
         batch = generate_batch(davies_harte_sampler(GridSpec(3 * _CHUNK + 1), 0.7), 1, 17)
         stream = Recorder()
         if fmt == "csv":
-            _write_csv(batch, stream)
+            _write_csv([batch], batch.n, 1, stream)
             bound, reference = 52 * _CHUNK + 64, _rendered(_reference_csv, batch)
         else:
-            _write_json(batch, self.META, stream)
+            _write_json([batch], batch.n, self.META, stream)
             bound, reference = 32 * _CHUNK + 64, _rendered(_reference_json, batch, self.META)
         assert stream.getvalue() == reference
         assert max(sizes) <= bound < len(reference) // 2
@@ -399,7 +400,7 @@ class TestWriters:
             batch = generate_batch(bm_sampler(GridSpec(chunks * _CHUNK)), 1, 3)
             tracemalloc.start()
             try:
-                _write_csv(batch, Sink())
+                _write_csv([batch], batch.n, 1, Sink())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -412,11 +413,13 @@ class TestWriters:
         edge = [1e-05, 1.5e16, 5e-324, -0.0, 1e300, 0.1, -2.5e-7, 123456789.0, 1e16, 1e22, -1e-300]
         grid = GridSpec(len(edge))
         batch = ReplicateBatch(grid, np.array([edge, edge[::-1]]), "x", "fbm", 0.7, 1, (0, 0))
-        csv_text = _rendered(_write_csv, batch)
+        csv_text = _rendered(_write_csv, [batch], grid.n, 2)
         assert csv_text == _rendered(_reference_csv, batch)
         assert "0,1.0,-1e-300\n" in csv_text and "1,0.8181818181818182,5e-324\n" in csv_text
         meta = {**self.META, "note": "é", "info": {"jitter": 0.0}}
-        assert _rendered(_write_json, batch, meta) == _rendered(_reference_json, batch, meta)
+        assert _rendered(_write_json, [batch], grid.n, meta) == _rendered(
+            _reference_json, batch, meta
+        )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_reference(self, fmt, capsys):
@@ -695,11 +698,11 @@ def test_closed_pipe_exits_quietly():
 class TestOutputFile:
     @pytest.fixture
     def sampling(self, monkeypatch):
-        """Count batch generations; raise `fail` instead of sampling when it is set."""
+        """Count draw requests; raise `fail` instead of sampling when it is set."""
         import selfsim.cli
 
         state = argparse.Namespace(calls=0, fail=None)
-        real = selfsim.cli.generate_batch
+        real = selfsim.cli.generate_blocks
 
         def generate(*args):
             state.calls += 1
@@ -707,7 +710,7 @@ class TestOutputFile:
                 raise state.fail
             return real(*args)
 
-        monkeypatch.setattr(selfsim.cli, "generate_batch", generate)
+        monkeypatch.setattr(selfsim.cli, "generate_blocks", generate)
         return state
 
     def test_unwritable_out_fails_before_sampling(self, sampling, tmp_path):
@@ -954,3 +957,49 @@ class TestBench:
         assert all(r["seconds_per_path"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]
         assert len(ratios) == 2
+
+
+class TestCommandMemory:
+    """Every command takes its paths a block at a time: simulate writes each block and
+    drops it, normality keeps three columns of each, and covariance and equivalence
+    keep a stride-4 subgrid (a quarter of the columns at n = 1024)."""
+
+    @staticmethod
+    def traced_peak(argv):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert main(argv) in (0, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_peak_does_not_grow_with_paths(self, fmt, tmp_path):
+        # 900 more paths of 128 points are 0.92 MB: held whole, the peak grows by that
+        argv = "simulate --method davies-harte --hurst 0.7 --n 128 --format".split()
+        argv += [fmt, "--out", str(tmp_path / "paths")]
+        small, large = (self.traced_peak(argv + ["--paths", str(p)]) for p in (100, 1_000))
+        assert large - small < 900 * 128 * 8 / 4
+
+    # 4 000 paths of 1 024 points: a 32.8 MB batch
+    PATHS, N = 4_000, 1_024
+
+    @pytest.mark.parametrize(
+        "suite, share",
+        [
+            ("normality", 1 / 16),
+            # the subgrid's stack and its centred copy: half a batch (1.5 held whole)
+            ("covariance", 3 / 4),
+            # two stacks and the temporaries of one: 0.8 of a batch (2.5 held whole)
+            ("equivalence", 1),
+        ],
+        ids=["normality", "covariance", "equivalence"],
+    )
+    def test_verify_peak(self, suite, share, tmp_path):
+        # lamperti above 262 points builds a circulant, not a dense factor of its own size
+        argv = f"verify --suite {suite} --method davies-harte --baseline lamperti --hurst 0.7"
+        argv = argv.split() + ["--n", str(self.N), "--paths", str(self.PATHS)]
+        peak = self.traced_peak(argv + ["--out", str(tmp_path / "report.json")])
+        assert peak < share * self.PATHS * self.N * 8

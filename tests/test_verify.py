@@ -14,6 +14,7 @@ from selfsim.core import (
     ReplicateBatch,
     RngStream,
     generate_batch,
+    generate_blocks,
 )
 from selfsim.covmodels import fbm_cov
 from selfsim.samplers import bm_sampler, cholesky_sampler, davies_harte_sampler
@@ -263,3 +264,67 @@ class TestSeCalibration:
             est, se = empirical_covariance(batch, [(1, 2), (3, 4)])
             rejections += int(np.any(np.abs(est) > 4 * se))
         assert rejections / trials <= 0.01
+
+
+def in_one_block(sampler, rows):
+    """`sampler` drawn in blocks of `rows` rows: its own map, with a GEMM height of
+    `rows`, so `generate_blocks` yields `rows` paths a block."""
+    def draw(z):
+        return sampler.draw(z)
+
+    draw.gemm_rows = rows
+    return dataclasses.replace(sampler, draw=draw)
+
+
+# The checks that keep only some columns of their blocks, each on its runs of 1 000 paths.
+COLUMN_CHECKS = {
+    "covariance-match": lambda a, b: covariance_match(a),
+    "normality": lambda a, b: normality_check(a),
+    "method-equivalence": method_equivalence,
+}
+
+
+class TestBlocks:
+    """covariance_match, normality_check and method_equivalence take the blocks of
+    `generate_blocks` one at a time, and stack only their nodes' columns."""
+
+    @staticmethod
+    def samplers(n, hurst=0.7):
+        grid = GridSpec(n)
+        return davies_harte_sampler(grid, hurst), cholesky_sampler("fbm", hurst, grid)
+
+    # n = 32 compares every node, n = 128 a stride-4 subgrid (STRIDE_THRESHOLD = 64)
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("check", COLUMN_CHECKS)
+    def test_blocks_and_batch_give_one_report(self, check, blocks, n):
+        count = 1_000
+        samplers = self.samplers(n)
+        if blocks == "one":
+            samplers = [in_one_block(s, count) for s in samplers]
+        runs = [list(generate_blocks(s, count, 40 + i)) for i, s in enumerate(samplers)]
+        assert {len(run) == 1 for run in runs} == {blocks == "one"}
+        batches = [generate_batch(s, count, 40 + i) for i, s in enumerate(samplers)]
+        streamed = COLUMN_CHECKS[check](*(iter(run) for run in runs)).to_dict()
+        assert streamed == COLUMN_CHECKS[check](*batches).to_dict()
+        assert streamed["m_replicates"] == count
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            lambda: cholesky_sampler("sfbm", 0.7, GridSpec(32)),
+            lambda: davies_harte_sampler(GridSpec(32), 0.6),
+            lambda: davies_harte_sampler(GridSpec(16), 0.7),
+            lambda: cholesky_sampler("fbm", 0.7, GridSpec(32)),
+        ],
+        ids=["process", "hurst", "grid", "method"],
+    )
+    @pytest.mark.parametrize("check", COLUMN_CHECKS)
+    def test_blocks_of_mixed_laws_rejected(self, check, other):
+        first = generate_batch(davies_harte_sampler(GridSpec(32), 0.7), 10, 1)
+        mixed = [first, generate_batch(other(), 10, 2)]
+        with pytest.raises(ParameterError, match="a block of"):
+            COLUMN_CHECKS[check](mixed, first)
+        if check == "method-equivalence":
+            with pytest.raises(ParameterError, match="a block of"):
+                method_equivalence(first, mixed)
