@@ -20,6 +20,7 @@ rest of the output is dropped, and the command returns its own code.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import operator
@@ -358,14 +359,10 @@ def cmd_bench(o: argparse.Namespace) -> int:
 
         if o.format == "json":
             stream.write(json.dumps(rows, indent=2) + "\n")
-        else:
-            stream.write("method,n,paths,seconds_per_path,seconds_per_batch,ratio_vs_previous_n\n")
-            for r in rows:
-                ratio = "" if r["ratio_vs_previous_n"] is None else repr(r["ratio_vs_previous_n"])
-                stream.write(
-                    f"{r['method']},{r['n']},{r['paths']},"
-                    f"{r['seconds_per_path']!r},{r['seconds_per_batch']!r},{ratio}\n"
-                )
+        else:  # the records' keys, then their values: None is an empty cell, a float its repr
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(rows[0])
+            writer.writerows(row.values() for row in rows)
     return EXIT_OK
 
 

@@ -66,13 +66,16 @@ def grid_map(n: int) -> LampertiGridMap:
 
 @functools.lru_cache(maxsize=64)
 def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
-    """The map of `simulate_lamperti`: a draw of the stationary sequence with the
-    autocovariance `lamperti_acf(process, ...)` at the grid map's distinct nodes,
-    gathered to the grid and scaled by t^H.
+    """Self-similar paths by rescaling a stationary sequence: X(j/n) = (j/n)^H U(g(j)/n)
+    for the stationary sequence U with the autocovariance `lamperti_acf(process, ...)`,
+    drawn at the grid map's distinct nodes g(j), gathered to the grid and scaled by t^H.
 
-    Up to `_DENSE_NODES` distinct nodes (n <= 262) the draw is the exact Cholesky
-    factor of their Gram, one normal per node and `info` {"jitter": ...}; above,
-    it is the clamped circulant of lags 0..n, `info` {"clamped_mass", "embedding_size"}.
+    The joint law is approximate (the gather). Up to `_DENSE_NODES` distinct nodes
+    (n <= 262) U is drawn through the exact Cholesky factor of their Gram, one normal
+    per node and `info` {"jitter": ...}, so every marginal matches the target law to
+    rounding. Above, U(k/n), k = 0..n, is the clamped circulant of lags 0..n, `info`
+    {"clamped_mass", "embedding_size"}, and the marginals are exact only when no
+    eigenvalue is clamped (``info["clamped_mass"] == 0``).
     For fbm the clamp fires from about H = 0.72 on: at n = 2048, H = 0.8, it zeroes
     1901 of 4096 eigenvalues, and as a clamped bin draws no normal, k is 2195 of
     4096. It inflates Var U, and so every marginal variance, by a relative
@@ -127,17 +130,7 @@ def simulate_lamperti(
     grid: GridSpec,
     rng: RngStream,
 ) -> SamplePath:
-    """Sample a self-similar path by rescaling a stationary sequence.
-
-    The output is X(j/n) = (j/n)^H U(g(j)/n) for the stationary sequence U
-    with the rescaled autocovariance, read at the grid map's nodes g(j).
-    The joint law is approximate (the gather). Up to 128 distinct nodes
-    (n <= 262) U is drawn at the nodes through the exact factor of their
-    Gram, so every marginal matches the target law to rounding. Above, U(k/n),
-    k = 0..n, is drawn by circulant embedding, and the marginals are exact
-    only when no eigenvalue is clamped (``info["clamped_mass"] == 0``);
-    `lamperti_sampler` gives the clamp's size for fbm from about H = 0.72 on.
-    """
+    """One path of `lamperti_sampler`."""
     return lamperti_sampler(process, hurst, grid)(rng)
 
 

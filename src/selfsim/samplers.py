@@ -256,7 +256,12 @@ def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
 
 @functools.lru_cache(maxsize=64)
 def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
-    """The map of `davies_harte_fbm`: summed fGn, clamped at the minimal embedding."""
+    """fBm as summed fGn, drawn by FFT synthesis at the minimal embedding size.
+
+    The minimal embedding of fGn is nonnegative definite for every H
+    (Craigmile 2003), so in exact arithmetic nothing is clamped; a roundoff
+    negative would be clamped to zero, its size in `info["clamped_mass"]`.
+    """
     n = grid.n
     cumsum = lambda y: np.cumsum(y[:, :n], axis=1)  # fGn rows to fBm rows
     # n = 1 takes two lags: m = 2, whose eigenvalues 1 +- rho(1) are positive
@@ -264,12 +269,7 @@ def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
-    """fBm via FFT synthesis of fGn at the minimal embedding size.
-
-    The minimal embedding of fGn is nonnegative definite for every H
-    (Craigmile 2003), so in exact arithmetic nothing is clamped; a roundoff
-    negative would be clamped to zero, its size in `info["clamped_mass"]`.
-    """
+    """One path of `davies_harte_sampler`."""
     return davies_harte_sampler(grid, hurst)(rng)
 
 
@@ -367,10 +367,22 @@ def ma_sampler(
     truncation: float = MA_DEFAULT_TRUNCATION,
     substeps: int = MA_DEFAULT_SUBSTEPS,
 ) -> LinearSampler:
-    """The law N(0, W W^T) of `ma_truncated_fbm`, drawn as L z from n normals per path:
-    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in `info`).
-    The build forms W W^T from lag sums (`_ma_gram`) in O(n k) time and O(n^2 + k)
-    memory; no (n, k) W is built."""
+    """fBm baseline from the truncated moving-average integral: the law N(0, W W^T)
+    of its Riemann-rule weights W (`_ma_weights`), drawn as L z from n normals per path.
+
+    Truncating the integral at -truncation biases the covariance (most
+    visibly for H > 1/2, where the discarded tail decays slowly); this
+    sampler exists to make that bias measurable, not to be exact.
+
+    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in
+    `info`). W W^T is built from lag sums (`_ma_gram`) in O(n k) time and O(n^2 + k)
+    memory, without W's (n, k) array, k = (T + 1) * substeps * n. With T = truncation,
+    it lacks C_H^2 * integral over v > T of ((s+v)^{H-1/2} - v^{H-1/2}) *
+    ((t+v)^{H-1/2} - v^{H-1/2}) dv at (s, t). For large T this is about
+    C_H^2 (H-1/2)^2 s t T^{2H-2} / (2-2H). At H = 0.8, T = 50 the
+    approximation gives 0.0491 of Var X(1) = 1, against 0.0489 exactly;
+    at T = 2 the exact loss is 0.163.
+    """
     hurst = _check_hurst(hurst)
     truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
     lower, jitter = cholesky_factor(_ma_gram(grid.n, hurst, truncation, substeps))
@@ -385,20 +397,5 @@ def ma_truncated_fbm(
     truncation: float = MA_DEFAULT_TRUNCATION,
     substeps: int = MA_DEFAULT_SUBSTEPS,
 ) -> SamplePath:
-    """fBm baseline from the truncated moving-average integral.
-
-    Truncating the integral at -truncation biases the covariance (most
-    visibly for H > 1/2, where the discarded tail decays slowly); this
-    sampler exists to make that bias measurable, not to be exact.
-
-    The draw is L z with L L^T = W W^T, the covariance of the Riemann-rule
-    weight matrix W, from n normals per path. W W^T is built from lag sums
-    (`_ma_gram`) in O(n k) time and O(n^2 + k) memory, without W's (n, k)
-    array, k = (T + 1) * substeps * n. With T = truncation, it lacks
-    C_H^2 * integral over v > T of ((s+v)^{H-1/2} - v^{H-1/2}) *
-    ((t+v)^{H-1/2} - v^{H-1/2}) dv at (s, t). For large T this is about
-    C_H^2 (H-1/2)^2 s t T^{2H-2} / (2-2H). At H = 0.8, T = 50 the
-    approximation gives 0.0491 of Var X(1) = 1, against 0.0489 exactly;
-    at T = 2 the exact loss is 0.163.
-    """
+    """One path of `ma_sampler`."""
     return ma_sampler(grid, hurst, truncation, substeps)(rng)

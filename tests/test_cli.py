@@ -550,6 +550,7 @@ MALFORMED = [
     (["simulate", "--n", "16", "--hurts", "0.7"], None),
     (["simulate", "--n"], None),
     (["sample", "--n", "16"], None),
+    (["simulate", "--n", "16"], "hurst 0.7\n"),
     *((argv, None) for argv in TOO_LARGE),
 ]
 
@@ -604,6 +605,7 @@ MALFORMED = [
         "flag-unknown",
         "flag-missing-value",
         "command-unknown",
+        "cfg-line-without-equals",
         "too-large-bm-n",
         "too-large-cholesky-n",
         "too-large-lamperti-n",
@@ -957,6 +959,23 @@ class TestBench:
         assert all(r["seconds_per_path"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]
         assert len(ratios) == 2
+
+    def test_csv_rows_are_the_json_records(self, tmp_path):
+        # CSV is the default format: the header is the JSON record's keys, and each
+        # row its values, with an empty ratio cell where JSON has null
+        argv = "bench --method davies-harte,lamperti --n 16,32 --hurst 0.7 --paths 3".split()
+        assert run(argv + ["--out", str(tmp_path / "bench.csv")]) == 0
+        assert run(argv + ["--format", "json", "--out", str(tmp_path / "bench.json")]) == 0
+        records = json.loads((tmp_path / "bench.json").read_text(encoding="utf-8"))
+        text = (tmp_path / "bench.csv").read_text(encoding="utf-8")
+        header, *rows = csv.reader(io.StringIO(text))
+        assert header == list(records[0])
+        expected = [[r["method"], str(r["n"]), str(r["paths"])] for r in records]
+        assert [row[:3] for row in rows] == expected
+        assert [row[0] for row in rows] == ["davies-harte"] * 2 + ["lamperti"] * 2
+        ratio = header.index("ratio_vs_previous_n")
+        assert [row[ratio] for row in rows[::2]] == ["", ""]
+        assert all(float(row[ratio]) > 0 for row in rows[1::2])
 
 
 class TestCommandMemory:

@@ -1,8 +1,8 @@
 """Package exports: every public name the package lists resolves, every name
-the benchmark imports from it resolves, the README's library example runs,
-the package imports without scipy, and no module imports one above it (the
-samplers below the checks, the checks below the CLI). Also the suite's own
-node-id list of slow tests."""
+the benchmark imports from it resolves and its reference paths are the batch
+rows, the README's library example runs, the package imports without scipy,
+and no module imports one above it (the samplers below the checks, the checks
+below the CLI). Also the suite's own node-id list of slow tests."""
 
 import ast
 import importlib
@@ -12,7 +12,9 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 import selfsim
@@ -31,16 +33,20 @@ def test_every_listed_name_resolves():
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             module = importlib.import_module(f"selfsim.{node.module}")
-            for alias in node.names:
-                if not (hasattr(selfsim, alias.name) and hasattr(module, alias.name)):
-                    missing.append(f"selfsim.{alias.name}")
+            names = [alias.name for alias in node.names]
+            if names == ["*"]:  # a star import re-exports the module's `__all__`
+                names = module.__all__
+            for name in names:
+                if not (hasattr(selfsim, name) and hasattr(module, name)):
+                    missing.append(f"selfsim.{name}")
     assert missing == []
 
 
 def test_benchmark_imports_resolve():
     # the benchmark's bit gate checks simulate output against public samplers:
     # deleting one would pass this suite and break only the benchmark
-    tree = ast.parse((ROOT / "perfbench" / "gates.py").read_text(encoding="utf-8"))
+    source = (ROOT / "perfbench" / "gates.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
     imported = [
         (node.module, alias.name)
         for node in ast.walk(tree)
@@ -50,6 +56,23 @@ def test_benchmark_imports_resolve():
     assert imported
     missing = [f"{m}.{name}" for m, name in imported if not hasattr(importlib.import_module(m), name)]
     assert missing == []
+    # the gate compares each written path with its `reference_path`: a 1-D array with
+    # the bits of that stream's batch row (a one-row batch would fail every gate).
+    # Run from its source text, so no bytecode is written beside it.
+    gates = types.ModuleType("gates")
+    exec(compile(source, "perfbench/gates.py", "exec"), gates.__dict__)
+    builders = {
+        ("fbm", "davies-harte"): lambda grid: selfsim.davies_harte_sampler(grid, 0.7),
+        ("fbm", "lamperti"): lambda grid: selfsim.lamperti_sampler("fbm", 0.7, grid),
+        ("sfbm", "lamperti"): lambda grid: selfsim.lamperti_sampler("sfbm", 0.7, grid),
+        ("fbm", "ma-truncated"): lambda grid: selfsim.ma_sampler(grid, 0.7),
+    }
+    for (process, method), build in builders.items():
+        for stream in (0, 5):
+            path = gates.reference_path(process, method, 0.7, 64, 11, stream)
+            row = selfsim.generate_batch(build(selfsim.GridSpec(64)), 1, 11, [stream]).values[0]
+            assert path.dtype == np.float64 and path.shape == (64,), (process, method)
+            assert np.array_equal(path.view(np.uint64), row.view(np.uint64)), (process, method)
 
 
 def _package_imports(name: str) -> set:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from selfsim.core import GridSpec, RngStream, generate_batch
+from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
 from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf
 from selfsim.lamperti import grid_map, lamperti_sampler
 from selfsim.samplers import (
@@ -93,6 +93,19 @@ class TestCholeskyFactor:
         _, jitter = cholesky_factor(gram)
         assert jitter <= 1e-12 * np.diag(gram).max()
 
+    @pytest.mark.parametrize(
+        "gram, message",
+        [
+            (np.ones((2, 3)), "square"),
+            (np.ones(3), "square"),
+            (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
+        ],
+        ids=["2-by-3", "1-d", "asymmetric"],
+    )
+    def test_malformed_gram_rejected(self, gram, message):
+        with pytest.raises(ParameterError, match=f"gram must be {message}"):
+            cholesky_factor(gram)
+
     def test_indefinite_fails_with_pivot(self):
         gram = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
@@ -161,8 +174,6 @@ class TestCholeskySample:
         assert incr.var(ddof=1) == pytest.approx(1 / 32, rel=0.05)
 
     def test_kernel_built_directly_is_validated(self):
-        from selfsim.core import ParameterError
-
         for process, hurst in (("bm", 0.5), ("fbm", 1.5)):
             with pytest.raises(ParameterError):
                 cholesky_sampler(process, hurst, GridSpec(4))(RngStream(0, 0))
@@ -190,6 +201,11 @@ def mirrored(half):
 
 
 class TestCirculantSpectrum:
+    @pytest.mark.parametrize("row", [np.ones(1), np.ones((2, 2))], ids=["one-lag", "2-d"])
+    def test_malformed_row_rejected(self, row):
+        with pytest.raises(ParameterError, match="length must be >= 2"):
+            circulant_spectrum(row)
+
     def test_white_noise_eigenvalues_all_one(self):
         spec = circulant_spectrum(white_noise_row(16))
         assert spec.clamped_mass == 0.0
@@ -466,8 +482,6 @@ class TestDaviesHarte:
 class TestMovingAverage:
     @pytest.mark.parametrize("truncation", [0.5, float("nan"), float("inf")])
     def test_truncation_outside_range_rejected(self, truncation):
-        from selfsim.core import ParameterError
-
         with pytest.raises(ParameterError):
             ma_truncated_fbm(GridSpec(8), 0.7, RngStream(0, 0), truncation=truncation)
 
