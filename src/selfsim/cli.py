@@ -81,8 +81,8 @@ SUITES = (*BATCH_CHECKS, "error-bound")
 FORMATS = ("csv", "json")
 # Values of a path per write: a chunk's floats, reprs and text live only while it
 # is written, so a writer holds O(_CHUNK) of them, not O(n). One bm path of
-# n = 2**21 peaks at 229 MiB as CSV and 83 MiB as JSON, against 614 and 323 MiB
-# in one write. A warm write of 4 sfBm paths of n = 32768 takes no page faults
+# n = 2**21 peaks at 84 MiB as CSV and as JSON, against 614 and 323 MiB in one
+# write. A warm write of 4 sfBm paths of n = 32768 takes no page faults
 # at 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 1900.
 _CHUNK = 4096
 

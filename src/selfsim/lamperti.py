@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
 from .covmodels import _check_hurst, lamperti_acf
-from .samplers import _circulant_sampler, _dense_map, _ladder_cholesky
+from .samplers import _circulant_sampler, _factor_sampler
 
 __all__ = [
     "LampertiGridMap",
@@ -51,7 +51,7 @@ class LampertiGridMap:
 @functools.lru_cache(maxsize=64)
 def grid_map(n: int) -> LampertiGridMap:
     if n < 2:
-        raise ParameterError("grid map needs n >= 2")
+        raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {n}")
     GridSpec(n)  # rejects a size larger than any array
     j = np.arange(1, n + 1, dtype=float)
     arg = n * np.log(j) / math.log(n)
@@ -83,24 +83,19 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     For sfbm at n = 32 768, H = 0.8, nothing clamps.
     """
     hurst = float(hurst)
-    if grid.n < 2:
-        raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {grid.n}")
     index, scale = grid_map(grid.n).index, grid.times() ** hurst
-    acf = functools.partial(lamperti_acf, process)
     # The stationary sequence is read at the nodes g(j) in 0..n: the map sends
     # j = 1 to 0, so one extra lag of the autocovariance is needed. The map is
     # nondecreasing, so a node is new where it steps: 126 of 257 at n = 256.
+    row = lamperti_acf(process, np.arange(grid.n + 1), grid.n, hurst)
     nodes = index[np.concatenate(([True], index[1:] != index[:-1]))]
     if len(nodes) <= _DENSE_NODES:
         # The exact Gram r(|S_a - S_b|) of the nodes, from lags 0..n alone, where
-        # `lamperti_acf` is accurate (ROADMAP item 10). It is symmetric by
-        # construction, so it skips `cholesky_factor`'s check; its jitter is 0.0
-        # for every n up to the cutover, H = 0.999 included.
-        row = acf(np.arange(grid.n + 1), grid.n, hurst)
-        lower, jitter = _ladder_cholesky(row[np.abs(nodes[:, None] - nodes)])
+        # `lamperti_acf` is accurate (ROADMAP item 10); its jitter is 0.0 for
+        # every n up to the cutover, H = 0.999 included.
+        gram = row[np.abs(nodes[:, None] - nodes)]
         slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
-        draw = _dense_map(lower, _gather(slot, scale))
-        return LinearSampler(grid, "lamperti", process, hurst, len(nodes), draw, {"jitter": jitter})
+        return _factor_sampler(grid, "lamperti", process, hurst, gram, _gather(slot, scale))
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
     # autocovariance falls with the lag (fbm, n = 256, H = 0.95: 1 at lag 0,
     # 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf` cancels past lag n
@@ -109,8 +104,7 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     # the minimal embedding instead (the nonnegative-definite part of the
     # circulant), which raises Var U by the spectrum's `clamped_mass`; the
     # docstring above gives its size.
-    finish = _gather(index, scale)
-    return _circulant_sampler(grid, "lamperti", process, hurst, acf, grid.n + 1, finish)
+    return _circulant_sampler(grid, "lamperti", process, hurst, row, _gather(index, scale))
 
 
 def _gather(columns: np.ndarray, scale: np.ndarray):

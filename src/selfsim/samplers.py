@@ -8,7 +8,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -35,7 +34,7 @@ JITTER_LADDER = (0.0, 1e-14, 1e-12, 1e-10)
 
 MA_DEFAULT_TRUNCATION = 50.0
 MA_DEFAULT_SUBSTEPS = 8
-_GEMM_ROWS = 16  # height of every GEMM of a dense map x = A z (`_dense_map`)
+_GEMM_ROWS = 16  # height of every GEMM of a dense map x = L z (`_factor_sampler`)
 
 
 def _in_range(name: str, cast, low: float, value):
@@ -88,31 +87,6 @@ class CirculantSpectrum:
         return 2 * (len(self.eigenvalues) - 1)
 
 
-def _dense_map(matrix: np.ndarray, finish=None) -> Callable[[np.ndarray], np.ndarray]:
-    """z -> z @ matrix.T as GEMMs of exactly _GEMM_ROWS rows, zero-padded, or `finish`
-    of that product.
-
-    The block is one stacked matmul, which calls the BLAS once per 16-row slice.
-    OpenBLAS picks its kernel by the product's shape, so a row's bits change
-    with the height of its GEMM, but not with its position or neighbours at
-    one height (a BLAS property, not a numpy guarantee, that the tests pin).
-    The operand is matrix.T copied once to C order: OpenBLAS multiplies that about
-    20 % faster than the transposed view of a C-ordered matrix, and its first call
-    is cheaper.
-    """
-    operand = np.ascontiguousarray(matrix.T)
-
-    def draw(z):
-        rows, k = z.shape
-        if rows % _GEMM_ROWS:
-            z = np.concatenate([z, np.zeros((-rows % _GEMM_ROWS, k))])
-        y = (z.reshape(-1, _GEMM_ROWS, k) @ operand).reshape(len(z), -1)[:rows]
-        return y if finish is None else finish(y)
-
-    draw.gemm_rows = _GEMM_ROWS
-    return draw
-
-
 @functools.lru_cache(maxsize=64)
 def bm_sampler(grid: GridSpec) -> LinearSampler:
     """Brownian motion as the cumulative sum of N(0, 1/n) white noise."""
@@ -154,7 +128,7 @@ def cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _ladder_cholesky(gram: np.ndarray) -> tuple[np.ndarray, float]:
     """`cholesky_factor` of a square float Gram without its checks: the jitter ladder
-    alone, for a Gram a builder makes exactly symmetric."""
+    alone, for a Gram a builder makes (`_factor_sampler`)."""
     n = len(gram)
     max_diag = float(np.diag(gram).max(initial=0.0))
     for level in JITTER_LADDER:
@@ -172,14 +146,39 @@ def _ladder_cholesky(gram: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
+def _factor_sampler(grid, method, process, hurst, gram, finish=None, **info) -> LinearSampler:
+    """x = L z, or `finish` of it, for the Cholesky factor L L^T = gram + jitter I
+    (`_ladder_cholesky`; `info` gains "jitter"): one normal per row of `gram`.
+
+    No symmetry check: a builder makes its own Gram, and LAPACK potrf reads only
+    its lower triangle. Each block of normals is one stacked matmul, which calls
+    the BLAS once per GEMM of exactly _GEMM_ROWS rows, zero-padded. OpenBLAS picks
+    its kernel by the product's shape, so a row's bits change with the height of
+    its GEMM, but not with its position or neighbours at one height (a BLAS
+    property, not a numpy guarantee, that the tests pin). The operand is L^T
+    copied once to C order: OpenBLAS multiplies that about 20 % faster than the
+    transposed view of a C-ordered matrix, and its first call is cheaper.
+    """
+    lower, jitter = _ladder_cholesky(gram)
+    operand = np.ascontiguousarray(lower.T)
+
+    def draw(z):
+        rows, k = z.shape
+        if rows % _GEMM_ROWS:
+            z = np.concatenate([z, np.zeros((-rows % _GEMM_ROWS, k))])
+        y = (z.reshape(-1, _GEMM_ROWS, k) @ operand).reshape(len(z), -1)[:rows]
+        return y if finish is None else finish(y)
+
+    draw.gemm_rows = _GEMM_ROWS
+    return LinearSampler(grid, method, process, hurst, len(gram), draw, {**info, "jitter": jitter})
+
+
 @functools.lru_cache(maxsize=64)
 def cholesky_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSampler:
     """Exact joint sampling of (X(1/n), ..., X(1)) of fbm or sfbm as L z, with L L^T
-    the Gram c(t_i, t_j) of the process's covariance (`cholesky_factor`, jitter in `info`)."""
+    the Gram c(t_i, t_j) of the process's covariance (`_factor_sampler`, jitter in `info`)."""
     cov, hurst, t = _covariance(process), _check_hurst(hurst), grid.times()
-    lower, jitter = cholesky_factor(cov(t[:, None], t[None, :], hurst))
-    draw, info = _dense_map(lower), {"jitter": jitter}
-    return LinearSampler(grid, "cholesky", process, hurst, grid.n, draw, info)
+    return _factor_sampler(grid, "cholesky", process, hurst, cov(t[:, None], t[None, :], hurst))
 
 
 def circulant_spectrum(row) -> CirculantSpectrum:
@@ -244,11 +243,10 @@ def _circulant_draw(spectrum: CirculantSpectrum, finish=None):
     return len(columns), draw
 
 
-def _circulant_sampler(grid, method, process, hurst, acf, length, finish):
-    """`finish` of the circulant draws whose columns 0 .. length - 1 have the lags
-    0 .. length - 1 of acf(k, grid.n, hurst) (`_circulant_draw`)."""
-    hurst = float(hurst)
-    spectrum = circulant_spectrum(acf(np.arange(length), grid.n, hurst))
+def _circulant_sampler(grid, method, process, hurst, row, finish):
+    """`finish` of the circulant draws whose columns 0 .. len(row) - 1 have the
+    autocovariance `row` at lags 0 .. len(row) - 1 (`_circulant_draw`)."""
+    spectrum = circulant_spectrum(row)
     k, draw = _circulant_draw(spectrum, finish)
     info = {"clamped_mass": spectrum.clamped_mass, "embedding_size": spectrum.m}
     return LinearSampler(grid, method, process, hurst, k, draw, info)
@@ -262,10 +260,11 @@ def davies_harte_sampler(grid: GridSpec, hurst: float) -> LinearSampler:
     (Craigmile 2003), so in exact arithmetic nothing is clamped; a roundoff
     negative would be clamped to zero, its size in `info["clamped_mass"]`.
     """
-    n = grid.n
+    n, hurst = grid.n, _check_hurst(hurst)
     cumsum = lambda y: np.cumsum(y[:, :n], axis=1)  # fGn rows to fBm rows
     # n = 1 takes two lags: m = 2, whose eigenvalues 1 +- rho(1) are positive
-    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, fgn_acf, max(n, 2), cumsum)
+    row = fgn_acf(np.arange(max(n, 2)), n, hurst)
+    return _circulant_sampler(grid, "davies-harte", "fbm", hurst, row, cumsum)
 
 
 def davies_harte_fbm(grid: GridSpec, hurst: float, rng: RngStream) -> SamplePath:
@@ -374,7 +373,7 @@ def ma_sampler(
     visibly for H > 1/2, where the discarded tail decays slowly); this
     sampler exists to make that bias measurable, not to be exact.
 
-    W has rank <= n, and L is its Gram's n x n factor (`cholesky_factor`, jitter in
+    W has rank <= n, and L is its Gram's n x n factor (`_factor_sampler`, jitter in
     `info`). W W^T is built from lag sums (`_ma_gram`) in O(n k) time and O(n^2 + k)
     memory, without W's (n, k) array, k = (T + 1) * substeps * n. With T = truncation,
     it lacks C_H^2 * integral over v > T of ((s+v)^{H-1/2} - v^{H-1/2}) *
@@ -385,9 +384,10 @@ def ma_sampler(
     """
     hurst = _check_hurst(hurst)
     truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
-    lower, jitter = cholesky_factor(_ma_gram(grid.n, hurst, truncation, substeps))
-    info = {"truncation": truncation, "substeps": substeps, "jitter": jitter}
-    return LinearSampler(grid, "ma-truncated", "fbm", hurst, grid.n, _dense_map(lower), info)
+    gram = _ma_gram(grid.n, hurst, truncation, substeps)
+    return _factor_sampler(
+        grid, "ma-truncated", "fbm", hurst, gram, truncation=truncation, substeps=substeps
+    )
 
 
 def ma_truncated_fbm(

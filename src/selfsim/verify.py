@@ -292,27 +292,31 @@ def method_equivalence(batch_a, batch_b) -> VerificationReport:
     return _band_report("method-equivalence", first_a, len(a), deviation, detail, method=method)
 
 
-def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
+def _scale_nodes(n: int) -> list[int]:
+    if n % 2:
+        raise ParameterError(f"the scale 1/2 lands on no grid node of odd n={n}")
+    return [n // 2, n]
+
+
+def quantile_scaling_check(batch) -> VerificationReport:
     """One-dimensional self-similarity at the batch's H and the scale a = 1/2:
-    X(a)/a^H should match X(1) in law, so the grid size n must be even.
+    X(a)/a^H should match X(1) in law, so the grid size n must be even. A batch,
+    or the blocks of one law (`_blocks`), of which only the nodes n/2 and n are kept.
 
     Compares quantiles (5%..95%) of the rescaled node n/2 against node n, with
     paired bootstrap standard errors of the quantile differences (200 draws from
     Philox key 0). Passes iff no difference exceeds `DEFAULT_TOL_MULTIPLIER` of them.
     """
-    n = batch.n
-    if n % 2:
-        raise ParameterError(f"the scale 1/2 lands on no grid node of odd n={n}")
+    first, values = _columns(batch, _scale_nodes)
     quantiles = np.arange(0.05, 0.951, 0.05)
-    values = batch.values
-    x_scaled = values[:, n // 2 - 1] / 0.5**batch.hurst
-    x_ref = values[:, n - 1]
+    x_scaled = values[:, 0] / 0.5**first.hurst
+    x_ref = values[:, 1]
     q_scaled = np.quantile(x_scaled, quantiles)
     q_ref = np.quantile(x_ref, quantiles)
     diff = q_scaled - q_ref
 
     boot_rng = np.random.Generator(np.random.Philox(key=0))
-    m = batch.count
+    m = len(values)
     boot_diffs = np.empty((200, quantiles.size))
     for row in boot_diffs:
         idx = boot_rng.integers(0, m, size=m)
@@ -330,7 +334,7 @@ def quantile_scaling_check(batch: ReplicateBatch) -> VerificationReport:
     ]
     tolerance = DEFAULT_TOL_MULTIPLIER
     return VerificationReport.of(
-        "quantile-scaling", batch, m, bool(worst <= tolerance), worst, tolerance, details
+        "quantile-scaling", first, m, bool(worst <= tolerance), worst, tolerance, details
     )
 
 

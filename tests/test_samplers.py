@@ -12,12 +12,15 @@ from scipy.linalg import lapack
 from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
 from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf
 from selfsim.lamperti import grid_map, lamperti_sampler
+from selfsim import samplers
 from selfsim.samplers import (
     JITTER_LADDER,
     CirculantSpectrum,
     NotPositiveDefiniteError,
     _circulant_draw,
     _circulant_sampler,
+    _ladder_cholesky,
+    _ma_gram,
     bm_sampler,
     cholesky_factor,
     cholesky_sampler,
@@ -40,8 +43,8 @@ def lamperti_circulant(hurst, n):
     grid = GridSpec(n)
     index, scale = grid_map(n).index, grid.times() ** hurst
     finish = lambda y: scale * np.take(y, index, axis=1)
-    acf = functools.partial(lamperti_acf, "fbm")
-    return _circulant_sampler(grid, "lamperti", "fbm", hurst, acf, n + 1, finish)
+    row = lamperti_acf("fbm", np.arange(n + 1), n, hurst)
+    return _circulant_sampler(grid, "lamperti", "fbm", hurst, row, finish)
 
 
 def circulant_row(spectrum, rng):
@@ -154,6 +157,41 @@ class TestCholeskyFactor:
         assert residual <= 2e-15 * np.abs(target).max()
         if hurst <= 0.9:
             assert np.abs(lower - np.tril(c)).max() <= 1e-11
+
+
+class TestBuilderGrams:
+    """Every dense builder hands its own Gram to `_factor_sampler`, which factors it
+    without `cholesky_factor`'s symmetry check: LAPACK potrf reads only the lower
+    triangle, so the strict upper one cannot move a bit of L."""
+
+    @staticmethod
+    def gram(kind, n):
+        if kind == "ma":
+            return _ma_gram(n, 0.7, 50.0, 8)
+        t = GridSpec(n).times()
+        return _covariance(kind)(t[:, None], t[None, :], 0.7)
+
+    @pytest.mark.parametrize("kind, n", [("fbm", 64), ("fbm", 257), ("ma", 64)])
+    def test_upper_triangle_is_never_read(self, kind, n):
+        gram = self.gram(kind, n)
+        lower, jitter = _ladder_cholesky(gram)
+        scribbled = gram.copy()
+        scribbled[np.triu_indices(len(gram), 1)] = 123.0
+        other, other_jitter = _ladder_cholesky(scribbled)
+        assert other_jitter == jitter
+        assert np.array_equal(other.view(np.uint64), lower.view(np.uint64))
+
+    def test_builders_do_not_call_cholesky_factor(self, monkeypatch):
+        def refuse(gram):
+            raise AssertionError("a builder called cholesky_factor")
+
+        monkeypatch.setattr(samplers, "cholesky_factor", refuse)
+        for builder in (cholesky_sampler, ma_sampler, lamperti_sampler):
+            builder.cache_clear()
+        grid = GridSpec(256)
+        assert cholesky_sampler("fbm", 0.7, grid).info == {"jitter": 0.0}
+        assert ma_sampler(grid, 0.7).info["jitter"] == 0.0
+        assert lamperti_sampler("fbm", 0.8, grid).info == {"jitter": 0.0}
 
 
 class TestCholeskySample:
@@ -719,7 +757,7 @@ class TestDenseMapRows:
     """Each row of a dense map's batch has the bits of its per-path call.
 
     OpenBLAS picks its GEMM kernel by the product's shape, so these shapes
-    fail if `_dense_map` multiplies a whole block in one GEMM of variable
+    fail if `_factor_sampler` multiplies a whole block in one GEMM of variable
     height. That rows of a fixed-height GEMM do not depend on their position
     or neighbours is a property of the BLAS, not a numpy guarantee.
     """

@@ -245,6 +245,15 @@ class TestQuantileScaling:
         batch = generate_batch(cholesky_sampler("fbm", 0.7, grid), 20_000, 73)
         assert not quantile_scaling_check(dataclasses.replace(batch, hurst=0.2)).verdict
 
+    def test_three_blocks_and_their_batch_give_one_report(self):
+        # 334-row blocks: 1 000 paths come in three, and only nodes n/2 and n are kept
+        sampler = in_one_block(cholesky_sampler("fbm", 0.7, GridSpec(64)), 334)
+        blocks = list(generate_blocks(sampler, 1_000, 74))
+        assert [block.count for block in blocks] == [334, 334, 332]
+        streamed = quantile_scaling_check(iter(blocks)).to_dict()
+        assert streamed == quantile_scaling_check(generate_batch(sampler, 1_000, 74)).to_dict()
+        assert streamed["m_replicates"] == 1_000
+
     def test_off_grid_scale_rejected(self):
         # the scale 1/2 of an odd grid falls between two nodes
         batch = synthetic_batch(np.random.default_rng(0).standard_normal((200, 9)))
@@ -281,12 +290,14 @@ COLUMN_CHECKS = {
     "covariance-match": lambda a, b: covariance_match(a),
     "normality": lambda a, b: normality_check(a),
     "method-equivalence": method_equivalence,
+    "quantile-scaling": lambda a, b: quantile_scaling_check(a),
 }
 
 
 class TestBlocks:
-    """covariance_match, normality_check and method_equivalence take the blocks of
-    `generate_blocks` one at a time, and stack only their nodes' columns."""
+    """covariance_match, normality_check, method_equivalence and
+    quantile_scaling_check take the blocks of `generate_blocks` one at a time, and
+    stack only their nodes' columns."""
 
     @staticmethod
     def samplers(n, hurst=0.7):

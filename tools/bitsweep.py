@@ -9,8 +9,9 @@ BLAS pinned to one thread, which runs ``selfsim.cli.main`` on every case
 with ``--out`` a scratch file. It prints each case's exit code and the
 sha256 of its output in both trees, then the cases that differ.
 
-The cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 263,
-2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON; paths
+The cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 262,
+263, 2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON (262
+and 263 are the last dense and the first circulant ``lamperti`` grids); paths
 of three write chunks (n = 2 * cli._CHUNK + 1), one and three of them, of
 ``bm-cumsum`` and ``davies-harte``, as CSV and as JSON; the four benchmark
 commands; and every ``verify`` suite. A pair that refuses an
@@ -39,7 +40,7 @@ PAIRS = (
     ("fbm", "lamperti"),
     ("sfbm", "lamperti"),
 )
-GRID_SIZES = (1, 2, 3, 16, 64, 257, 263, 2048)
+GRID_SIZES = (1, 2, 3, 16, 64, 257, 262, 263, 2048)
 HURSTS = (0.3, 0.7, 0.72, 0.8, 0.95, 0.99)
 # 2 * cli._CHUNK + 1: two whole write chunks of a path and one of a single value
 MULTI_CHUNK_N = 8193
