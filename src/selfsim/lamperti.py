@@ -93,9 +93,11 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
         # The exact Gram r(|S_a - S_b|) of the nodes, from lags 0..n alone, where
         # `lamperti_acf` is accurate (ROADMAP item 10); its jitter is 0.0 for
         # every n up to the cutover, H = 0.999 included.
-        gram = row[np.abs(nodes[:, None] - nodes)]
         slot = np.searchsorted(nodes, index)  # each grid point's node, as a column of L z
-        return _factor_sampler(grid, "lamperti", process, hurst, gram, _gather(slot, scale))
+        return _factor_sampler(
+            grid, "lamperti", process, hurst,
+            row[np.abs(nodes[:, None] - nodes)], _gather(slot, scale),
+        )
     # Above the cutover the sequence at 0..n is one circulant draw. The rescaled
     # autocovariance falls with the lag (fbm, n = 256, H = 0.95: 1 at lag 0,
     # 0.721 at lag n, 0.313 at lag 4n), but `lamperti_acf` cancels past lag n

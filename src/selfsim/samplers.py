@@ -160,6 +160,7 @@ def _factor_sampler(grid, method, process, hurst, gram, finish=None, **info) -> 
     transposed view of a C-ordered matrix, and its first call is cheaper.
     """
     lower, jitter = _ladder_cholesky(gram)
+    del gram  # each builder passes its Gram alone, so it is freed before L^T is copied
     operand = np.ascontiguousarray(lower.T)
 
     def draw(z):
@@ -170,7 +171,7 @@ def _factor_sampler(grid, method, process, hurst, gram, finish=None, **info) -> 
         return y if finish is None else finish(y)
 
     draw.gemm_rows = _GEMM_ROWS
-    return LinearSampler(grid, method, process, hurst, len(gram), draw, {**info, "jitter": jitter})
+    return LinearSampler(grid, method, process, hurst, len(lower), draw, {**info, "jitter": jitter})
 
 
 @functools.lru_cache(maxsize=64)
@@ -384,9 +385,9 @@ def ma_sampler(
     """
     hurst = _check_hurst(hurst)
     truncation, substeps = _check_truncation(truncation), _check_substeps(substeps)
-    gram = _ma_gram(grid.n, hurst, truncation, substeps)
     return _factor_sampler(
-        grid, "ma-truncated", "fbm", hurst, gram, truncation=truncation, substeps=substeps
+        grid, "ma-truncated", "fbm", hurst, _ma_gram(grid.n, hurst, truncation, substeps),
+        truncation=truncation, substeps=substeps,
     )
 
 

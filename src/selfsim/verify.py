@@ -311,9 +311,7 @@ def quantile_scaling_check(batch) -> VerificationReport:
     quantiles = np.arange(0.05, 0.951, 0.05)
     x_scaled = values[:, 0] / 0.5**first.hurst
     x_ref = values[:, 1]
-    q_scaled = np.quantile(x_scaled, quantiles)
-    q_ref = np.quantile(x_ref, quantiles)
-    diff = q_scaled - q_ref
+    diff = np.quantile(x_scaled, quantiles) - np.quantile(x_ref, quantiles)
 
     boot_rng = np.random.Generator(np.random.Philox(key=0))
     m = len(values)
