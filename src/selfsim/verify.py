@@ -93,13 +93,12 @@ def _cov_se(cov: np.ndarray, m: int) -> np.ndarray:
     return np.sqrt((np.outer(diag, diag) + cov**2) / m)
 
 
-def empirical_covariance(batch: ReplicateBatch, node_pairs):
-    """Sample covariance and standard error at 1-based (j, k) node pairs."""
-    if batch.count < 100:
-        raise ParameterError("need at least 100 replicates for covariance estimates")
-    values = batch.values
+def empirical_covariance(batch, node_pairs):
+    """Sample covariance and standard error at 1-based (j, k) node pairs of a batch,
+    or of the blocks of one law (`_blocks`), of at least 100 paths."""
+    _, _, values = _columns(batch, lambda n: np.arange(1, n + 1), 100)
     cov = _sample_cov(values)
-    se = _cov_se(cov, batch.count)
+    se = _cov_se(cov, len(values))
     idx = np.array([(j - 1, k - 1) for j, k in node_pairs])
     return cov[idx[:, 0], idx[:, 1]], se[idx[:, 0], idx[:, 1]]
 
@@ -124,11 +123,12 @@ def _band_report(check, batch, count, deviation, detail, **fields) -> Verificati
     return VerificationReport.of(check, batch, count, verdict, worst, tolerance, details, **fields)
 
 
-def _blocks(batch):
-    """The blocks of `batch`, one at a time: a batch is one block, and an iterable
-    such as `core.generate_blocks` yields the blocks of one law. A block of another
-    (process, method, hurst, n) than the first is refused."""
-    first = None
+def _blocks(batch, minimum):
+    """The blocks of `batch`, one at a time: a batch is one block, and an iterable such as
+    `core.generate_blocks` yields the blocks of one law. A block of another (process,
+    method, hurst, n) than the first is refused, and so are fewer than `minimum` paths in
+    all, no block included: every check's path minimum, enforced after the last block."""
+    first, m = None, 0
     for block in [batch] if isinstance(batch, ReplicateBatch) else batch:
         law = (block.process, block.method, block.hurst, block.n)
         first = first or law
@@ -136,17 +136,21 @@ def _blocks(batch):
             raise ParameterError(
                 f"a block of (process, method, hurst, n) = {law} in a check of {first}"
             )
+        m += block.count
         yield block
+    if m < minimum:
+        raise ParameterError(f"need at least {minimum} replicates, got {m}")
 
 
-def _columns(batch, nodes) -> tuple[ReplicateBatch | None, np.ndarray]:
-    """The first of the blocks of `batch` (`_blocks`) and their columns at the 1-based
-    nodes(n), stacked in one (count, len(nodes(n))) array; no other block is kept."""
+def _columns(batch, nodes, minimum) -> tuple[ReplicateBatch, list | np.ndarray, np.ndarray]:
+    """The first of the blocks of `batch` (`_blocks`, at least `minimum` paths), the
+    1-based nodes(n), and the blocks' columns at them stacked in one
+    (count, len(nodes(n))) array; no other block is kept."""
     first, parts = None, []
-    for block in _blocks(batch):
+    for block in _blocks(batch, minimum):
         first = first or block
         parts.append(block.values[:, np.subtract(nodes(block.n), 1)])
-    return first, np.concatenate(parts) if parts else np.empty((0, 0))
+    return first, nodes(first.n), np.concatenate(parts)
 
 
 def _target(batch: ReplicateBatch, s, t):
@@ -158,25 +162,23 @@ def _target(batch: ReplicateBatch, s, t):
 def covariance_match(batch) -> VerificationReport:
     """Empirical covariance on a subgrid (stride 4 above `STRIDE_THRESHOLD` nodes)
     versus the exact covariance of the law the batch names (`_target`). A batch, or
-    the blocks of one law (`_blocks`), of which only the subgrid's columns are kept.
+    the blocks of one law (`_blocks`) of at least 100 paths, of which only the
+    subgrid's columns are kept.
 
     Passes iff at least 95% of entries deviate by no more than
     `DEFAULT_TOL_MULTIPLIER` standard errors and none by more than twice that.
     """
-    first, values = _columns(batch, _grid_nodes)
+    first, nodes, values = _columns(batch, _grid_nodes, 100)
     m = len(values)
-    if m < 100:
-        raise ParameterError("need at least 100 replicates")
-    nodes = _grid_nodes(first.n)
     cov = _sample_cov(values)
     times = nodes / first.n
     deviation = np.abs(cov - _target(first, times[:, None], times[None, :])) / _cov_se(cov, m)
     return _band_report("covariance-match", first, m, deviation, {"nodes": nodes.tolist()})
 
 
-def _node_moments(batch) -> tuple[ReplicateBatch | None, int, np.ndarray | None]:
-    """The first of the blocks of `batch` (`_blocks`), their total row count and each
-    node's sum of squared deviations M2, with no block kept.
+def _node_moments(batch, minimum) -> tuple[ReplicateBatch, int, np.ndarray]:
+    """The first of the blocks of `batch` (`_blocks`, at least `minimum` paths), their
+    total row count and each node's sum of squared deviations M2, with no block kept.
 
     (count, mean, M2) is merged over row blocks of at most `core._BLOCK_NORMALS`
     floats by the pairwise update of Chan, Golub & LeVeque (Amer. Statist. 37:242,
@@ -186,7 +188,7 @@ def _node_moments(batch) -> tuple[ReplicateBatch | None, int, np.ndarray | None]
     residuals, so a mean far from zero costs no accuracy.
     """
     first, m, m2 = None, 0, None
-    for block in _blocks(batch):
+    for block in _blocks(batch, minimum):
         if first is None:
             first, shift = block, None
             rows = max(1, core._BLOCK_NORMALS // block.n)
@@ -214,13 +216,11 @@ def marginal_variance_profile(batch) -> VerificationReport:
     The variance merges the moments of row blocks (`_node_moments`), so blocks
     drawn one at a time are judged without their (count, n) batch. Returns a
     VerificationReport whose details carry one record per node with the
-    estimate, target, and standard error Var * sqrt(2/M), M the total row count;
-    a sample variance needs at least 2 replicates. Passes iff no node deviates
-    by more than `DEFAULT_TOL_MULTIPLIER` standard errors.
+    estimate, target, and standard error Var * sqrt(2/M), M the total row count,
+    at least 2 for a sample variance. Passes iff no node deviates by more than
+    `DEFAULT_TOL_MULTIPLIER` standard errors.
     """
-    first, m, m2 = _node_moments(batch)
-    if m < 2:
-        raise ParameterError(f"need at least 2 replicates for sample variances, got {m}")
+    first, m, m2 = _node_moments(batch, 2)
     t = first.grid.times()
     target = _target(first, t, t)
     estimate = m2 / (m - 1)
@@ -250,15 +250,12 @@ def ks_distance(sample: np.ndarray) -> float:
 
 
 def normality_check(batch) -> VerificationReport:
-    """Marginal Gaussianity at the 1-based nodes n/4, n/2 and n (each at least 1) of a
-    batch, or of the blocks of one law (`_blocks`), of which only those columns are
-    kept: one KS distance per node in the details, and a pass iff every node is
+    """Marginal Gaussianity at the 1-based nodes n/4, n/2 and n (each at least 1) of a batch,
+    or of the blocks of one law (`_blocks`) of at least 1000 paths, of which only those
+    columns are kept: one KS distance per node in the details, and a pass iff every node is
     within KS_CRIT_1PCT / sqrt(M), a bound well above the 1% point (KS_CRIT_1PCT)."""
-    first, values = _columns(batch, _ks_nodes)
+    first, nodes, values = _columns(batch, _ks_nodes, 1000)
     m = len(values)
-    if m < 1000:
-        raise ParameterError("need at least 1000 replicates for the KS check")
-    nodes = _ks_nodes(first.n)
     details = [{"node": j, "ks_distance": ks_distance(x)} for j, x in zip(nodes, values.T)]
     worst = max(d["ks_distance"] for d in details)
     tolerance = KS_CRIT_1PCT / math.sqrt(m)
@@ -270,15 +267,13 @@ def normality_check(batch) -> VerificationReport:
 def method_equivalence(batch_a, batch_b) -> VerificationReport:
     """Entrywise comparison of two methods' empirical covariances.
 
-    Each is a batch, or the blocks of one law (`_blocks`), of which only the
-    subgrid's columns are kept. Deviations are scaled by pooled standard errors;
+    Each is a batch, or the blocks of one law (`_blocks`) of at least 2 paths, of which
+    only the subgrid's columns are kept. Deviations are scaled by pooled standard errors;
     the subgrid and the pass rule match covariance_match. When either method is
     lamperti, only variances are compared: it is exact in marginal law only.
     """
-    first_a, a = _columns(batch_a, _grid_nodes)
-    first_b, b = _columns(batch_b, _grid_nodes)
-    if min(len(a), len(b)) < 2:
-        raise ParameterError("need at least 2 replicates in each batch for sample covariances")
+    first_a, _, a = _columns(batch_a, _grid_nodes, 2)
+    first_b, _, b = _columns(batch_b, _grid_nodes, 2)
     if first_a.n != first_b.n:
         raise ParameterError("batches must share the same grid")
     cov_a, cov_b = _sample_cov(a), _sample_cov(b)
@@ -300,14 +295,15 @@ def _scale_nodes(n: int) -> list[int]:
 
 def quantile_scaling_check(batch) -> VerificationReport:
     """One-dimensional self-similarity at the batch's H and the scale a = 1/2:
-    X(a)/a^H should match X(1) in law, so the grid size n must be even. A batch,
-    or the blocks of one law (`_blocks`), of which only the nodes n/2 and n are kept.
+    X(a)/a^H should match X(1) in law, so the grid size n must be even. A batch, or the
+    blocks of one law (`_blocks`) of at least 100 paths (so that the 5% and 95%
+    quantiles rest on five each), of which only the nodes n/2 and n are kept.
 
     Compares quantiles (5%..95%) of the rescaled node n/2 against node n, with
     paired bootstrap standard errors of the quantile differences (200 draws from
     Philox key 0). Passes iff no difference exceeds `DEFAULT_TOL_MULTIPLIER` of them.
     """
-    first, values = _columns(batch, _scale_nodes)
+    first, _, values = _columns(batch, _scale_nodes, 100)
     quantiles = np.arange(0.05, 0.951, 0.05)
     x_scaled = values[:, 0] / 0.5**first.hurst
     x_ref = values[:, 1]

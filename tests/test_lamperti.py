@@ -253,7 +253,7 @@ def merged_variance(values: np.ndarray) -> np.ndarray:
     """Each column's sample variance from the merged moments of `_node_moments`."""
     m, n = values.shape
     batch = ReplicateBatch(GridSpec(n), values, "x", "bm", 0.5, 0, tuple(range(m)))
-    _, count, m2 = _node_moments([batch])
+    _, count, m2 = _node_moments([batch], 2)
     return m2 / (count - 1)
 
 
@@ -300,7 +300,7 @@ class TestNodeMoments:
     def test_variance_matches_exact_sum(self, n, m, offset, scale):
         values = np.random.default_rng(n + m).standard_normal((m, n)) * scale + offset
         batch = ReplicateBatch(GridSpec(n), values, "x", "bm", 0.5, 0, tuple(range(m)))
-        first, count, m2 = _node_moments([batch])
+        first, count, m2 = _node_moments([batch], 2)
         exact = exact_variance(values)
         # a row block of k rows is summed row by row: a random walk of k roundings,
         # plus a few for the shift, the mean and the merge (observed: at most

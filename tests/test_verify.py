@@ -85,6 +85,33 @@ def test_report_fields_come_from_the_batch(check):
         assert payload[key] == value, key
 
 
+# Each check on a run `a` of paths (method_equivalence's other run `b`), and its path minimum.
+MINIMA = {
+    "covariance-match": (lambda a, b: covariance_match(a), 100),
+    "marginal-variance": (lambda a, b: marginal_variance_profile(a), 2),
+    "normality": (lambda a, b: normality_check(a), 1000),
+    "method-equivalence-a": (method_equivalence, 2),
+    "method-equivalence-b": (lambda a, b: method_equivalence(b, a), 2),
+    "quantile-scaling": (lambda a, b: quantile_scaling_check(a), 100),
+    "empirical-covariance": (lambda a, b: empirical_covariance(a, [(1, 2)]), 100),
+}
+
+
+@pytest.mark.parametrize("check", MINIMA)
+def test_each_check_takes_at_least_its_minimum(check):
+    # no block, or one path too few, is a usage error naming the minimum, whether
+    # it comes as a batch or as blocks of at most 7 paths; the minimum itself is not
+    call, minimum = MINIMA[check]
+    sampler = in_one_block(davies_harte_sampler(GridSpec(8), 0.7), 7)
+    other = generate_batch(sampler, minimum, 2)
+    short = [[], generate_blocks(sampler, minimum - 1, 1), generate_batch(sampler, minimum - 1, 1)]
+    for run in short:
+        with pytest.raises(ParameterError, match=f"at least {minimum} replicates"):
+            call(run, other)
+    call(generate_blocks(sampler, minimum, 1), other)
+    call(generate_batch(sampler, minimum, 1), other)
+
+
 class TestEmpiricalCovariance:
     def test_exact_sampler_vs_kernel(self):
         grid = GridSpec(16)
@@ -104,11 +131,6 @@ class TestEmpiricalCovariance:
         batch = synthetic_batch(np.zeros((500, 4)))
         est, _ = empirical_covariance(batch, [(1, 4), (2, 2)])
         assert np.all(est == 0.0)
-
-    def test_requires_minimum_replicates(self):
-        batch = synthetic_batch(np.zeros((99, 4)))
-        with pytest.raises(ParameterError):
-            empirical_covariance(batch, [(1, 1)])
 
 
 class TestCovarianceMatch:
@@ -173,11 +195,6 @@ class TestNormality:
         expected = stats.kstest((x - x.mean()) / x.std(ddof=1), "norm").statistic
         assert abs(ks_distance(x) - expected) <= 1e-14
 
-    def test_requires_minimum_replicates(self):
-        batch = synthetic_batch(np.zeros((500, 4)))
-        with pytest.raises(ParameterError):
-            normality_check(batch)
-
 
 class TestMethodEquivalence:
     def test_same_law_passes(self):
@@ -197,12 +214,6 @@ class TestMethodEquivalence:
         b = synthetic_batch(np.zeros((200, 8)) + np.arange(8))
         with pytest.raises(ParameterError):
             method_equivalence(a, b)
-
-    def test_fewer_than_two_paths_rejected(self):
-        one, two = synthetic_batch(np.zeros((1, 4))), synthetic_batch(np.ones((2, 4)))
-        for a, b in ((one, two), (two, one)):
-            with pytest.raises(ParameterError):
-                method_equivalence(a, b)
 
     @pytest.mark.parametrize(
         "method_a, method_b, diagonal_only",

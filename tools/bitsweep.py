@@ -14,8 +14,9 @@ The cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 262,
 and 263 are the last dense and the first circulant ``lamperti`` grids); paths
 of three write chunks (n = 2 * cli._CHUNK + 1), one and three of them, of
 ``bm-cumsum`` and ``davies-harte``, as CSV and as JSON; the four benchmark
-commands; and every ``verify`` suite. A pair that refuses an
-H or an n gives its exit code and an empty output in both trees.
+commands; and every ``verify`` suite, each also at n = 16 with one path fewer
+than its minimum (a refusal) and with its minimum. A pair that refuses an H, an
+n or a path count gives its exit code and an empty output in both trees.
 
 It is a tool, not a test: it gates nothing, and it exits 0 whatever differs.
 Run both trees on one host, since the GEMM bits of the BLAS may differ
@@ -53,6 +54,8 @@ BENCHMARK = (
 )
 # each suite's path count: at least what it needs
 SUITE_PATHS = {"marginals": 500, "covariance": 200, "normality": 1000, "equivalence": 200}
+# each suite's path minimum, as the docstring of selfsim/cli.py states it
+SUITE_MINIMA = {"marginals": 2, "covariance": 100, "normality": 1000, "equivalence": 2}
 
 
 def cases() -> list[str]:
@@ -81,9 +84,10 @@ def cases() -> list[str]:
             for suite, paths in SUITE_PATHS.items():
                 for n in (1, 16, 263):
                     out.append(f"verify --suite {suite} {common} --n {n} --paths {paths}")
-            out.append(f"verify --suite marginals {common} --n 16 --paths 1")
+                for paths in (SUITE_MINIMA[suite] - 1, SUITE_MINIMA[suite]):
+                    out.append(f"verify --suite {suite} {common} --n 16 --paths {paths}")
             out.append(f"verify --suite error-bound {common} --n 16,64,256,1024")
-    return out
+    return list(dict.fromkeys(out))  # normality's minimum is also its sweep count
 
 
 def run_cases() -> None:
