@@ -9,12 +9,13 @@ is not used.
 Every `verify` run writes one report object. Exit codes: 0 success, 1 a
 verification verdict failed, 2 usage error (including invalid process/method
 combinations, flags a command does not take, malformed values, bad config
-files, an unwritable output path, a grid too large to allocate, and fewer
-paths than a suite needs: 2 for marginals and equivalence, 100 for covariance,
-1000 for normality), 3 numerical failure (a Cholesky factor that stays
-indefinite through the whole jitter ladder). A reader that closes
-standard output early (`selfsim simulate | head -1`) is not an error: the
-rest of the output is dropped, and the command returns its own code.
+files, an unwritable output path, a write that fails (a full device), a grid
+too large to allocate, and fewer paths than a suite needs: 2 for marginals and
+equivalence, 100 for covariance, 1000 for normality), 3 numerical failure (a
+Cholesky factor that stays indefinite through the whole jitter ladder). A
+reader that closes standard output early (`selfsim simulate | head -1`) is not
+an error: the rest of the output is dropped, and the command returns its own
+code.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import argparse
 import csv
 import functools
 import json
-import operator
 import os
 import stat
 import sys
@@ -82,8 +82,8 @@ FORMATS = ("csv", "json")
 # Values of a path per write: a chunk's floats, reprs and text live only while it
 # is written, so a writer holds O(_CHUNK) of them, not O(n). One bm path of
 # n = 2**21 peaks at 84 MiB as CSV and as JSON, against 614 and 323 MiB in one
-# write. A warm write of 4 sfBm paths of n = 32768 takes no page faults
-# at 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 1900.
+# write. A warm write of 4 sfBm paths of n = 32768 takes at most one page fault
+# at 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 2500.
 _CHUNK = 4096
 
 
@@ -182,15 +182,23 @@ def _build_sampler(o: argparse.Namespace, method, n):
     return _builder(o, method)(o, GridSpec(n))
 
 
+def _drop_output(fd: int) -> None:
+    """Point `fd` at the null device, so the flush of what its stream still holds is quiet."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 @contextmanager
 def _open_out(out):
-    """The output stream; an unwritable path is a usage error.
+    """The output stream; an unwritable path, or a write or flush that fails (a full
+    device), is a usage error.
 
-    A closed pipe, on standard output or named by `out`, ends the writing: its
-    descriptor then points at the null device, so the final flush stays quiet,
-    and the command returns its own code. A file is opened as UTF-8 at
-    offset 0 without truncation, and its old tail is cut only when
-    the block succeeds. So a command that opens it before its work fails on a
+    A closed pipe, on standard output or named by `out`, ends the writing, and the
+    command returns its own code. After a closed pipe or a failed write the
+    descriptor points at the null device, so the final flush stays quiet. A file is
+    opened as UTF-8 at offset 0 without truncation, and its old tail is cut only
+    when the block succeeds. So a command that opens it before its work fails on a
     bad path at once. A failed run removes a file it created; one that fails
     before writing leaves an existing file as it was.
     """
@@ -198,8 +206,10 @@ def _open_out(out):
         try:
             yield sys.stdout
             sys.stdout.flush()
-        except BrokenPipeError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError as exc:
+            _drop_output(sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                raise UsageError(f"cannot write standard output: {exc.strerror}") from None
         return
     created = not os.path.lexists(out)
     try:
@@ -211,12 +221,15 @@ def _open_out(out):
             yield stream
             stream.flush()
         except BrokenPipeError:  # a pipe has no tail to cut
-            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+            _drop_output(fd)
             return
-        except BaseException:
+        except BaseException as exc:
             if created:
                 os.unlink(out)
-            raise
+            if not isinstance(exc, OSError):
+                raise
+            _drop_output(fd)
+            raise UsageError(f"cannot write output file {out!r}: {exc.strerror}") from None
         if stat.S_ISREG(os.fstat(fd).st_mode):
             stream.truncate()
 
@@ -230,6 +243,8 @@ def _write_csv(blocks, n: int, count: int, stream) -> None:
     """Rows path_id,t,value of the `count` paths of n values in `blocks`, the t = 0
     row first; one write per chunk of a path.
 
+    A chunk is one join of a list that repeats the row's "\n{i}," separator, its
+    "t," cell and its value's repr, so no "t,value" string is built per value.
     Each "t," cell is formatted once, as repr(j / n) of Python ints, when the first
     path reaches its chunk, and kept only while another path follows: one path
     holds O(_CHUNK) of them, not n.
@@ -243,8 +258,10 @@ def _write_csv(blocks, n: int, count: int, stream) -> None:
         for c, (part, end) in enumerate(chunks):
             cells = times[c] or [f"{j / n!r}," for j in range(1, n + 1)[part]]
             times[c] = cells if i < last else None
-            values = map(repr, row[part].tolist())
-            stream.write(f"{head}{sep}{sep.join(map(operator.add, cells, values))}{end}")
+            parts = [sep] * (3 * len(cells))
+            parts[1::3] = cells
+            parts[2::3] = map(repr, row[part].tolist())
+            stream.write(f"{head}{''.join(parts)}{end}")
             head = ""
 
 

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -406,6 +407,29 @@ class TestWriters:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0]
 
+    def test_many_path_csv_holds_the_t_cells_and_one_chunk(self):
+        # paths after the first reuse the n cached "t," cells, and each chunk is built
+        # alone, so the writer's peak does not grow with the path count (16 against 2)
+        import tracemalloc
+
+        from selfsim.cli import _CHUNK, _write_csv
+        from selfsim.samplers import bm_sampler
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        peaks = []
+        for paths in (2, 16):
+            batch = generate_batch(bm_sampler(GridSpec(2 * _CHUNK)), paths, 3)
+            tracemalloc.start()
+            try:
+                _write_csv([batch], batch.n, paths, Sink())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0]
+
     def test_edge_reprs_match_reference(self):
         from selfsim.cli import _write_csv, _write_json
         from selfsim.core import GridSpec, ReplicateBatch
@@ -755,6 +779,47 @@ class TestOutputFile:
         result = subprocess.run(argv, capture_output=True, timeout=60)
         assert (result.returncode, result.stderr) == (0, b"")
         assert out.read_bytes().startswith(b"path_id,t,value\n0,0.0,0.0\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv, redirect",
+        [
+            ("simulate --n 64 --paths 3 --out /dev/full", False),
+            ("verify --suite marginals --n 16 --paths 10 --out /dev/full", False),
+            ("simulate --n 64 --paths 3", True),
+        ],
+        ids=["simulate-out", "verify-out", "simulate-stdout"],
+    )
+    def test_failed_write_is_a_usage_error(self, argv, redirect):
+        # a full device fails the write or the flush (ENOSPC): exit 2 with one error
+        # line, no traceback, and a quiet final flush ("Exception ignored", status 120)
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "selfsim.cli", *argv.split()],
+                stdout=full if redirect else subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                timeout=60,
+            )
+        lines = result.stderr.decode().splitlines()
+        assert result.returncode == 2, lines
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert b"Exception ignored" not in result.stderr
+        assert result.stdout in (None, b"")
+
+    def test_failed_write_removes_a_file_it_created(self, monkeypatch, tmp_path, capsys):
+        import errno
+
+        import selfsim.cli
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(selfsim.cli, "_write_csv", full)
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--n", "16", "--out", str(out)]) == 2
+        assert not out.exists()
+        message = f"cannot write output file {str(out)!r}: {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_shorter_output_replaces_existing_file(self, tmp_path):
         fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
