@@ -102,22 +102,16 @@ def _philox_state(seed: int, stream_id: int) -> dict:
 
 
 class RngStream:
-    """A splittable, counter-based normal variate stream.
+    """The key of one splittable, counter-based normal variate stream.
 
     Identical (seed, stream_id) pairs yield bit-identical sequences regardless
     of thread schedule; distinct stream ids are statistically independent.
-    The 128-bit Philox key is (stream_id << 64) | seed (`_philox_state`).
+    The 128-bit Philox key is (stream_id << 64) | seed: `generate_blocks` draws it.
     """
 
     def __init__(self, seed: int, stream_id: int = 0) -> None:
         self.seed = seed & _MASK64
         self.stream_id = stream_id & _MASK64
-        self._gen = Generator(Philox(0))
-        self._gen.bit_generator.state = _philox_state(self.seed, self.stream_id)
-
-    def normals(self, size: int) -> np.ndarray:
-        """Draw `size` standard normal variates, advancing the stream."""
-        return self._gen.standard_normal(size)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -150,10 +144,9 @@ class LinearSampler:
         return max(height, _BLOCK_NORMALS // self.k // height * height)
 
     def __call__(self, rng: RngStream) -> SamplePath:
-        values = self.draw(rng.normals(self.k)[None, :])[0]
+        (b,) = generate_blocks(self, 1, rng.seed, [rng.stream_id])  # a one-row block
         return SamplePath(
-            self.grid, values, self.method, self.process, self.hurst,
-            rng.seed, rng.stream_id, dict(self.info),
+            b.grid, b.values[0], b.method, b.process, b.hurst, b.seed, *b.stream_ids, b.info
         )
 
 
@@ -201,8 +194,8 @@ def generate_blocks(
 ) -> Iterator[ReplicateBatch]:
     """Draw `count` paths of `sampler`, path i on stream (base_seed, stream_ids[i]),
     as consecutive `ReplicateBatch` blocks of `sampler._block_rows` rows (the last
-    one shorter). One Philox is re-keyed to each stream (`_philox_state`), so the
-    row of stream i holds the bits of sampler(RngStream(base_seed, i)).values.
+    one shorter). One Philox is re-keyed to each stream (`_philox_state`): the
+    package's one normal draw, so `sampler(RngStream(seed, i))` is a one-row block.
 
     The request is checked at the call, before anything is drawn; each block is
     drawn when it is asked for, so a consumer that drops each block holds one.
@@ -244,9 +237,8 @@ def generate_batch(
     base_seed: int,
     stream_ids: Sequence[int] | None = None,
 ) -> ReplicateBatch:
-    """The paths of `generate_blocks(sampler, count, base_seed, stream_ids)` in one
-    (count, n) array, row i equal to sampler(RngStream(base_seed, i)).values: a
-    library convenience, since every command draws by blocks."""
+    """The rows of `generate_blocks(sampler, count, base_seed, stream_ids)` in one (count, n)
+    array: a library convenience, since every command draws by blocks."""
     blocks = generate_blocks(sampler, count, base_seed, stream_ids)
     values, ids = np.empty((count, sampler.grid.n)), []
     for block in blocks:

@@ -22,7 +22,6 @@ __all__ = [
     "cholesky_sampler",
     "davies_harte_sampler",
     "ma_sampler",
-    "cholesky_factor",
     "circulant_spectrum",
     "davies_harte_fbm",
     "ma_truncated_fbm",
@@ -109,26 +108,9 @@ def _failing_pivot(target: np.ndarray) -> int:
     return high
 
 
-def cholesky_factor(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Factor a symmetric Gram matrix with `np.linalg.cholesky` (LAPACK potrf, lower
-    triangle), escalating diagonal jitter through `JITTER_LADDER` on failure.
-    Returns (L, jitter) with L L^T = gram + jitter * I.
-
-    If every level fails, `NotPositiveDefiniteError.pivot` is LAPACK's pivot at the
-    last level; it is searched for only on that error path.
-    """
-    gram = np.asarray(gram, dtype=float)
-    n = gram.shape[0]
-    if gram.shape != (n, n):
-        raise ParameterError("gram must be square")
-    if not np.allclose(gram, gram.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(gram).max())):
-        raise ParameterError("gram must be symmetric")
-    return _ladder_cholesky(gram)
-
-
 def _ladder_cholesky(gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """`cholesky_factor` of a square float Gram without its checks: the jitter ladder
-    alone, for a Gram a builder makes (`_factor_sampler`)."""
+    """(L, jitter), L L^T = gram + jitter I: the package's one Cholesky (LAPACK potrf, lower
+    triangle), up `JITTER_LADDER`; past its top, `NotPositiveDefiniteError` at potrf's pivot."""
     n = len(gram)
     max_diag = float(np.diag(gram).max(initial=0.0))
     for level in JITTER_LADDER:

@@ -153,10 +153,14 @@ def _columns(batch, nodes, minimum) -> tuple[ReplicateBatch, list | np.ndarray, 
     return first, nodes(first.n), np.concatenate(parts)
 
 
+def _law(batch: ReplicateBatch) -> tuple[str, float]:
+    """(process, hurst) of the law the batch names, bm being fBm at H = 1/2."""
+    return "fbm" if batch.process == "bm" else batch.process, batch.hurst
+
+
 def _target(batch: ReplicateBatch, s, t):
-    """c(s, t) of the law the batch names: its process's covariance at its H,
-    bm being fBm at H = 1/2."""
-    return _covariance("fbm" if batch.process == "bm" else batch.process)(s, t, batch.hurst)
+    """c(s, t) of the law the batch names (`_law`): its process's covariance at its H."""
+    return _covariance(_law(batch)[0])(s, t, batch.hurst)
 
 
 def covariance_match(batch) -> VerificationReport:
@@ -265,7 +269,7 @@ def normality_check(batch) -> VerificationReport:
 
 
 def method_equivalence(batch_a, batch_b) -> VerificationReport:
-    """Entrywise comparison of two methods' empirical covariances.
+    """Entrywise comparison of two methods' empirical covariances of one (n, `_law`).
 
     Each is a batch, or the blocks of one law (`_blocks`) of at least 2 paths, of which
     only the subgrid's columns are kept. Deviations are scaled by pooled standard errors;
@@ -274,8 +278,9 @@ def method_equivalence(batch_a, batch_b) -> VerificationReport:
     """
     first_a, _, a = _columns(batch_a, _grid_nodes, 2)
     first_b, _, b = _columns(batch_b, _grid_nodes, 2)
-    if first_a.n != first_b.n:
-        raise ParameterError("batches must share the same grid")
+    law_a, law_b = (first_a.n, *_law(first_a)), (first_b.n, *_law(first_b))
+    if law_a != law_b:
+        raise ParameterError(f"batches of two laws, (n, process, hurst) = {law_a} and {law_b}")
     cov_a, cov_b = _sample_cov(a), _sample_cov(b)
     se = np.sqrt(_cov_se(cov_a, len(a)) ** 2 + _cov_se(cov_b, len(b)) ** 2)
     deviation = np.abs(cov_a - cov_b) / se

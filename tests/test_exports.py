@@ -1,8 +1,9 @@
 """Package exports: every public name the package lists resolves, every name
 the benchmark imports from it resolves and its reference paths are the batch
 rows, the README's library example runs, the package imports without scipy,
-and no module imports one above it (the samplers below the checks, the checks
-below the CLI). Also the suite's own node-id list of slow tests."""
+no module imports one above it (the samplers below the checks, the checks
+below the CLI), and one function draws every normal. Also the suite's own
+node-id list of slow tests."""
 
 import ast
 import importlib
@@ -96,6 +97,19 @@ def test_modules_import_no_layer_above():
         assert not _package_imports(name) & {"verify", "cli"}, name
     assert "lamperti" in _package_imports("verify")  # the guard sees a real import
     assert "cli" not in _package_imports("verify")
+
+
+def test_one_normal_draw():
+    # every sampler is x = A z: the z of every path is drawn by `core.generate_blocks`
+    # alone, so a second draw cannot give a path other bits than its batch row
+    found = set()
+    for path in sorted((ROOT / "src" / "selfsim").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = [i for i, line in enumerate(text.splitlines(), 1) if "standard_normal" in line]
+        for node in ast.parse(text).body:
+            if any(node.lineno <= i <= node.end_lineno for i in lines):
+                found.add(f"{path.stem}.{getattr(node, 'name', node.lineno)}")
+    assert found == {"core.generate_blocks"}
 
 
 def test_readme_library_example_runs():

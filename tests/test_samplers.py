@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
+from selfsim.core import GridSpec, LinearSampler, ParameterError, RngStream, generate_batch
 from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf
 from selfsim.lamperti import grid_map, lamperti_sampler
-from selfsim import samplers
 from selfsim.samplers import (
     JITTER_LADDER,
     CirculantSpectrum,
@@ -22,7 +21,6 @@ from selfsim.samplers import (
     _ladder_cholesky,
     _ma_gram,
     bm_sampler,
-    cholesky_factor,
     cholesky_sampler,
     circulant_spectrum,
     davies_harte_fbm,
@@ -47,10 +45,12 @@ def lamperti_circulant(hurst, n):
     return _circulant_sampler(grid, "lamperti", "fbm", hurst, row, finish)
 
 
-def circulant_row(spectrum, rng):
-    """One stationary sequence, columns 0 .. m/2, from k normals (`_circulant_draw`)."""
+def circulant_rows(spectrum, count, seed, stream_ids=None):
+    """Stationary sequences, columns 0 .. m/2, from k normals each (`_circulant_draw`):
+    one batch, row i from stream (seed, stream_ids[i])."""
     k, draw = _circulant_draw(spectrum)
-    return draw(rng.normals(k)[None, :])[0]
+    sampler = LinearSampler(GridSpec(spectrum.m // 2 + 1), "circulant", "fbm", 0.5, k, draw, {})
+    return generate_batch(sampler, count, seed, stream_ids).values
 
 
 class TestSampleBm:
@@ -77,14 +77,14 @@ class TestSampleBm:
 
 class TestCholeskyFactor:
     def test_identity(self):
-        lower, jitter = cholesky_factor(np.eye(5))
+        lower, jitter = _ladder_cholesky(np.eye(5))
         assert jitter == 0.0
         assert np.allclose(lower, np.eye(5))
 
     def test_reconstructs_fbm_gram(self):
         times = np.array([0.25, 0.5, 0.75, 1.0])
         gram = _covariance("fbm")(times[:, None], times[None, :], 0.5)
-        lower, _ = cholesky_factor(gram)
+        lower, _ = _ladder_cholesky(gram)
         rebuilt = lower @ lower.T
         assert rebuilt[3, 3] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(rebuilt - gram)) <= 1e-8 * np.diag(gram).max()
@@ -93,26 +93,13 @@ class TestCholeskyFactor:
         # rank-deficient matrix pushed slightly indefinite
         v = np.array([1.0, 1.0, 1.0])
         gram = np.outer(v, v) + np.diag([0.5, 0.5, -1e-14])
-        _, jitter = cholesky_factor(gram)
+        _, jitter = _ladder_cholesky(gram)
         assert jitter <= 1e-12 * np.diag(gram).max()
-
-    @pytest.mark.parametrize(
-        "gram, message",
-        [
-            (np.ones((2, 3)), "square"),
-            (np.ones(3), "square"),
-            (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
-        ],
-        ids=["2-by-3", "1-d", "asymmetric"],
-    )
-    def test_malformed_gram_rejected(self, gram, message):
-        with pytest.raises(ParameterError, match=f"gram must be {message}"):
-            cholesky_factor(gram)
 
     def test_indefinite_fails_with_pivot(self):
         gram = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky_factor(gram)
+            _ladder_cholesky(gram)
         assert err.value.pivot == 2
 
     @staticmethod
@@ -135,7 +122,7 @@ class TestCholeskyFactor:
     def test_pivot_matches_lapack_dpotrf(self, n, pivot):
         gram = self.indefinite_at(n, pivot)
         with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky_factor(gram)
+            _ladder_cholesky(gram)
         target = gram + JITTER_LADDER[-1] * np.diag(gram).max() * np.eye(n)
         assert err.value.pivot == lapack.dpotrf(target, lower=1)[1] == pivot
 
@@ -148,7 +135,7 @@ class TestCholeskyFactor:
         # n = 512 differs by 2.3e-11 at H = 0.95 and 6.0e-11 at H = 0.99.
         times = GridSpec(n).times()
         gram = _covariance(process)(times[:, None], times[None, :], hurst)
-        lower, jitter = cholesky_factor(gram)
+        lower, jitter = _ladder_cholesky(gram)
         target = gram + jitter * np.eye(n)
         c, info = lapack.dpotrf(target, lower=1)
         assert info == 0
@@ -161,7 +148,7 @@ class TestCholeskyFactor:
 
 class TestBuilderGrams:
     """Every dense builder hands its own Gram to `_factor_sampler`, which factors it
-    without `cholesky_factor`'s symmetry check: LAPACK potrf reads only the lower
+    with `_ladder_cholesky` and no symmetry check: LAPACK potrf reads only the lower
     triangle, so the strict upper one cannot move a bit of L."""
 
     @staticmethod
@@ -181,13 +168,7 @@ class TestBuilderGrams:
         assert other_jitter == jitter
         assert np.array_equal(other.view(np.uint64), lower.view(np.uint64))
 
-    def test_builders_do_not_call_cholesky_factor(self, monkeypatch):
-        def refuse(gram):
-            raise AssertionError("a builder called cholesky_factor")
-
-        monkeypatch.setattr(samplers, "cholesky_factor", refuse)
-        for builder in (cholesky_sampler, ma_sampler, lamperti_sampler):
-            builder.cache_clear()
+    def test_builders_factor_without_jitter(self):
         grid = GridSpec(256)
         assert cholesky_sampler("fbm", 0.7, grid).info == {"jitter": 0.0}
         assert ma_sampler(grid, 0.7).info["jitter"] == 0.0
@@ -332,11 +313,7 @@ class TestCirculantSample:
         n, hurst, m_rep = 64, 0.8, 100_000
         acf = lambda k: fgn_acf(k, n, hurst)
         spec = circulant_spectrum(acf(np.arange(n)))
-
-        def one(rng):
-            return circulant_row(spec, rng)
-
-        rows = np.stack([one(RngStream(77, i)) for i in range(m_rep)])
+        rows = circulant_rows(spec, m_rep, 77)
         for lag in range(5):
             emp = np.mean(rows[:, 0] * rows[:, lag])
             target = acf(lag)
@@ -346,7 +323,7 @@ class TestCirculantSample:
     def test_white_noise_lag_one_correlation(self):
         n = 32
         spec = circulant_spectrum(white_noise_row(n))
-        rows = np.stack([circulant_row(spec, RngStream(5, i)) for i in range(20_000)])
+        rows = circulant_rows(spec, 20_000, 5)
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
 
@@ -513,7 +490,7 @@ class TestDaviesHarte:
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
         spectrum = circulant_spectrum(fgn_acf(np.arange(32), 32, 0.6))
-        fgn = circulant_row(spectrum, RngStream(10, 3))
+        fgn = circulant_rows(spectrum, 1, 10, [3])[0]
         assert np.array_equal(path.values, np.cumsum(fgn))
 
 

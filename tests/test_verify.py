@@ -42,7 +42,10 @@ CHECKS = {
     "normality": (normality_check, {}),
     "method-equivalence": (
         lambda batch: method_equivalence(
-            batch, synthetic_batch(batch.values[::-1], method="davies-harte")
+            batch,
+            synthetic_batch(
+                batch.values[::-1], method="davies-harte", process=batch.process, hurst=batch.hurst
+            ),
         ),
         {"method": "cholesky vs davies-harte"},
     ),
@@ -204,10 +207,35 @@ class TestMethodEquivalence:
         assert method_equivalence(a, b).verdict
 
     def test_different_hurst_fails(self):
+        # b names a's law, H = 0.8, but its paths are drawn at H = 0.5: a pair that
+        # named two laws would be refused (test_two_laws_rejected)
         grid = GridSpec(32)
         a = generate_batch(davies_harte_sampler(grid, 0.8), 20_000, 68)
         b = generate_batch(davies_harte_sampler(grid, 0.5), 20_000, 69)
+        b = dataclasses.replace(b, hurst=0.8)
         assert not method_equivalence(a, b).verdict
+
+    @pytest.mark.parametrize(
+        "process, hurst",
+        [("sfbm", 0.9), ("sfbm", 0.3), ("fbm", 0.9)],
+        ids=["both", "process", "hurst"],
+    )
+    def test_two_laws_rejected(self, process, hurst):
+        grid = GridSpec(16)
+        a = generate_batch(cholesky_sampler("fbm", 0.3, grid), 400, 1)
+        b = generate_batch(cholesky_sampler(process, hurst, grid), 400, 2)
+        laws = rf"\(16, 'fbm', 0.3\) and \(16, '{process}', {hurst}\)"
+        with pytest.raises(ParameterError, match=laws):
+            method_equivalence(a, b)
+
+    def test_bm_is_fbm_at_half(self):
+        # the law each batch names is read as `covariance_match` reads it
+        grid = GridSpec(16)
+        a = generate_batch(bm_sampler(grid), 2_000, 3)
+        b = generate_batch(cholesky_sampler("fbm", 0.5, grid), 2_000, 4)
+        report = method_equivalence(a, b)
+        assert (report.method, report.process, report.hurst) == ("bm-cumsum vs cholesky", "bm", 0.5)
+        assert report.verdict
 
     def test_mismatched_grids_rejected(self):
         a = synthetic_batch(np.zeros((200, 4)) + np.arange(4))

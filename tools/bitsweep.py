@@ -1,15 +1,18 @@
-"""Compare the bytes two source trees write over a fixed list of CLI cases.
+"""Compare the bytes two source trees write over a fixed list of CLI cases,
+and the bits of the paths their per-path route draws.
 
     python3 tools/bitsweep.py OLD_TREE NEW_TREE
 
 Each tree is a checkout with the package under ``src/`` (for example a
 ``git archive`` of the parent commit, and the working tree). For each tree
 the script starts one fresh interpreter with ``PYTHONPATH=<tree>/src`` and
-BLAS pinned to one thread, which runs ``selfsim.cli.main`` on every case
-with ``--out`` a scratch file. It prints each case's exit code and the
-sha256 of its output in both trees, then the cases that differ.
+BLAS pinned to one thread, which runs ``selfsim.cli.main`` on every CLI case
+with ``--out`` a scratch file, then draws every path case. It prints each
+case's result (a CLI case's exit code, a path case's 0) and the sha256 of its
+output (a path's float64 bytes) in both trees, then the cases that differ,
+with the CLI and path counts apart.
 
-The cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 262,
+The CLI cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 262,
 263, 2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON (262
 and 263 are the last dense and the first circulant ``lamperti`` grids); paths
 of three write chunks (n = 2 * cli._CHUNK + 1), one and three of them, of
@@ -17,6 +20,13 @@ of three write chunks (n = 2 * cli._CHUNK + 1), one and three of them, of
 commands; and every ``verify`` suite, each also at n = 16 with one path fewer
 than its minimum (a refusal) and with its minimum. A pair that refuses an H, an
 n or a path count gives its exit code and an empty output in both trees.
+
+The path cases: for the same pairs, n and H, the path
+``sampler(RngStream(11, s)).values`` for s in {0, 1, 2**64 - 1}, the sampler
+built through ``cli.METHOD_TABLE`` with the default MA options, and the same
+path from the per-path function of each pair that has one
+(``davies_harte_fbm``, ``ma_truncated_fbm``, ``simulate_lamperti``). A refused
+parameter gives its exception's name and an empty output.
 
 It is a tool, not a test: it gates nothing, and it exits 0 whatever differs.
 Run both trees on one host, since the GEMM bits of the BLAS may differ
@@ -31,6 +41,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import types
 
 PAIRS = (
     ("bm", "bm-cumsum"),
@@ -56,6 +67,11 @@ BENCHMARK = (
 SUITE_PATHS = {"marginals": 500, "covariance": 200, "normality": 1000, "equivalence": 200}
 # each suite's path minimum, as the docstring of selfsim/cli.py states it
 SUITE_MINIMA = {"marginals": 2, "covariance": 100, "normality": 1000, "equivalence": 2}
+# the streams of every path case, at seed 11: the first two and the last
+PATH_STREAMS = (0, 1, 2**64 - 1)
+# the pairs with a per-path function of their own
+WRAPPED = {("fbm", "davies-harte"), ("fbm", "ma-truncated"), ("fbm", "lamperti"),
+           ("sfbm", "lamperti")}
 
 
 def cases() -> list[str]:
@@ -90,6 +106,42 @@ def cases() -> list[str]:
     return list(dict.fromkeys(out))  # normality's minimum is also its sweep count
 
 
+def path_cases() -> list[str]:
+    """Every path case, as "path ROUTE PROCESS METHOD HURST N STREAM"."""
+    out = []
+    for process, method in PAIRS:
+        routes = ("sampler", "wrapper") if (process, method) in WRAPPED else ("sampler",)
+        for n in GRID_SIZES:
+            for hurst in (0.5,) if process == "bm" else HURSTS:
+                for route in routes:
+                    case = f"path {route} {process} {method} {hurst} {n}"
+                    out += [f"{case} {stream}" for stream in PATH_STREAMS]
+    return out
+
+
+def draw_path(case: str) -> bytes:
+    """The float64 bytes of the path of one path case."""
+    from selfsim import GridSpec, RngStream, davies_harte_fbm, ma_truncated_fbm, simulate_lamperti
+    from selfsim.cli import METHOD_TABLE
+    from selfsim.samplers import MA_DEFAULT_SUBSTEPS, MA_DEFAULT_TRUNCATION
+
+    _, route, process, method, hurst, n, stream = case.split()
+    grid, hurst, rng = GridSpec(int(n)), float(hurst), RngStream(11, int(stream))
+    if route == "sampler":
+        options = types.SimpleNamespace(
+            process=process, hurst=hurst,
+            truncation=MA_DEFAULT_TRUNCATION, substeps=MA_DEFAULT_SUBSTEPS,
+        )
+        path = METHOD_TABLE[method][1](options, grid)(rng)
+    elif method == "davies-harte":
+        path = davies_harte_fbm(grid, hurst, rng)
+    elif method == "ma-truncated":
+        path = ma_truncated_fbm(grid, hurst, rng)
+    else:
+        path = simulate_lamperti(process, hurst, grid, rng)
+    return path.values.tobytes()
+
+
 def run_cases() -> None:
     """In the tree's interpreter: run every case, print one JSON line each."""
     from selfsim.cli import main
@@ -108,10 +160,16 @@ def run_cases() -> None:
                 with open(out, "rb") as fh:
                     data = fh.read()
             print(json.dumps([case, code, hashlib.sha256(data).hexdigest()]), flush=True)
+    for case in path_cases():
+        try:
+            code, data = 0, draw_path(case)
+        except Exception as exc:  # a refused parameter is a result too
+            code, data = type(exc).__name__, b""
+        print(json.dumps([case, code, hashlib.sha256(data).hexdigest()]), flush=True)
 
 
 def sweep(tree: str) -> dict:
-    """{case: (exit code, sha256)} of one tree, from a fresh interpreter."""
+    """{case: (result, sha256)} of one tree, from a fresh interpreter."""
     env = {
         **os.environ,
         "PYTHONPATH": os.path.join(os.path.abspath(tree), "src"),
@@ -135,16 +193,20 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
     old, new = (sweep(tree) for tree in argv)
-    differ = []
-    for case in cases():
-        a, b = old.get(case), new.get(case)
-        same = a == b
-        print(f"{'same' if same else 'DIFF'}  {a[0]} {a[1][:12]}  {b[0]} {b[1][:12]}  {case}")
-        if not same:
-            differ.append(case)
-    print(f"\n{len(differ)} of {len(old)} cases differ")
-    for case in differ:
-        print(f"  {case}")
+    summary = []
+    for kind, kind_cases in (("CLI", cases()), ("path", path_cases())):
+        differ = []
+        for case in kind_cases:
+            a, b = old.get(case), new.get(case)
+            same = a == b
+            print(f"{'same' if same else 'DIFF'}  {a[0]} {a[1][:12]}  {b[0]} {b[1][:12]}  {case}")
+            if not same:
+                differ.append(case)
+        summary.append((kind, len(kind_cases), differ))
+    for kind, total, differ in summary:
+        print(f"\n{len(differ)} of {total} {kind} cases differ")
+        for case in differ:
+            print(f"  {case}")
     return 0
 
 
