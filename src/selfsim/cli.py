@@ -30,6 +30,8 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
+
 from . import __version__, verify
 from .core import (
     DEFAULT_SEED,
@@ -169,7 +171,7 @@ def _options(args: argparse.Namespace, config: dict) -> argparse.Namespace:
 
 def _builder(o: argparse.Namespace, method):
     """The builder of the (o.process, method) pair; an invalid pair is a usage error."""
-    processes, build = METHOD_TABLE.get(method, ((), None))  # bench alone takes a list
+    processes, build = METHOD_TABLE[method]
     if o.process not in processes:
         raise UsageError(f"method {method!r} is not valid for process {o.process!r}")
     if o.process == "bm" and o.hurst != 0.5:
@@ -239,15 +241,106 @@ def _chunks(n: int, end: str) -> list[tuple[slice, str]]:
     return [(slice(s, s + _CHUNK), "" if s + _CHUNK < n else end) for s in range(0, n, _CHUNK)]
 
 
+# Below this many values `_reprs` is repr itself. A process's first call of 1024 values
+# took 1.8 ms against repr's 0.7, of 2048 about as long as repr (2-vCPU Xeon VM, numpy 2.4).
+_REPR_FLOOR = 2048
+_POW10 = tuple(10.0**q for q in range(23))  # exact doubles
+_U = np.uint64
+
+
+def _digits(g):
+    """The 8 digits of each int64 g < 10**8 as bytes 0..9 of a uint64, the first lowest."""
+    h = (g * 109951163) >> 40  # g // 10**4, then // 100 and // 10 per lane: exact there
+    g = (h | (g - h * 10000) << 32).view(_U)
+    h = (g * _U(5243)) >> _U(19) & _U(0x7F0000007F)
+    g = h | (g - h * _U(100)) << _U(16)
+    h = (g * _U(103)) >> _U(10) & _U(0x000F000F000F000F)
+    return h | (g - h * _U(10)) << _U(8)
+
+
+@functools.cache
+def _layouts():
+    """Per (unit byte u, digit count k, sign): the 4 masks, 3 words each, of a `_reprs` row."""
+    u, k, neg, b = np.ogrid[:21, :18, :2, :24]
+    start, point = np.minimum(5, u), u + 1
+    inside = (b >= start) & (b < np.maximum(6 + k, u + 3))
+    keep = np.where(b < point, 0xFF, 0)
+    clear = np.where(b == point, 0, np.where(inside, 0xFF, 0xEF))
+    put = np.where(b == point, 0x2E, np.where((b == start - 1) & (neg == 1), 0x0D, 0))
+    words = np.stack(np.broadcast_arrays(keep, 0xFF - keep, clear, put)).astype(np.uint8)
+    return words.view(_U).reshape(4, -1, 3)
+
+
+def _reprs(values) -> list[str]:
+    """list(map(repr, values.tolist())) of a 1-d float64 array, byte for byte, in
+    whole-array numpy steps; repr is the reference and the fallback.
+
+    repr writes 1e-4 <= |x| < 1e16 in fixed notation, with the shortest decimal that
+    rounds back to x, the nearest to x of those. With q = 16 - floor(log10|x|), Dekker's
+    TwoProduct gives V = |x| 10**q = hi + lo exactly, and I = floor(V) has 17 digits.
+    Unless x's significand is a power of two, the reals that round to x lie within
+    H = ulp(x)/2 10**q < 12 of V, so j digits can go iff the nearest multiple of 10**j
+    lies within less than H of V. The distance beyond two digits holds only while I's
+    digits run 0 (or 9), so V rounded to a multiple of 100, else 10, else 1, within H
+    is repr's digits with j trailing zeros. Each test compares lo with H less a small
+    integer, exactly. A distance of exactly H, a tie, 0, subnormals, powers of two,
+    exponent forms, non-finite values, calls below _REPR_FLOOR and big-endian hosts
+    (the rows are read as little-endian bytes) go to repr.
+    """
+    if len(values) < _REPR_FLOOR or sys.byteorder != "little":
+        return list(map(repr, values.tolist()))
+    a = np.abs(values)
+    fast = (a >= 1e-4) & (a < 1e16) & (a.view(np.int64) & (2**52 - 1) != 0)
+    a = np.where(fast, a, 1.5)
+    q = 16 - np.floor(np.log10(a)).astype(np.int64)
+    p = np.take(_POW10, q)
+    ah, ph = a * 134217729.0, p * 134217729.0  # Veltkamp's split into 26-bit halves
+    ah, ph = ah - (ah - a), ph - (ph - p)
+    al, pl, hi = a - ah, p - ph, a * p
+    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+    c = np.floor(lo)  # V - I == lo - c
+    i = hi.astype(np.int64) + c.astype(np.int64)
+    h = (a.view(np.int64) & 0x7FF0000000000000).view(np.float64) * 2.0**-53 * p
+    bad, m, r = ~fast | (i < 10**16), 1, 0
+    for step in (10, 100):  # s + lo: V's distance above the multiple of step below
+        rs = i % step
+        s = rs - c
+        near = (lo < h - s) | (lo > step - s - h)
+        bad |= (lo == h - s) | (lo == step - s - h)
+        m, r = np.where(near, step, m), np.where(near, rs, r)
+    mid = m * 0.5 - (r - c)
+    i += m * (lo > mid) - r
+    bad |= (lo == mid) | (i >= 10**17)
+    i[bad], q[bad] = 10**16, 16
+    top, low = np.divmod(i, 10**8)
+    d0 = (top * 1441151881) >> 57  # top // 10**8
+    g = _digits(np.stack([top - d0 * 10**8, low]))
+    zeros = np.where(g == 0, 8, 7 - (np.frexp(g.astype(np.float64))[1] - 1) // 8)
+    k = 17 - np.where(g[1] == 0, 8 + zeros[0], zeros[1])
+    # A row is 24 bytes: "0000", the 17 digits and "00" from byte 1. Up to the unit digit
+    # (byte 5 + exponent) it keeps its bytes, then the point, then its bytes moved up one;
+    # outside the text '0' becomes ' ' (or '-' before a negative), and split() cuts rows.
+    g |= _U(0x3030303030303030)
+    s0 = ((d0 | 0x30) << 40 | 0x3030303030).view(_U) | g[0] << _U(48)
+    s1, s2 = g[0] >> _U(16) | g[1] << _U(48), g[1] >> _U(16) | _U(0x3030 << 48)
+    rows = np.stack([s0, s1, s2], axis=1)
+    shifted = np.stack([s0 << _U(8), s1 << _U(8) | s0 >> _U(56), s2 << _U(8) | s1 >> _U(56)], 1)
+    keep, move, clear, put = np.take(_layouts(), ((21 - q) * 18 + k) * 2 + (values < 0), 1)
+    strs = ((rows & keep | shifted & move) & clear | put).tobytes().decode("ascii").split()
+    for j in np.flatnonzero(bad).tolist():
+        strs[j] = repr(float(values[j]))
+    return strs
+
+
 def _write_csv(blocks, n: int, count: int, stream) -> None:
     """Rows path_id,t,value of the `count` paths of n values in `blocks`, the t = 0
     row first; one write per chunk of a path.
 
     A chunk is one join of a list that repeats the row's "\n{i}," separator, its
     "t," cell and its value's repr, so no "t,value" string is built per value.
-    Each "t," cell is formatted once, as repr(j / n) of Python ints, when the first
-    path reaches its chunk, and kept only while another path follows: one path
-    holds O(_CHUNK) of them, not n.
+    Each "t," cell is formatted once, from GridSpec.times()'s arange / n, when the
+    first path reaches its chunk, and kept only while another path follows: one
+    path holds O(_CHUNK) of them, not n.
     """
     last = count - 1
     chunks = _chunks(n, "\n")
@@ -256,11 +349,11 @@ def _write_csv(blocks, n: int, count: int, stream) -> None:
     for i, row in enumerate(row for block in blocks for row in block.values):
         sep, head = f"\n{i},", f"{i},0.0,0.0"
         for c, (part, end) in enumerate(chunks):
-            cells = times[c] or [f"{j / n!r}," for j in range(1, n + 1)[part]]
+            cells = times[c] or [f"{t}," for t in _reprs((np.arange(*part.indices(n)) + 1) / n)]
             times[c] = cells if i < last else None
             parts = [sep] * (3 * len(cells))
             parts[1::3] = cells
-            parts[2::3] = map(repr, row[part].tolist())
+            parts[2::3] = _reprs(row[part])
             stream.write(f"{head}{''.join(parts)}{end}")
             head = ""
 
@@ -278,7 +371,7 @@ def _write_json(blocks, n: int, meta: dict, stream) -> None:
     sep, head = ",\n      ", "    [\n      0.0,\n      "
     for row in (row for block in blocks for row in block.values):
         for part, end in chunks:
-            stream.write(f"{head}{sep.join(map(repr, row[part].tolist()))}{end}")
+            stream.write(f"{head}{sep.join(_reprs(row[part]))}{end}")
             head = sep
         head = ",\n    [\n      0.0,\n      "
     stream.write("\n  ]\n}\n")
@@ -420,6 +513,9 @@ def main(argv=None) -> int:
         takes_list = args.command == "bench" or (args.command, o.suite) == ("verify", "error-bound")
         if len(o.n) > 1 and not takes_list:
             raise UsageError(f"{args.command} takes one grid size in --n, got {len(o.n)}")
+        methods = o.method.count(",") + 1
+        if methods > 1 and args.command != "bench":
+            raise UsageError(f"{args.command} takes one method in --method, got {methods}")
         return args.func(o)
     except (UsageError, ParameterError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -321,6 +322,60 @@ def _rendered(writer, *args):
     return buf.getvalue()
 
 
+# The edges of cli._reprs' numpy domain, 1e-4 <= |x| < 1e16 without the powers of
+# two, and values whose shortest digits end in a carry or sit next to one
+REPR_EDGES = np.array(
+    [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), np.nextafter(1e16, 0)]
+    + [2.0**e for e in range(-14, 54)]
+    + [5e-324, 0.0, -0.0, 0.1 + 0.2, 9.5, 0.9999999999999999, 99.99999999999999, 123.0]
+)
+
+
+class TestReprs:
+    """cli._reprs returns list(map(repr, values.tolist())), above and below its floor."""
+
+    @staticmethod
+    def _families():
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(float)
+        rounded = rng.standard_normal(17 * 12_000) * 10.0 ** rng.integers(-4, 12, 17 * 12_000)
+        return {
+            "normals": np.concatenate(
+                [rng.standard_normal(40_000) * 10.0**e for e in range(-6, 7)]
+            ),
+            "bit-patterns": bits[np.isfinite(bits)],
+            "eighths": rng.integers(-(2**40), 2**40, 100_000) / 8,
+            "rounded": np.concatenate(
+                [np.round(part, d) for d, part in enumerate(np.split(rounded, 17), 1)]
+            ),
+        }
+
+    def test_matches_repr(self):
+        from selfsim.cli import _REPR_FLOOR, _reprs
+
+        # consecutive chunks above, at and below the floor: every value is seen once
+        sizes = itertools.cycle((4096, _REPR_FLOOR, 3000, _REPR_FLOOR - 1, 1000))
+        total = 0
+        for name, values in self._families().items():
+            start = 0
+            while start < values.size:
+                chunk = values[start : start + next(sizes)]
+                assert _reprs(chunk) == list(map(repr, chunk.tolist())), (name, start)
+                start += chunk.size
+            total += values.size
+        assert total >= 10**6
+
+    def test_edges_match_repr(self):
+        from selfsim.cli import _CHUNK, _REPR_FLOOR, _reprs
+
+        assert _REPR_FLOOR <= _CHUNK  # the writers' chunks reach the numpy pass
+        edges = np.concatenate([REPR_EDGES, -REPR_EDGES])
+        for size in (_REPR_FLOOR, 2049, 4096):
+            values = np.resize(edges, size)
+            assert _reprs(values) == list(map(repr, values.tolist()))
+            assert _reprs(values[::-1]) == list(map(repr, values[::-1].tolist()))
+
+
 class TestWriters:
     """The CSV and JSON bytes equal the reference writers above."""
 
@@ -444,6 +499,18 @@ class TestWriters:
         assert _rendered(_write_json, [batch], grid.n, meta) == _rendered(
             _reference_json, batch, meta
         )
+        # a path above the formatter's size floor, so its values and its "t," cells
+        # take the numpy pass, with the edges of its domain in both signs
+        from selfsim.cli import _REPR_FLOOR
+
+        path = np.resize(np.concatenate([REPR_EDGES, -REPR_EDGES]), 2049)
+        assert path.size > _REPR_FLOOR
+        grid = GridSpec(path.size)
+        batch = ReplicateBatch(grid, np.array([path, path[::-1]]), "x", "fbm", 0.7, 1, (0, 0))
+        assert _rendered(_write_csv, [batch], grid.n, 2) == _rendered(_reference_csv, batch)
+        assert _rendered(_write_json, [batch], grid.n, meta) == _rendered(
+            _reference_json, batch, meta
+        )
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_reference(self, fmt, capsys):
@@ -558,6 +625,7 @@ MALFORMED = [
     (["simulate", "--n", "16", "--truncation", "0.5"], None),
     (["simulate", "--n", "16"], "truncation = nan\n"),
     (["simulate", "--method", "davies-harte,cholesky", "--n", "16"], None),
+    (["verify", "--method", "lamperti,cholesky", "--n", "16", "--paths", "50"], None),
     (["verify", "--suite", "error-bound", "--n", "4,2", "--hurst", "0.7"], None),
     (["verify", "--suite", "error-bound", "--n", "8,16,4", "--hurst", "0.7"], None),
     (["verify", "--suite", "error-bound", "--n", "2,2,4"], None),
@@ -615,6 +683,7 @@ MALFORMED = [
         "unused-truncation-below-1",
         "cfg-unused-truncation-nan",
         "simulate-method-list",
+        "verify-method-list",
         "error-bound-decreasing",
         "error-bound-unsorted",
         "error-bound-repeated",
@@ -656,6 +725,9 @@ def test_malformed_input_exits_2(argv, config, tmp_path, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    if "," in (argv[argv.index("--method") + 1] if "--method" in argv else ""):
+        # a list of valid methods outside bench: refused for its length, not its pair
+        assert err == f"error: {argv[0]} takes one method in --method, got 2\n"
     if "circulant" in argv:  # a method outside METHOD_TABLE: the error lists the valid ones
         assert "davies-harte" in err
     if "nope" in argv or "xml" in argv:  # a name outside its list, checked by its cast

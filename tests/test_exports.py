@@ -2,8 +2,9 @@
 the benchmark imports from it resolves and its reference paths are the batch
 rows, the README's library example runs, the package imports without scipy,
 no module imports one above it (the samplers below the checks, the checks
-below the CLI), and one function draws every normal. Also the suite's own
-node-id list of slow tests."""
+below the CLI), one function draws every normal, and a first `simulate` of a
+4096-value path loads no `numpy.ma`. Also the suite's own node-id list of slow
+tests."""
 
 import ast
 import importlib
@@ -139,3 +140,17 @@ def test_import_loads_numpy_alone():
         [sys.executable, "-c", probe], capture_output=True, text=True, encoding="utf-8"
     )
     assert result.stdout.split("\n")[:2] == ["[]", "True True"], result.stderr
+
+
+def test_first_simulate_loads_no_numpy_ma(tmp_path):
+    # numpy.ma is a lazy import of some numpy functions (np.unique among them) and
+    # costs about 20 ms; the first write of a 4096-value path must not load it
+    probe = (
+        "import sys; from selfsim.cli import main; "
+        f"code = main(['simulate', '--paths', '1', '--n', '4096', '--out', {str(tmp_path / 'p.csv')!r}]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, encoding="utf-8"
+    )
+    assert result.stdout == "0 False\n", result.stderr

@@ -10,7 +10,7 @@ BLAS pinned to one thread, which runs ``selfsim.cli.main`` on every CLI case
 with ``--out`` a scratch file, then draws every path case. It prints each
 case's result (a CLI case's exit code, a path case's 0) and the sha256 of its
 output (a path's float64 bytes) in both trees, then the cases that differ,
-with the CLI and path counts apart.
+with the CLI, path and writer counts apart.
 
 The CLI cases: every (process, method) pair at n in {1, 2, 3, 16, 64, 257, 262,
 263, 2048} and H in {0.3, 0.7, 0.72, 0.8, 0.95, 0.99}, as CSV and as JSON (262
@@ -27,6 +27,14 @@ built through ``cli.METHOD_TABLE`` with the default MA options, and the same
 path from the per-path function of each pair that has one
 (``davies_harte_fbm``, ``ma_truncated_fbm``, ``simulate_lamperti``). A refused
 parameter gives its exception's name and an empty output.
+
+The writer cases: for n in {2047, 2048, 4097} (one side and the other of
+``cli._REPR_FLOOR``, and a path of two chunks), a hand-built ``ReplicateBatch``
+of three rows of the edge values of the float formatter's domain, in both
+signs (``EDGES``: 1e-4 and its neighbours, the largest double below 1e16, the
+powers of two from 2**-14 to 2**53, the smallest subnormal, both zeros and
+values with a carry in their shortest digits). Sampler paths rarely hold them.
+Each batch goes through the tree's ``cli._write_csv`` and ``cli._write_json``.
 
 It is a tool, not a test: it gates nothing, and it exits 0 whatever differs.
 Run both trees on one host, since the GEMM bits of the BLAS may differ
@@ -69,6 +77,13 @@ SUITE_PATHS = {"marginals": 500, "covariance": 200, "normality": 1000, "equivale
 SUITE_MINIMA = {"marginals": 2, "covariance": 100, "normality": 1000, "equivalence": 2}
 # the streams of every path case, at seed 11: the first two and the last
 PATH_STREAMS = (0, 1, 2**64 - 1)
+# the edges of the float formatter's numpy domain, 1e-4 <= |x| < 1e16 less the powers of two
+EDGES = (
+    [1e-4, 0.00009999999999999999, 0.00010000000000000002, 9999999999999998.0]
+    + [2.0**e for e in range(-14, 54)]
+    + [5e-324, 0.0, -0.0, 0.1 + 0.2, 9.5, 0.9999999999999999, 99.99999999999999, 123.0]
+)
+WRITER_SIZES = (2047, 2048, 4097)
 # the pairs with a per-path function of their own
 WRAPPED = {("fbm", "davies-harte"), ("fbm", "ma-truncated"), ("fbm", "lamperti"),
            ("sfbm", "lamperti")}
@@ -119,6 +134,32 @@ def path_cases() -> list[str]:
     return out
 
 
+def writer_cases() -> list[str]:
+    """Every writer case, as "writer FORMAT N"."""
+    return [f"writer {fmt} {n}" for n in WRITER_SIZES for fmt in ("csv", "json")]
+
+
+def write_batch(case: str) -> bytes:
+    """The UTF-8 bytes one writer case writes: three rows of EDGES in both signs."""
+    import io
+
+    import numpy as np
+    from selfsim import GridSpec, ReplicateBatch
+    from selfsim.cli import _write_csv, _write_json
+
+    _, fmt, n = case.split()
+    n = int(n)
+    edges = np.array(EDGES + [-v for v in EDGES])
+    rows = np.array([np.resize(edges, n), np.resize(edges[::-1], n), np.resize(-edges, n)])
+    batch = ReplicateBatch(GridSpec(n), rows, "edges", "fbm", 0.7, 1, (0, 1, 2))
+    stream = io.StringIO()
+    if fmt == "csv":
+        _write_csv([batch], n, 3, stream)
+    else:
+        _write_json([batch], n, {"process": "fbm", "n": n}, stream)
+    return stream.getvalue().encode("utf-8")
+
+
 def draw_path(case: str) -> bytes:
     """The float64 bytes of the path of one path case."""
     from selfsim import GridSpec, RngStream, davies_harte_fbm, ma_truncated_fbm, simulate_lamperti
@@ -166,6 +207,8 @@ def run_cases() -> None:
         except Exception as exc:  # a refused parameter is a result too
             code, data = type(exc).__name__, b""
         print(json.dumps([case, code, hashlib.sha256(data).hexdigest()]), flush=True)
+    for case in writer_cases():
+        print(json.dumps([case, 0, hashlib.sha256(write_batch(case)).hexdigest()]), flush=True)
 
 
 def sweep(tree: str) -> dict:
@@ -194,7 +237,7 @@ def main(argv: list[str]) -> int:
         return 2
     old, new = (sweep(tree) for tree in argv)
     summary = []
-    for kind, kind_cases in (("CLI", cases()), ("path", path_cases())):
+    for kind, kind_cases in (("CLI", cases()), ("path", path_cases()), ("writer", writer_cases())):
         differ = []
         for case in kind_cases:
             a, b = old.get(case), new.get(case)
