@@ -187,10 +187,11 @@ def circulant_spectrum(row) -> CirculantSpectrum:
     )
 
 
-def _circulant_draw(spectrum: CirculantSpectrum, finish=None):
-    """(k, draw): the map of (rows, k) normals to (rows, m) real circulant draws,
-    whose columns 0 .. m/2 have the (clamp-adjusted) target autocovariance; the
-    draw returns those columns, or `finish` of all m.
+def _circulant_sampler(grid, method, process, hurst, row, finish=None) -> LinearSampler:
+    """The circulant draws whose columns 0 .. len(row) - 1 have the (clamp-adjusted)
+    autocovariance `row` at lags 0 .. len(row) - 1 (`circulant_spectrum`, its
+    `clamped_mass` and m in `info`): the map of (rows, k) normals to those columns,
+    or to `finish` of all m.
 
     The m slots of half of a Hermitian vector, the spectrum's bins 0 .. m/2,
     are, in order: the real bins 0 and m/2, the real parts of bins 1 .. m/2 - 1,
@@ -201,6 +202,7 @@ def _circulant_draw(spectrum: CirculantSpectrum, finish=None):
     weighted in place, one product per slot. The whole vector's FFT is real: one
     unscaled real inverse FFT of the conjugate half (`irfft`, norm="forward").
     """
+    spectrum = circulant_spectrum(row)
     m = spectrum.m
     half = m // 2
     if finish is None:
@@ -223,16 +225,8 @@ def _circulant_draw(spectrum: CirculantSpectrum, finish=None):
         flat *= weights  # in place: each live float becomes z times its weight, the rest stay 0
         return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
-    return len(columns), draw
-
-
-def _circulant_sampler(grid, method, process, hurst, row, finish):
-    """`finish` of the circulant draws whose columns 0 .. len(row) - 1 have the
-    autocovariance `row` at lags 0 .. len(row) - 1 (`_circulant_draw`)."""
-    spectrum = circulant_spectrum(row)
-    k, draw = _circulant_draw(spectrum, finish)
-    info = {"clamped_mass": spectrum.clamped_mass, "embedding_size": spectrum.m}
-    return LinearSampler(grid, method, process, hurst, k, draw, info)
+    info = {"clamped_mass": spectrum.clamped_mass, "embedding_size": m}
+    return LinearSampler(grid, method, process, hurst, len(columns), draw, info)
 
 
 @functools.lru_cache(maxsize=64)

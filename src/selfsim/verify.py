@@ -55,24 +55,20 @@ class VerificationReport:
     details: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, check, batch, count, verdict, worst, tolerance, details, **fields):
-        """The report of `check` on the `count` paths of `batch`'s law: method,
-        process, hurst and n are the batch's unless `fields` overrides them."""
-        fields = {
-            "method": batch.method,
-            "process": batch.process,
-            "hurst": batch.hurst,
-            "n": batch.n,
-            **fields,
-        }
+    def of(cls, check, batch, count, verdict, worst, tolerance, details, method=None):
+        """The report of `check` on the `count` paths of `batch`'s law: process, hurst
+        and n are the batch's, and so is the method unless `method` names another."""
         return cls(
             check,
+            method=batch.method if method is None else method,
+            process=batch.process,
+            hurst=batch.hurst,
+            n=batch.n,
             m_replicates=count,
             verdict=verdict,
             worst_deviation=worst,
             tolerance=tolerance,
             details=details,
-            **fields,
         )
 
     def to_dict(self) -> dict:
@@ -112,7 +108,7 @@ def _ks_nodes(n: int) -> list[int]:
     return sorted({max(1, n // 4), max(1, n // 2), n})
 
 
-def _band_report(check, batch, count, deviation, detail, **fields) -> VerificationReport:
+def _band_report(check, batch, count, deviation, detail, method=None) -> VerificationReport:
     """A pass iff at least 95% of `deviation` is within the tolerance and none of it
     beyond twice that; `detail` gains the fraction within."""
     tolerance = DEFAULT_TOL_MULTIPLIER
@@ -120,7 +116,7 @@ def _band_report(check, batch, count, deviation, detail, **fields) -> Verificati
     within = float(np.mean(deviation <= tolerance))
     verdict = bool(within >= 0.95 and worst <= 2.0 * tolerance)
     details = [{**detail, "fraction_within": within}]
-    return VerificationReport.of(check, batch, count, verdict, worst, tolerance, details, **fields)
+    return VerificationReport.of(check, batch, count, verdict, worst, tolerance, details, method)
 
 
 def _blocks(batch, minimum):

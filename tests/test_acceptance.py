@@ -22,7 +22,6 @@ from selfsim.covmodels import (
 from selfsim.lamperti import lamperti_sampler
 from selfsim.samplers import (
     MA_DEFAULT_SUBSTEPS,
-    _circulant_draw,
     _ma_weights,
     cholesky_sampler,
     circulant_spectrum,
@@ -133,7 +132,7 @@ class TestAcceptance:
         for hurst in np.arange(0.1, 0.95, 0.1):
             spec = circulant_spectrum(fgn_acf(np.arange(n), n, float(hurst)))
             assert spec.m == 2 * (n - 1)
-            fewest_live = min(fewest_live, _circulant_draw(spec)[0])
+            fewest_live = min(fewest_live, davies_harte_sampler(GridSpec(n), float(hurst)).k)
             worst_mass = max(worst_mass, spec.clamped_mass)
         ok = fewest_live == 2 * (n - 1) and worst_mass == 0.0
         report("5 fGn embedding nonnegativity", ok, f"min live={fewest_live}, max mass={worst_mass}")

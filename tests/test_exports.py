@@ -3,8 +3,7 @@ the benchmark imports from it resolves and its reference paths are the batch
 rows, the README's library example runs, the package imports without scipy,
 no module imports one above it (the samplers below the checks, the checks
 below the CLI), one function draws every normal, and a first `simulate` of a
-4096-value path loads no `numpy.ma`. Also the suite's own node-id list of slow
-tests."""
+4096-value path loads no `numpy.ma`."""
 
 import ast
 import importlib
@@ -17,7 +16,6 @@ import sys
 import types
 
 import numpy as np
-import pytest
 
 import selfsim
 
@@ -119,13 +117,6 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text("utf-8"), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
-
-
-def test_stale_slow_id_is_a_usage_error(monkeypatch, request):
-    conftest = sys.modules["conftest"]
-    monkeypatch.setattr(conftest, "SLOW", {"tests/test_exports.py::test_renamed_away"})
-    with pytest.raises(pytest.UsageError, match="test_renamed_away"):
-        conftest.pytest_collection_modifyitems([request.node])
 
 
 def test_import_loads_numpy_alone():

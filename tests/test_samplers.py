@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from selfsim.core import GridSpec, LinearSampler, ParameterError, RngStream, generate_batch
+from selfsim.core import GridSpec, ParameterError, RngStream, generate_batch
 from selfsim.covmodels import _covariance, fgn_acf, lamperti_acf
 from selfsim.lamperti import grid_map, lamperti_sampler
 from selfsim.samplers import (
     JITTER_LADDER,
     CirculantSpectrum,
     NotPositiveDefiniteError,
-    _circulant_draw,
     _circulant_sampler,
     _ladder_cholesky,
     _ma_gram,
@@ -45,12 +44,15 @@ def lamperti_circulant(hurst, n):
     return _circulant_sampler(grid, "lamperti", "fbm", hurst, row, finish)
 
 
-def circulant_rows(spectrum, count, seed, stream_ids=None):
-    """Stationary sequences, columns 0 .. m/2, from k normals each (`_circulant_draw`):
-    one batch, row i from stream (seed, stream_ids[i])."""
-    k, draw = _circulant_draw(spectrum)
-    sampler = LinearSampler(GridSpec(spectrum.m // 2 + 1), "circulant", "fbm", 0.5, k, draw, {})
-    return generate_batch(sampler, count, seed, stream_ids).values
+def circulant(row):
+    """The raw circulant map of `row`: its stationary sequences, columns 0 .. len(row) - 1."""
+    return _circulant_sampler(GridSpec(len(row)), "circulant", "fbm", 0.5, row)
+
+
+def circulant_rows(row, count, seed, stream_ids=None):
+    """Stationary sequences of `row`'s circulant, from k normals each: one batch, row i
+    from stream (seed, stream_ids[i])."""
+    return generate_batch(circulant(row), count, seed, stream_ids).values
 
 
 class TestSampleBm:
@@ -265,7 +267,8 @@ class TestCirculantSpectrum:
 
     @pytest.mark.parametrize("row, live", CLAMP_CASES.values(), ids=CLAMP_CASES)
     def test_clamped_mass_is_the_implied_acf_error(self, row, live):
-        assert _circulant_draw(self.check_implied_acf(row))[0] == live
+        self.check_implied_acf(row)
+        assert circulant(row).k == live
 
     @pytest.mark.parametrize(
         "acf",
@@ -312,8 +315,7 @@ class TestCirculantSample:
     def test_empirical_acf_matches_input(self):
         n, hurst, m_rep = 64, 0.8, 100_000
         acf = lambda k: fgn_acf(k, n, hurst)
-        spec = circulant_spectrum(acf(np.arange(n)))
-        rows = circulant_rows(spec, m_rep, 77)
+        rows = circulant_rows(acf(np.arange(n)), m_rep, 77)
         for lag in range(5):
             emp = np.mean(rows[:, 0] * rows[:, lag])
             target = acf(lag)
@@ -322,8 +324,7 @@ class TestCirculantSample:
 
     def test_white_noise_lag_one_correlation(self):
         n = 32
-        spec = circulant_spectrum(white_noise_row(n))
-        rows = circulant_rows(spec, 20_000, 5)
+        rows = circulant_rows(white_noise_row(n), 20_000, 5)
         corr = np.mean(rows[:, 0] * rows[:, 1])
         assert abs(corr) <= 4 / np.sqrt(rows.shape[0])
 
@@ -405,7 +406,8 @@ class TestCirculantMap:
     def test_implied_covariance_is_the_clamped_acf(self, row):
         # the rows of A are the draws of the unit vectors; A^T A is the map's covariance
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec)
+        sampler = circulant(row)
+        k, draw = sampler.k, sampler.draw
         a, length = draw(np.eye(k)), len(row)
         implied = np.fft.irfft(spec.eigenvalues, n=spec.m)[:length]
         lags = np.abs(np.subtract.outer(np.arange(length), np.arange(length)))
@@ -415,7 +417,8 @@ class TestCirculantMap:
     @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
     def test_matches_full_hermitian_draw(self, row):
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec)
+        sampler = circulant(row)
+        k, draw = sampler.k, sampler.draw
         z = np.random.default_rng(15).standard_normal((9, k))
         new = draw(z)
         old = _full_hermitian_draw(mirrored(spec.eigenvalues))(_expand(spec, z))
@@ -427,7 +430,8 @@ class TestCirculantMap:
         # dropping the dead slots drops exactly the zero rows of the m-slot map, and
         # the scatter of the live slots has the m-slot multiply's bits on any normals
         spec = circulant_spectrum(row)
-        k, draw = _circulant_draw(spec)
+        sampler = circulant(row)
+        k, draw = sampler.k, sampler.draw
         full = _m_slot_draw(spec)(np.eye(spec.m))
         live = _live_slots(spec)
         dead = np.setdiff1d(np.arange(spec.m), live)
@@ -441,15 +445,15 @@ class TestCirculantMap:
     @pytest.mark.parametrize("row", CIRCULANT_ROWS.values(), ids=CIRCULANT_ROWS)
     def test_draws_m_normals_unless_a_weight_is_zero(self, row):
         spec = circulant_spectrum(row)
-        k, _ = _circulant_draw(spec)
+        k = circulant(row).k
         assert (k == spec.m) == bool(spec.eigenvalues.all())
 
     @pytest.mark.parametrize("hurst, k", [(0.3, 512), (0.7, 512), (0.8, 303), (0.95, 263)])
     def test_lamperti_fbm_live_slot_count(self, hurst, k):
         # the live slots of lamperti fBm's circulant at n = 256; below the cutover
         # its sampler draws one normal per distinct grid-map node, 126 here
-        spec = circulant_spectrum(lamperti_acf("fbm", np.arange(257), 256, hurst))
-        assert _circulant_draw(spec)[0] == k and spec.m == 512
+        row = lamperti_acf("fbm", np.arange(257), 256, hurst)
+        assert circulant(row).k == k and circulant_spectrum(row).m == 512
         assert lamperti_sampler("fbm", hurst, GridSpec(256)).k == 126
 
     @pytest.mark.parametrize("n", [263, 2048])
@@ -489,8 +493,7 @@ class TestDaviesHarte:
         grid = GridSpec(32)
         rng = RngStream(10, 3)
         path = davies_harte_fbm(grid, 0.6, rng)
-        spectrum = circulant_spectrum(fgn_acf(np.arange(32), 32, 0.6))
-        fgn = circulant_rows(spectrum, 1, 10, [3])[0]
+        fgn = circulant_rows(fgn_acf(np.arange(32), 32, 0.6), 1, 10, [3])[0]
         assert np.array_equal(path.values, np.cumsum(fgn))
 
 
