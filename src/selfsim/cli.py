@@ -184,56 +184,46 @@ def _build_sampler(o: argparse.Namespace, method, n):
     return _builder(o, method)(o, GridSpec(n))
 
 
-def _drop_output(fd: int) -> None:
-    """Point `fd` at the null device, so the flush of what its stream still holds is quiet."""
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, fd)
-    os.close(null)
-
-
 @contextmanager
 def _open_out(out):
-    """The output stream; an unwritable path, or a write or flush that fails (a full
-    device), is a usage error.
+    """The output stream, standard output or the file `out`; an unwritable path, or a
+    write, flush or truncate that fails (a full device), is a usage error.
 
     A closed pipe, on standard output or named by `out`, ends the writing, and the
     command returns its own code. After a closed pipe or a failed write the
-    descriptor points at the null device, so the final flush stays quiet. A file is
-    opened as UTF-8 at offset 0 without truncation, and its old tail is cut only
-    when the block succeeds. So a command that opens it before its work fails on a
-    bad path at once. A failed run removes a file it created; one that fails
-    before writing leaves an existing file as it was.
+    descriptor points at the null device, so the final flush stays quiet; any other
+    error propagates. A file is opened as UTF-8 at offset 0 without truncation, and
+    its old tail is cut only when the block succeeds. So a command that opens it
+    before its work fails on a bad path at once. A failed run removes a file it
+    created; one that fails before writing leaves an existing file as it was.
     """
-    if out is None:
-        try:
-            yield sys.stdout
-            sys.stdout.flush()
-        except OSError as exc:
-            _drop_output(sys.stdout.fileno())
-            if not isinstance(exc, BrokenPipeError):
-                raise UsageError(f"cannot write standard output: {exc.strerror}") from None
-        return
-    created = not os.path.lexists(out)
+    name = "standard output" if out is None else f"output file {out!r}"
+    created = out is not None and not os.path.lexists(out)
     try:
-        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = None if out is None else os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
     except OSError as exc:
-        raise UsageError(f"cannot write output file {out!r}: {exc.strerror}") from None
-    with open(fd, "w", encoding="utf-8", newline="") as stream:
-        try:
-            yield stream
-            stream.flush()
-        except BrokenPipeError:  # a pipe has no tail to cut
-            _drop_output(fd)
-            return
-        except BaseException as exc:
-            if created:
-                os.unlink(out)
-            if not isinstance(exc, OSError):
-                raise
-            _drop_output(fd)
-            raise UsageError(f"cannot write output file {out!r}: {exc.strerror}") from None
-        if stat.S_ISREG(os.fstat(fd).st_mode):
+        raise UsageError(f"cannot write {name}: {exc.strerror}") from None
+    stream = sys.stdout if fd is None else open(fd, "w", encoding="utf-8", newline="")
+    try:
+        yield stream
+        stream.flush()
+        if fd is not None and stat.S_ISREG(os.fstat(fd).st_mode):
             stream.truncate()
+    except BaseException as exc:
+        if isinstance(exc, OSError):
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, stream.fileno())
+            os.close(null)
+        if isinstance(exc, BrokenPipeError):  # a pipe has no tail to cut
+            return
+        if created:
+            os.unlink(out)
+        if not isinstance(exc, OSError):
+            raise
+        raise UsageError(f"cannot write {name}: {exc.strerror}") from None
+    finally:
+        if fd is not None:
+            stream.close()
 
 
 def _chunks(n: int, end: str) -> list[tuple[slice, str]]:

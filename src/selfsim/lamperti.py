@@ -1,26 +1,23 @@
 """Modified inverse Lamperti pipeline: simulate a stationary sequence with
 the rescaled autocovariance, then map it back to a self-similar path on the
-uniform grid, with deterministic error-bound diagnostics.
+uniform grid.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import GridSpec, LinearSampler, ParameterError, RngStream, SamplePath
-from .covmodels import _check_hurst, lamperti_acf
+from .covmodels import lamperti_acf
 from .samplers import _circulant_sampler, _factor_sampler
 
 __all__ = [
-    "LampertiGridMap",
     "grid_map",
     "lamperti_sampler",
     "simulate_lamperti",
-    "error_bound_diagnostics",
 ]
 
 # Snap map arguments this close to an integer before flooring, so log/exp
@@ -35,21 +32,12 @@ _SNAP_TOL = 1e-9
 _DENSE_NODES = 128
 
 
-@dataclass(frozen=True)
-class LampertiGridMap:
-    """Floor indices g(j) and residuals theta(j) of the log-to-uniform map.
-
-    The argument n * log(j) / log(n) is split as g(j) + theta(j) with
+@functools.lru_cache(maxsize=64)
+def grid_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The floor indices g(j) and residuals theta(j), j = 1..n, of the log-to-uniform
+    map, as two read-only arrays: n * log(j) / log(n) is split as g(j) + theta(j) with
     g(j) integer and theta(j) in [0, 1); g(1) = 0 and g(n) = n.
     """
-
-    n: int
-    index: np.ndarray
-    residual: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def grid_map(n: int) -> LampertiGridMap:
     if n < 2:
         raise ParameterError(f"lamperti method needs a grid of n >= 2 points, got n = {n}")
     GridSpec(n)  # rejects a size larger than any array
@@ -61,7 +49,7 @@ def grid_map(n: int) -> LampertiGridMap:
     residual = arg - index
     index.setflags(write=False)
     residual.setflags(write=False)
-    return LampertiGridMap(n=n, index=index, residual=residual)
+    return index, residual
 
 
 @functools.lru_cache(maxsize=64)
@@ -83,7 +71,7 @@ def lamperti_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     For sfbm at n = 32 768, H = 0.8, nothing clamps.
     """
     hurst = float(hurst)
-    index, scale = grid_map(grid.n).index, grid.times() ** hurst
+    index, scale = grid_map(grid.n)[0], grid.times() ** hurst
     # The stationary sequence is read at the nodes g(j) in 0..n: the map sends
     # j = 1 to 0, so one extra lag of the autocovariance is needed. The map is
     # nondecreasing, so a node is new where it steps: 126 of 257 at n = 256.
@@ -129,35 +117,3 @@ def simulate_lamperti(
     """One path of `lamperti_sampler`."""
     return lamperti_sampler(process, hurst, grid)(rng)
 
-
-def error_bound_diagnostics(n_list, hurst: float) -> list[dict]:
-    """Deterministic factors of the approximation error bound: one record
-    {n, a, b, a_rate, b_rate} per size.
-
-    For each n: a(n) = max_j |n^{H theta(j)/n} - 1| and
-    b(n) = max_j |n^{-theta(j)/n} - 1|, both O(log(n)/n) by the mean value
-    theorem, with the rates a(n) n / log n and b(n) n / log n. H must lie in
-    (0, 1), and n_list must hold at least two strictly increasing sizes.
-    `verify.error_bound_check` judges these factors and gives the verdict.
-    """
-    hurst = _check_hurst(hurst)
-    sizes = [int(n) for n in n_list]
-    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError(f"need at least two strictly increasing grid sizes, got {sizes}")
-    entries = []
-    for n in sizes:
-        gm = grid_map(n)
-        theta = gm.residual
-        log_n = math.log(n)
-        a = float(np.max(np.abs(np.exp(hurst * theta / n * log_n) - 1.0)))
-        b = float(np.max(np.abs(np.exp(-theta / n * log_n) - 1.0)))
-        entries.append(
-            {
-                "n": n,
-                "a": a,
-                "b": b,
-                "a_rate": a * n / log_n,
-                "b_rate": b * n / log_n,
-            }
-        )
-    return entries

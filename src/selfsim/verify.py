@@ -1,7 +1,7 @@
 """Statistical verification harness: every check, each a function of a batch (or
 two, or a list of grid sizes) with its rule fixed here. Covariance and marginal
 variance against the law the batch names, marginal normality, cross-method
-equivalence, the one-dimensional scaling law, and the error-bound verdict.
+equivalence, the one-dimensional scaling law, and the error-bound factors.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import numpy as np
 
 from . import core
 from .core import ParameterError, ReplicateBatch
-from .covmodels import _covariance
-from .lamperti import error_bound_diagnostics
+from .covmodels import _check_hurst, _covariance
+from .lamperti import grid_map
 
 __all__ = [
     "VerificationReport",
@@ -334,13 +334,36 @@ def quantile_scaling_check(batch) -> VerificationReport:
 
 
 def error_bound_check(n_list, hurst: float) -> VerificationReport:
-    """The verdict on the factors `lamperti.error_bound_diagnostics(n_list, hurst)`:
-    a(n) and b(n) decrease along n_list, and a falls from the first size to the
-    last at least as fast as log(n)/n, with 50% slack. The details are the factor
-    records; worst_deviation and tolerance are both the fitted constant
-    c1 = max a_rate.
+    """The paper's error-bound factors and their verdict. H must lie in (0, 1), and
+    n_list must hold at least two strictly increasing sizes.
+
+    For each n, from the residuals theta(j) of `grid_map(n)`: a(n) = max_j
+    |n^{H theta(j)/n} - 1| and b(n) = max_j |n^{-theta(j)/n} - 1|, both O(log(n)/n)
+    by the mean value theorem, with the rates a(n) n / log n and b(n) n / log n. The
+    details are one record {n, a, b, a_rate, b_rate} per size. Passes iff a(n) and
+    b(n) decrease along n_list, and a falls from the first size to the last at least
+    as fast as log(n)/n, with 50% slack; worst_deviation and tolerance are both the
+    fitted constant c1 = max a_rate.
     """
-    entries = error_bound_diagnostics(n_list, hurst)
+    hurst = _check_hurst(hurst)
+    sizes = [int(n) for n in n_list]
+    if len(sizes) < 2 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"need at least two strictly increasing grid sizes, got {sizes}")
+    entries = []
+    for n in sizes:
+        _, theta = grid_map(n)
+        log_n = math.log(n)
+        a = float(np.max(np.abs(np.exp(hurst * theta / n * log_n) - 1.0)))
+        b = float(np.max(np.abs(np.exp(-theta / n * log_n) - 1.0)))
+        entries.append(
+            {
+                "n": n,
+                "a": a,
+                "b": b,
+                "a_rate": a * n / log_n,
+                "b_rate": b * n / log_n,
+            }
+        )
     first, last = entries[0], entries[-1]
     decreasing = all(x[key] > y[key] for key in ("a", "b") for x, y in zip(entries, entries[1:]))
     # a(2) = 0, so the rate is compared by multiplying, not dividing, by a

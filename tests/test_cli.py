@@ -832,7 +832,7 @@ class TestOutputFile:
         assert run([command, "--n", "16", "--paths", "50", "--out", str(out)]) == 2
         assert builds == []
 
-    def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path):
+    def test_numerical_failure_leaves_no_new_file(self, sampling, tmp_path, capsys):
         from selfsim.samplers import NotPositiveDefiniteError
 
         sampling.fail = NotPositiveDefiniteError(0, "indefinite")
@@ -842,6 +842,11 @@ class TestOutputFile:
         out.write_text("kept\n", encoding="utf-8")
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 3
         assert out.read_text(encoding="utf-8") == "kept\n"
+        capsys.readouterr()
+        # on standard output an error that is not a failed write propagates as well
+        assert run(["simulate", "--n", "16"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), lines
 
     def test_out_file_names_its_encoding(self, tmp_path):
         # a file opened in the locale's default encoding raises EncodingWarning here
@@ -854,15 +859,19 @@ class TestOutputFile:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize(
-        "argv, redirect",
+        "argv, redirect, target",
         [
-            ("simulate --n 64 --paths 3 --out /dev/full", False),
-            ("verify --suite marginals --n 16 --paths 10 --out /dev/full", False),
-            ("simulate --n 64 --paths 3", True),
+            ("simulate --n 64 --paths 3 --out /dev/full", False, "output file '/dev/full'"),
+            (
+                "verify --suite marginals --n 16 --paths 10 --out /dev/full",
+                False,
+                "output file '/dev/full'",
+            ),
+            ("simulate --n 64 --paths 3", True, "standard output"),
         ],
         ids=["simulate-out", "verify-out", "simulate-stdout"],
     )
-    def test_failed_write_is_a_usage_error(self, argv, redirect):
+    def test_failed_write_is_a_usage_error(self, argv, redirect, target):
         # a full device fails the write or the flush (ENOSPC): exit 2 with one error
         # line, no traceback, and a quiet final flush ("Exception ignored", status 120)
         with open("/dev/full", "wb") as full:
@@ -874,7 +883,7 @@ class TestOutputFile:
             )
         lines = result.stderr.decode().splitlines()
         assert result.returncode == 2, lines
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert lines == [f"error: cannot write {target}: No space left on device"]
         assert b"Exception ignored" not in result.stderr
         assert result.stdout in (None, b"")
 
@@ -891,6 +900,27 @@ class TestOutputFile:
         assert run(["simulate", "--n", "16", "--out", str(out)]) == 2
         assert not out.exists()
         message = f"cannot write output file {str(out)!r}: {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_truncate_is_a_usage_error(self, monkeypatch, tmp_path, capsys):
+        # cutting an existing file's old tail is the last step of a write: its failure
+        # is one error line and exit 2, like a failed write
+        import errno
+
+        import selfsim.cli
+
+        class NoTruncate(io.TextIOWrapper):
+            def truncate(self, pos=None):
+                raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        def opener(fd, mode, encoding, newline):
+            return NoTruncate(io.BufferedWriter(io.FileIO(fd, mode)), encoding, newline=newline)
+
+        monkeypatch.setattr(selfsim.cli, "open", opener, raising=False)
+        out = tmp_path / "x.csv"
+        out.write_text("x" * 100_000, encoding="utf-8")
+        assert run(["simulate", "--n", "16", "--out", str(out)]) == 2
+        message = f"cannot write output file {str(out)!r}: {os.strerror(errno.EFBIG)}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_shorter_output_replaces_existing_file(self, tmp_path):

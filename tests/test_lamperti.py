@@ -19,13 +19,7 @@ from selfsim.core import (
     generate_blocks,
 )
 from selfsim.covmodels import _COVARIANCES, lamperti_acf
-from selfsim.lamperti import (
-    _DENSE_NODES,
-    error_bound_diagnostics,
-    grid_map,
-    lamperti_sampler,
-    simulate_lamperti,
-)
+from selfsim.lamperti import _DENSE_NODES, grid_map, lamperti_sampler, simulate_lamperti
 from selfsim.samplers import cholesky_sampler
 from selfsim.verify import _node_moments, error_bound_check, marginal_variance_profile
 
@@ -33,33 +27,41 @@ from selfsim.verify import _node_moments, error_bound_check, marginal_variance_p
 class TestGridMap:
     def test_endpoints(self):
         for n in (2, 7, 64, 1000):
-            gm = grid_map(n)
-            assert gm.index[0] == 0 and gm.residual[0] == 0.0  # j = 1
-            assert gm.index[-1] == n and gm.residual[-1] == 0.0  # j = n
+            index, residual = grid_map(n)
+            assert index[0] == 0 and residual[0] == 0.0  # j = 1
+            assert index[-1] == n and residual[-1] == 0.0  # j = n
 
     def test_dyadic_exact_case(self):
-        gm = grid_map(4)
-        assert gm.index[1] == 2  # j = 2: argument is exactly 2
-        assert gm.residual[1] == 0.0
+        index, residual = grid_map(4)
+        assert index[1] == 2  # j = 2: argument is exactly 2
+        assert residual[1] == 0.0
 
     def test_index_monotone_and_in_range(self):
         for n in (8, 100, 256):
-            gm = grid_map(n)
-            assert np.all(np.diff(gm.index) >= 0)
-            assert gm.index.min() >= 0 and gm.index.max() == n
-            assert np.all(gm.residual >= 0.0) and np.all(gm.residual < 1.0)
+            index, residual = grid_map(n)
+            assert np.all(np.diff(index) >= 0)
+            assert index.min() >= 0 and index.max() == n
+            assert np.all(residual >= 0.0) and np.all(residual < 1.0)
 
     def test_exp_grid_consistency(self):
         # n^{g/n - 1} * n^{theta/n} must reconstruct j/n
         for n in (8, 64, 256, 1024):
-            gm = grid_map(n)
+            index, residual = grid_map(n)
             j = np.arange(1, n + 1)
-            rebuilt = n ** ((gm.index + gm.residual) / n - 1.0)
+            rebuilt = n ** ((index + residual) / n - 1.0)
             assert np.max(np.abs(rebuilt - j / n) / (j / n)) <= 1e-12
 
     def test_rejects_small_n(self):
         with pytest.raises(ParameterError):
             grid_map(1)
+
+    def test_cached_arrays_are_read_only(self):
+        # every sampler of a size reads the same cached pair: a write would alter them all
+        index, residual = grid_map(64)
+        assert grid_map(64)[0] is index
+        for array in (index, residual):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 class TestSimulateLamperti:
@@ -109,7 +111,7 @@ class TestDenseRoute:
     def test_implied_covariance_is_the_gathered_lamperti_law(self, process):
         # s_i s_j r(|g(i) - g(j)|) with s = t^H, the law the paper's gather defines
         for n in [*range(2, 40), 64, 100, 128, 256, 262]:
-            index, t = grid_map(n).index, GridSpec(n).times()
+            (index, _), t = grid_map(n), GridSpec(n).times()
             for hurst in (0.01, 0.3, 0.5, 0.8, 0.95, 0.999):
                 sampler = lamperti_sampler(process, hurst, GridSpec(n))
                 row = lamperti_acf(process, np.arange(n + 1), n, hurst)
@@ -127,10 +129,10 @@ class TestDenseRoute:
     @pytest.mark.parametrize("process", ["fbm", "sfbm"])
     def test_route_boundary(self, process):
         dense = lamperti_sampler(process, 0.8, GridSpec(262))
-        assert len(np.unique(grid_map(262).index)) == _DENSE_NODES == dense.k
+        assert len(np.unique(grid_map(262)[0])) == _DENSE_NODES == dense.k
         assert dense.info == {"jitter": 0.0}
         circulant = lamperti_sampler(process, 0.8, GridSpec(263))
-        assert len(np.unique(grid_map(263).index)) == _DENSE_NODES + 1
+        assert len(np.unique(grid_map(263)[0])) == _DENSE_NODES + 1
         assert set(circulant.info) == {"clamped_mass", "embedding_size"}
         assert circulant.info["embedding_size"] == 526 and circulant.k > _DENSE_NODES
 
@@ -357,7 +359,7 @@ class TestVerifyMemory:
 class TestErrorBoundDiagnostics:
     def test_rate_bounded_and_decreasing(self):
         ladder = [2**8, 2**10, 2**12, 2**14]
-        entries = error_bound_diagnostics(ladder, 0.5)
+        entries = error_bound_check(ladder, 0.5).details
         for key in ("a", "b"):
             assert all(x[key] > y[key] for x, y in zip(entries, entries[1:]))
         c1 = max(entry["a_rate"] for entry in entries)
@@ -370,36 +372,35 @@ class TestErrorBoundDiagnostics:
         assert c2 <= 2.0
 
     def test_rate_confirmation_with_slack(self):
-        entries = error_bound_diagnostics([2**8, 2**14], 0.5)
+        entries = error_bound_check([2**8, 2**14], 0.5).details
         a8, a14 = entries[0]["a"], entries[1]["a"]
         expected = (math.log(2**14) / 2**14) / (math.log(2**8) / 2**8)
         assert a14 / a8 < expected * 1.5
 
     @pytest.mark.parametrize("ladder", [[2**8, 2**10, 2**12, 2**14], [2, 8]])
     def test_check_details_are_the_factor_records(self, ladder):
-        # the factors alone: the verdict and c1 are `error_bound_check`'s
-        entries = error_bound_diagnostics(ladder, 0.7)
-        assert all(set(entry) == {"n", "a", "b", "a_rate", "b_rate"} for entry in entries)
+        # the details are the factor records alone, beside the check's verdict and c1
         report = error_bound_check(ladder, 0.7)
-        assert report.details == entries
+        entries = report.details
+        assert all(set(entry) == {"n", "a", "b", "a_rate", "b_rate"} for entry in entries)
         assert report.verdict == (ladder != [2, 8])  # a(2) = 0: a cannot fall from 2 to 8
         assert report.worst_deviation == max(entry["a_rate"] for entry in entries)
 
     @pytest.mark.parametrize("hurst", [0.0, 1.0, 1.5, -0.3, float("nan")])
     def test_rejects_hurst_outside_unit_interval(self, hurst):
         with pytest.raises(ParameterError):
-            error_bound_diagnostics([16, 64], hurst)
+            error_bound_check([16, 64], hurst)
 
     @pytest.mark.parametrize("sizes", [[4, 2], [8, 16, 4], [2, 2, 4], [256], []])
     def test_rejects_sizes_not_strictly_increasing(self, sizes):
         # `error_bound_check` reads the factors in list order: a(2) = 0 < a(4), so
         # [4, 2] would read as a and b decreasing
         with pytest.raises(ParameterError, match="strictly increasing"):
-            error_bound_diagnostics(sizes, 0.7)
+            error_bound_check(sizes, 0.7)
 
     def test_dyadic_nodes_contribute_zero(self):
         n = 16
-        gm = grid_map(n)
-        exact = gm.residual == 0.0
+        _, residual = grid_map(n)
+        exact = residual == 0.0
         assert exact.any()
-        assert np.all(np.abs(n ** (0.5 * gm.residual[exact] / n) - 1.0) == 0.0)
+        assert np.all(np.abs(n ** (0.5 * residual[exact] / n) - 1.0) == 0.0)

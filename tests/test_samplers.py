@@ -38,7 +38,7 @@ def lamperti_circulant(hurst, n):
     """Lamperti fBm through the circulant of lags 0 .. n at any n >= 2: the route its
     sampler takes above the dense cutover (n >= 263), gathered and scaled by t^H."""
     grid = GridSpec(n)
-    index, scale = grid_map(n).index, grid.times() ** hurst
+    (index, _), scale = grid_map(n), grid.times() ** hurst
     finish = lambda y: scale * np.take(y, index, axis=1)
     row = lamperti_acf("fbm", np.arange(n + 1), n, hurst)
     return _circulant_sampler(grid, "lamperti", "fbm", hurst, row, finish)
