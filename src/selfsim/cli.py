@@ -196,11 +196,15 @@ def _open_out(out):
     its old tail is cut only when the block succeeds. So a command that opens it
     before its work fails on a bad path at once. A failed run removes a file it
     created; one that fails before writing leaves an existing file as it was.
+    Standard output's own file (`--out /dev/stdout >> log`) is standard output.
     """
     name = "standard output" if out is None else f"output file {out!r}"
     created = out is not None and not os.path.lexists(out)
     try:
         fd = None if out is None else os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        if fd is not None and sys.stdout and os.path.samestat(os.fstat(fd), os.fstat(1)):
+            os.close(fd)  # standard output's own file: write through its offset and flags
+            fd = None
     except OSError as exc:
         raise UsageError(f"cannot write {name}: {exc.strerror}") from None
     stream = sys.stdout if fd is None else open(fd, "w", encoding="utf-8", newline="")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import irfft, rfft
@@ -16,7 +15,6 @@ from .core import _MAX_GRID, GridSpec, LinearSampler, ParameterError, RngStream,
 from .covmodels import _check_hurst, _covariance, fgn_acf
 
 __all__ = [
-    "CirculantSpectrum",
     "NotPositiveDefiniteError",
     "bm_sampler",
     "cholesky_sampler",
@@ -54,36 +52,6 @@ class NotPositiveDefiniteError(RuntimeError):
     def __init__(self, pivot: int, message: str) -> None:
         super().__init__(message)
         self.pivot = pivot
-
-
-@dataclass(frozen=True)
-class CirculantSpectrum:
-    """Bins 0 .. m/2 of the embedding circulant's spectrum, clamped to be
-    nonnegative, and the clamp's size; m = 2 (len(eigenvalues) - 1).
-
-    The circulant's bins m/2 + 1 .. m - 1 mirror bins m/2 - 1 .. 1, so
-    `clamped_mass` counts bins 0 .. m/2 with multiplicity 1, 2, ..., 2, 1: it
-    describes the m-bin circulant that the draw follows. It is the sum of the
-    clamped eigenvalues' magnitudes over m: clamping adds irfft(|negative part|)
-    to the implied autocovariance, so this is that error's exact max norm,
-    reached at lag 0.
-    """
-
-    eigenvalues: np.ndarray
-    clamped_mass: float
-
-    def __post_init__(self) -> None:
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        eig.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eig)
-        if eig.ndim != 1 or len(eig) < 2:
-            raise ValueError("a half spectrum needs a vector of at least two eigenvalues")
-        if eig.min() < 0.0:
-            raise ValueError("stored eigenvalues must be nonnegative")
-
-    @property
-    def m(self) -> int:
-        return 2 * (len(self.eigenvalues) - 1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -164,27 +132,33 @@ def cholesky_sampler(process: str, hurst: float, grid: GridSpec) -> LinearSample
     return _factor_sampler(grid, "cholesky", process, hurst, cov(t[:, None], t[None, :], hurst))
 
 
-def circulant_spectrum(row) -> CirculantSpectrum:
-    """Embed the Toeplitz covariance of a stationary sequence, whose lags
-    0 .. length - 1 are `row`, in the minimal circulant, m = 2 (length - 1),
-    and clamp its negative eigenvalues to zero.
+def circulant_spectrum(row) -> tuple[np.ndarray, float]:
+    """(eigenvalues, clamped_mass) of the Toeplitz covariance of a stationary sequence,
+    whose lags 0 .. length - 1 are `row`, embedded in the minimal circulant,
+    m = 2 (length - 1), with its negative eigenvalues clamped to zero.
 
     The first circulant row folds the lags: c_j = row[j] for j <= m/2 and
-    c_j = row[m - j] above. It is real and symmetric, so one real FFT of it
-    gives the m/2 + 1 eigenvalues of bins 0 .. m/2, the ones the draw reads.
+    c_j = row[m - j] above. It is real and symmetric, so one real FFT of it gives
+    `eigenvalues`, the read-only bins 0 .. m/2 that the draw reads. Bins m/2 + 1 ..
+    m - 1 mirror bins m/2 - 1 .. 1, so `clamped_mass`, the clamped eigenvalues'
+    magnitudes over m with multiplicity 1, 2, ..., 2, 1, is that of the m-bin
+    circulant the draw follows: clamping adds irfft(|negative part|) to the implied
+    autocovariance, and `clamped_mass` is that error's exact max norm, at lag 0.
     """
     row = np.asarray(row, dtype=float)
     if row.ndim != 1 or len(row) < 2:
         raise ParameterError("stationary sequence length must be >= 2")
+    if not np.isfinite(row).all():  # a NaN eigenvalue is never clamped
+        raise ParameterError("stationary sequence must be finite")
     m = 2 * (len(row) - 1)
     eig = rfft(np.concatenate([row, row[-2:0:-1]])).real
     negative = eig < 0.0
     multiplicity = np.full(len(eig), 2)  # bins 1 .. m/2 - 1 stand for their mirrors too
     multiplicity[[0, -1]] = 1
-    return CirculantSpectrum(
-        eigenvalues=np.where(negative, 0.0, eig),
-        clamped_mass=float(np.abs(eig[negative]) @ multiplicity[negative] / m),
-    )
+    clamped_mass = float(np.abs(eig[negative]) @ multiplicity[negative] / m)
+    eig = np.where(negative, 0.0, eig)
+    eig.setflags(write=False)
+    return eig, clamped_mass
 
 
 def _circulant_sampler(grid, method, process, hurst, row, finish=None) -> LinearSampler:
@@ -202,15 +176,15 @@ def _circulant_sampler(grid, method, process, hurst, row, finish=None) -> Linear
     weighted in place, one product per slot. The whole vector's FFT is real: one
     unscaled real inverse FFT of the conjugate half (`irfft`, norm="forward").
     """
-    spectrum = circulant_spectrum(row)
-    m = spectrum.m
-    half = m // 2
+    eigenvalues, clamped_mass = circulant_spectrum(row)
+    half = len(eigenvalues) - 1
+    m = 2 * half
     if finish is None:
         finish = lambda y: y[:, : half + 1]
     # the weight of each float of the spectrum's view, re j at 2j and im j at 2j + 1;
     # an imaginary weight is 0.0 - w, so a dead bin's is +0.0, not -0.0
     weights = np.zeros((half + 1, 2))
-    weights[:, 0] = np.sqrt(spectrum.eigenvalues / m)
+    weights[:, 0] = np.sqrt(eigenvalues / m)
     weights[1:half, 0] /= math.sqrt(2.0)
     np.subtract(0.0, weights[1:half, 0], out=weights[1:half, 1])
     weights = weights.ravel()
@@ -225,7 +199,7 @@ def _circulant_sampler(grid, method, process, hurst, row, finish=None) -> Linear
         flat *= weights  # in place: each live float becomes z times its weight, the rest stay 0
         return finish(irfft(spec, n=m, axis=1, norm="forward"))
 
-    info = {"clamped_mass": spectrum.clamped_mass, "embedding_size": m}
+    info = {"clamped_mass": clamped_mass, "embedding_size": m}
     return LinearSampler(grid, method, process, hurst, len(columns), draw, info)
 
 

@@ -793,6 +793,25 @@ def test_closed_pipe_exits_quietly():
                 assert proc.stderr.read() == b"", argv
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_closed_named_pipe_exits_quietly(tmp_path):
+    # a pipe named by --out that is not standard output is opened as a file: the
+    # reader takes one line and closes it, and the command drops the rest quietly
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read_line = "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').readline())"
+    reader = subprocess.Popen([sys.executable, "-c", read_line, str(fifo)], stdout=subprocess.PIPE)
+    try:
+        argv = [sys.executable, "-m", "selfsim.cli", "simulate", "--n", "50000", "--out", str(fifo)]
+        result = subprocess.run(argv, capture_output=True, timeout=60)
+        line = reader.communicate(timeout=60)[0]
+    finally:
+        reader.kill()
+        reader.wait()
+    assert line == b"path_id,t,value\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, b"", b"")
+
+
 class TestOutputFile:
     @pytest.fixture
     def sampling(self, monkeypatch):
@@ -886,6 +905,20 @@ class TestOutputFile:
         assert lines == [f"error: cannot write {target}: No space left on device"]
         assert b"Exception ignored" not in result.stderr
         assert result.stdout in (None, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout device")
+    def test_out_naming_an_appended_stdout_appends(self, tmp_path):
+        # `--out /dev/stdout >> log` keeps the log's lines and adds what `>> log` adds
+        simulate = [sys.executable, "-m", "selfsim.cli", "simulate", "--n", "2"]
+        logs = {}
+        for name, out in [("plain", []), ("out", ["--out", "/dev/stdout"])]:
+            logs[name] = tmp_path / name
+            logs[name].write_bytes(b"earlier line 1\nearlier line 2\n")
+            with open(logs[name], "ab") as log:
+                subprocess.run(simulate + out, stdout=log, check=True, timeout=60)
+        expected = logs["plain"].read_bytes()
+        assert expected.startswith(b"earlier line 1\nearlier line 2\npath_id,t,value\n")
+        assert logs["out"].read_bytes() == expected
 
     def test_failed_write_removes_a_file_it_created(self, monkeypatch, tmp_path, capsys):
         import errno
