@@ -81,11 +81,12 @@ BATCH_CHECKS = {
 }
 SUITES = (*BATCH_CHECKS, "error-bound")
 FORMATS = ("csv", "json")
-# Values of a path per write: a chunk's floats, reprs and text live only while it
-# is written, so a writer holds O(_CHUNK) of them, not O(n). One bm path of
-# n = 2**21 peaks at 84 MiB as CSV and as JSON, against 614 and 323 MiB in one
-# write. A warm write of 4 sfBm paths of n = 32768 takes at most one page fault
-# at 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 2500.
+# Values per write and per `_reprs` call, at most (`_pieces`): their floats, reprs and text
+# live only while written, so a writer holds O(_CHUNK) of them, not O(n) or O(paths). Its
+# traced peak is 3.0 MiB as CSV and 2.4 as JSON for the widest piece, 4096 rows of n = 1.
+# One bm path of n = 2**21 peaks at 84 MiB as CSV and as JSON, against 614 and 323 MiB in
+# one write. A warm write of 4 sfBm paths of n = 32768 takes at most one page fault at
+# 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 2500.
 _CHUNK = 4096
 
 
@@ -230,13 +231,9 @@ def _open_out(out):
             stream.close()
 
 
-def _chunks(n: int, end: str) -> list[tuple[slice, str]]:
-    """The slice of each chunk of a path of n values, with `end` after the last one."""
-    return [(slice(s, s + _CHUNK), "" if s + _CHUNK < n else end) for s in range(0, n, _CHUNK)]
-
-
 # Below this many values `_reprs` is repr itself. A process's first call of 1024 values
 # took 1.8 ms against repr's 0.7, of 2048 about as long as repr (2-vCPU Xeon VM, numpy 2.4).
+# A whole piece holds at least this many, so only a block's or a path's last one can be short.
 _REPR_FLOOR = 2048
 _POW10 = tuple(10.0**q for q in range(23))  # exact doubles
 _U = np.uint64
@@ -326,48 +323,61 @@ def _reprs(values) -> list[str]:
     return strs
 
 
+def _pieces(blocks, n: int, end: str):
+    """(i, s, end, rows) per piece of the paths of n values in `blocks`: one `_reprs` call's
+    strings of values s, s + 1, ... of paths i, i + 1, ..., cut into one list a path, and
+    `end` if they close their paths, else "". A piece is max(1, _CHUNK // n) consecutive
+    rows of a block, or one row's chunk of _CHUNK values (the last one shorter) if n > _CHUNK.
+    """
+    step, i = max(1, _CHUNK // n), 0
+    for block in blocks:
+        for a in range(0, len(block.values), step):
+            piece = block.values[a : a + step]
+            for s in range(0, n, _CHUNK):
+                strs = _reprs(piece[:, s : s + _CHUNK].ravel())
+                w = len(strs) // len(piece)
+                rows = [strs[k : k + w] for k in range(0, len(strs), w)]
+                yield i + a, s, "" if s + _CHUNK < n else end, rows
+        i += len(block.values)
+
+
 def _write_csv(blocks, n: int, count: int, stream) -> None:
     """Rows path_id,t,value of the `count` paths of n values in `blocks`, the t = 0
-    row first; one write per chunk of a path.
+    row first; one write per piece of at most _CHUNK values (`_pieces`).
 
-    A chunk is one join of a list that repeats the row's "\n{i}," separator, its
-    "t," cell and its value's repr, so no "t,value" string is built per value.
-    Each "t," cell is formatted once, from GridSpec.times()'s arange / n, when the
-    first path reaches its chunk, and kept only while another path follows: one
+    A path's part of a piece is one join of a list that repeats the row's "\n{i},"
+    separator, its "t," cell and its value's repr, so no "t,value" string is built
+    per value. Each "t," cell is formatted once, from GridSpec.times()'s arange / n,
+    when the first piece reaches it, and kept only while another path follows: one
     path holds O(_CHUNK) of them, not n.
     """
-    last = count - 1
-    chunks = _chunks(n, "\n")
-    times = [None] * len(chunks)
+    last, times = count - 1, {}
     stream.write("path_id,t,value\n")
-    for i, row in enumerate(row for block in blocks for row in block.values):
-        sep, head = f"\n{i},", f"{i},0.0,0.0"
-        for c, (part, end) in enumerate(chunks):
-            cells = times[c] or [f"{t}," for t in _reprs((np.arange(*part.indices(n)) + 1) / n)]
-            times[c] = cells if i < last else None
-            parts = [sep] * (3 * len(cells))
+    for i, s, end, rows in _pieces(blocks, n, "\n"):
+        cells = times.get(s) or [f"{t}," for t in _reprs((np.arange(s, s + len(rows[0])) + 1) / n)]
+        times[s] = cells if i + len(rows) <= last else None
+        text = []
+        for j, strs in enumerate(rows, i):
+            parts = [f"\n{j},"] * (3 * len(cells))
             parts[1::3] = cells
-            parts[2::3] = _reprs(row[part])
-            stream.write(f"{head}{''.join(parts)}{end}")
-            head = ""
+            parts[2::3] = strs
+            text += ("" if s else f"{j},0.0,0.0", "".join(parts), end)
+        stream.write("".join(text))
 
 
 def _write_json(blocks, n: int, meta: dict, stream) -> None:
     """The layout of json.dump({"meta": ..., "paths": ...}, indent=2) for the paths of
-    n values in `blocks`; one write per chunk of a path.
+    n values in `blocks`; one write per piece of at most _CHUNK values (`_pieces`).
 
     repr equals the JSON token only for finite floats; ReplicateBatch rejects
     non-finite values, and this writer relies on that.
     """
-    chunks = _chunks(n, "\n    ]")
     head = json.dumps({"meta": {**meta, "artifact_version": __version__}}, indent=2)
     stream.write(f'{head[:-2]},\n  "paths": [\n')
-    sep, head = ",\n      ", "    [\n      0.0,\n      "
-    for row in (row for block in blocks for row in block.values):
-        for part, end in chunks:
-            stream.write(f"{head}{sep.join(_reprs(row[part]))}{end}")
-            head = sep
-        head = ",\n    [\n      0.0,\n      "
+    sep, opens = ",\n      ", ("    [\n      0.0,\n      ", ",\n    [\n      0.0,\n      ")
+    for i, s, end, rows in _pieces(blocks, n, "\n    ]"):
+        text = (f"{sep if s else opens[j > 0]}{sep.join(r)}{end}" for j, r in enumerate(rows, i))
+        stream.write("".join(text))
     stream.write("\n  ]\n}\n")
 
 

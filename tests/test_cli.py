@@ -414,12 +414,56 @@ class TestWriters:
             _reference_json, batch, self.META
         )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1024, 1365, 2047, 2048, 4096, 4097])
+    @pytest.mark.parametrize("sampling", ["bm", "davies-harte"])
+    def test_blocks_match_reference(self, n, sampling):
+        # one whole block and one of a whole piece and one row: pieces of several rows,
+        # a short last piece and a short last block (and a short piece inside a whole
+        # block where the block's rows are no multiple of the piece's, as at n = 3)
+        from selfsim.cli import _CHUNK, _write_csv, _write_json
+        from selfsim.samplers import bm_sampler
+
+        grid = GridSpec(n)
+        sampler = bm_sampler(grid) if sampling == "bm" else davies_harte_sampler(grid, 0.7)
+        count = sampler._block_rows + max(1, _CHUNK // n) + 1
+        batch = generate_batch(sampler, count, 17)
+        csv_text = _rendered(_write_csv, generate_blocks(sampler, count, 17), n, count)
+        assert csv_text == _rendered(_reference_csv, batch)
+        assert _rendered(_write_json, generate_blocks(sampler, count, 17), n, self.META) == (
+            _rendered(_reference_json, batch, self.META)
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_reprs_call_per_piece_of_rows(self, fmt, tmp_path, monkeypatch):
+        # simulate-csv's shape: 100 davies-harte paths of n = 1024 in blocks of 8 rows
+        # are 25 pieces of 4 rows, each one `_reprs` call of 4096 values (so the numpy
+        # pass, not repr), not 100 calls of 1024; the CSV's "t," cells are one more
+        import selfsim.cli as cli
+
+        sizes = []
+
+        def counted(values):
+            sizes.append(len(values))
+            return reprs(values)
+
+        reprs = cli._reprs
+        monkeypatch.setattr(cli, "_reprs", counted)
+        argv = "simulate --method davies-harte --hurst 0.7 --n 1024 --paths 100 --seed 1".split()
+        assert run(argv + ["--format", fmt, "--out", str(tmp_path / "paths")]) == 0
+        t_cells = [1024] if fmt == "csv" else []
+        assert sorted(sizes) == t_cells + [4096] * 25
+        assert 4096 >= cli._REPR_FLOOR
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_no_write_exceeds_a_chunk(self, fmt):
-        # A float's shortest repr has at most 24 characters. So a CSV cell of path
-        # 0 ("\n0,", the t repr, ",", the value repr) has at most 52, and a JSON
-        # value (",\n      " and its repr) at most 32; 64 more cover a path's head.
+        # A float's shortest repr has at most 24 characters. So a CSV line of path i
+        # ("\n{i},", the t repr, ",", the value repr) has at most 51 + d characters, d
+        # the digits of i, and a JSON value (",\n      " and its repr) at most 32. Each
+        # row of a piece adds its head and end: "{i},0.0,0.0" and "\n" in CSV (d + 9),
+        # the path's brackets and its 0.0 in JSON (at most 32). A write is one piece:
+        # _CHUNK values, of max(1, _CHUNK // n) rows.
         from selfsim.cli import _CHUNK, _write_csv, _write_json
+        from selfsim.samplers import bm_sampler
 
         sizes = []
 
@@ -428,16 +472,22 @@ class TestWriters:
                 sizes.append(len(text))
                 return super().write(text)
 
-        batch = generate_batch(davies_harte_sampler(GridSpec(3 * _CHUNK + 1), 0.7), 1, 17)
-        stream = Recorder()
-        if fmt == "csv":
-            _write_csv([batch], batch.n, 1, stream)
-            bound, reference = 52 * _CHUNK + 64, _rendered(_reference_csv, batch)
-        else:
-            _write_json([batch], batch.n, self.META, stream)
-            bound, reference = 32 * _CHUNK + 64, _rendered(_reference_json, batch, self.META)
-        assert stream.getvalue() == reference
-        assert max(sizes) <= bound < len(reference) // 2
+        for n, paths in ((3 * _CHUNK + 1, 1), (1, 20_000), (1024, 100)):
+            sizes.clear()
+            grid = GridSpec(n)
+            sampler = bm_sampler(grid) if n == 1 else davies_harte_sampler(grid, 0.7)
+            batch = generate_batch(sampler, paths, 17)
+            stream, d, rows = Recorder(), len(str(paths - 1)), max(1, _CHUNK // n)
+            if fmt == "csv":
+                _write_csv(generate_blocks(sampler, paths, 17), n, paths, stream)
+                bound = (51 + d) * _CHUNK + (d + 9) * rows
+                reference = _rendered(_reference_csv, batch)
+            else:
+                _write_json(generate_blocks(sampler, paths, 17), n, self.META, stream)
+                bound = 32 * _CHUNK + 32 * rows
+                reference = _rendered(_reference_json, batch, self.META)
+            assert stream.getvalue() == reference, n
+            assert max(sizes) <= bound < len(reference) // 2, n
 
     def test_one_path_csv_holds_a_chunk_of_t_cells(self):
         # a one-path batch formats each chunk's "t," cells as it writes that chunk and

@@ -28,21 +28,30 @@ path from the per-path function of each pair that has one
 (``davies_harte_fbm``, ``ma_truncated_fbm``, ``simulate_lamperti``). A refused
 parameter gives its exception's name and an empty output.
 
-The writer cases: for n in {2047, 2048, 4097} (one side and the other of
-``cli._REPR_FLOOR``, and a path of two chunks), a hand-built ``ReplicateBatch``
-of three rows of the edge values of the float formatter's domain, in both
-signs (``EDGES``: 1e-4 and its neighbours, the largest double below 1e16, the
-powers of two from 2**-14 to 2**53, the smallest subnormal, both zeros and
-values with a carry in their shortest digits). Sampler paths rarely hold them.
-Each batch goes through the tree's ``cli._write_csv`` and ``cli._write_json``.
+The writer cases: a hand-built ``ReplicateBatch`` of the edge values of the
+float formatter's domain, in both signs (``EDGES``: 1e-4 and its neighbours,
+the largest double below 1e16, the powers of two from 2**-14 to 2**53, the
+smallest subnormal, both zeros and values with a carry in their shortest
+digits), which sampler paths rarely hold: three rows at n in {2047, 2048,
+4097} (one side and the other of ``cli._REPR_FLOOR``, and a path of two
+chunks), and 8 rows at n = 1024, 40 at n = 64 and 5000 at n = 1 (paths below
+the floor, whose rows the writers format together). Each batch goes through
+the tree's ``cli._write_csv`` and ``cli._write_json`` as one block.
 
-It is a tool, not a test: it gates nothing, and it exits 0 whatever differs.
-Run both trees on one host, since the GEMM bits of the BLAS may differ
-between machines.
+The exit status checks the bit contract: 0 when the cases that differ are
+exactly those that NEW_TREE declares in ``tools/bitsweep_declared.txt``, one
+``fnmatch`` pattern per line ('#' starts a comment), 1 when a case differs
+undeclared or a pattern matches no differing case. So the file is empty
+unless the new tree changes bits on purpose, and a declaration fails the next
+change, whose parent already has those bits. A case that the old tree cannot
+run (a new option) reads as its exit code, so it must be declared too. Run
+both trees on one host: the bits of every method but ``bm-cumsum`` move with
+numpy's SIMD dispatch tier and with the BLAS library, kernel and thread count.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import hashlib
 import json
 import os
@@ -83,7 +92,8 @@ EDGES = (
     + [2.0**e for e in range(-14, 54)]
     + [5e-324, 0.0, -0.0, 0.1 + 0.2, 9.5, 0.9999999999999999, 99.99999999999999, 123.0]
 )
-WRITER_SIZES = (2047, 2048, 4097)
+# (n, rows) of each writer batch
+WRITER_SHAPES = ((2047, 3), (2048, 3), (4097, 3), (1024, 8), (64, 40), (1, 5000))
 # the pairs with a per-path function of their own
 WRAPPED = {("fbm", "davies-harte"), ("fbm", "ma-truncated"), ("fbm", "lamperti"),
            ("sfbm", "lamperti")}
@@ -135,26 +145,26 @@ def path_cases() -> list[str]:
 
 
 def writer_cases() -> list[str]:
-    """Every writer case, as "writer FORMAT N"."""
-    return [f"writer {fmt} {n}" for n in WRITER_SIZES for fmt in ("csv", "json")]
+    """Every writer case, as "writer FORMAT N ROWS"."""
+    return [f"writer {fmt} {n} {rows}" for n, rows in WRITER_SHAPES for fmt in ("csv", "json")]
 
 
 def write_batch(case: str) -> bytes:
-    """The UTF-8 bytes one writer case writes: three rows of EDGES in both signs."""
+    """The UTF-8 bytes one writer case writes: ROWS rows of EDGES in both signs."""
     import io
 
     import numpy as np
     from selfsim import GridSpec, ReplicateBatch
     from selfsim.cli import _write_csv, _write_json
 
-    _, fmt, n = case.split()
-    n = int(n)
+    _, fmt, n, count = case.split()
+    n, count = int(n), int(count)
     edges = np.array(EDGES + [-v for v in EDGES])
-    rows = np.array([np.resize(edges, n), np.resize(edges[::-1], n), np.resize(-edges, n)])
-    batch = ReplicateBatch(GridSpec(n), rows, "edges", "fbm", 0.7, 1, (0, 1, 2))
+    rows = np.resize(np.concatenate([edges, edges[::-1], -edges]), (count, n))
+    batch = ReplicateBatch(GridSpec(n), rows, "edges", "fbm", 0.7, 1, tuple(range(count)))
     stream = io.StringIO()
     if fmt == "csv":
-        _write_csv([batch], n, 3, stream)
+        _write_csv([batch], n, count, stream)
     else:
         _write_json([batch], n, {"process": "fbm", "n": n}, stream)
     return stream.getvalue().encode("utf-8")
@@ -185,8 +195,11 @@ def draw_path(case: str) -> bytes:
 
 def run_cases() -> None:
     """In the tree's interpreter: run every case, print one JSON line each."""
+    import selfsim
     from selfsim.cli import main
 
+    if not selfsim.__file__.startswith(os.environ["PYTHONPATH"] + os.sep):
+        raise SystemExit(f"selfsim imported from {selfsim.__file__}, not the tree's src")
     with tempfile.TemporaryDirectory() as scratch:
         out = os.path.join(scratch, "out")
         for case in cases():
@@ -235,6 +248,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
         return 2
+    declared = []
+    path = os.path.join(argv[1], "tools", "bitsweep_declared.txt")
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            declared = [line.split("#", 1)[0].strip() for line in fh]
+        declared = [pattern for pattern in declared if pattern]
     old, new = (sweep(tree) for tree in argv)
     summary = []
     for kind, kind_cases in (("CLI", cases()), ("path", path_cases()), ("writer", writer_cases())):
@@ -250,7 +269,14 @@ def main(argv: list[str]) -> int:
         print(f"\n{len(differ)} of {total} {kind} cases differ")
         for case in differ:
             print(f"  {case}")
-    return 0
+    differ = [case for *_, kind_differ in summary for case in kind_differ]
+    undeclared = [c for c in differ if not any(fnmatch.fnmatchcase(c, p) for p in declared)]
+    unused = [p for p in declared if not any(fnmatch.fnmatchcase(c, p) for c in differ)]
+    for case in undeclared:
+        print(f"undeclared: {case}")
+    for pattern in unused:
+        print(f"declared, but no case differs: {pattern}")
+    return 1 if undeclared or unused else 0
 
 
 if __name__ == "__main__":
