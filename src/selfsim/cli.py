@@ -6,16 +6,17 @@ from it, and each option is resolved and checked once, through its cast,
 before a command runs, so a malformed option is a usage error even where it
 is not used.
 
-Every `verify` run writes one report object. Exit codes: 0 success, 1 a
-verification verdict failed, 2 usage error (including invalid process/method
-combinations, flags a command does not take, malformed values, bad config
-files, an unwritable output path, a write that fails (a full device), a grid
-too large to allocate, and fewer paths than a suite needs: 2 for marginals and
-equivalence, 100 for covariance, 1000 for normality), 3 numerical failure (a
-Cholesky factor that stays indefinite through the whole jitter ladder). A
-reader that closes standard output early (`selfsim simulate | head -1`) is not
-an error: the rest of the output is dropped, and the command returns its own
-code.
+Every `verify` report, and `bench --format json`'s list of records, is written
+as one line, `json.dumps` of its value and a newline, so appended runs make a
+JSON-Lines log. Exit codes: 0 success, 1 a verification verdict failed, 2 usage
+error (including invalid process/method combinations, flags a command does not
+take, malformed values, bad config files, an unwritable output path, a write
+that fails (a full device), a grid too large to allocate, and fewer paths than
+a suite needs: 2 for marginals and equivalence, 100 for covariance, 1000 for
+normality), 3 numerical failure (a Cholesky factor that stays indefinite
+through the whole jitter ladder). A reader that closes standard output early
+(`selfsim simulate | head -1`) is not an error: the rest of the output is
+dropped, and the command returns its own code.
 """
 
 from __future__ import annotations
@@ -381,35 +382,6 @@ def _write_json(blocks, n: int, meta: dict, stream) -> None:
     stream.write("\n  ]\n}\n")
 
 
-# The details of a report as one list: its records' items and the records themselves
-# are joined by the separator that json.dumps(..., indent=2) puts between items.
-_RECORDS = json.JSONEncoder(separators=(",\n      ", ": "))
-_SCALARS = {str, int, float, bool, type(None)}  # exact types: a subclass takes json.dumps
-
-
-def _report_text(report: dict) -> str:
-    """The text of json.dumps(report, indent=2).
-
-    When every record of report["details"] is a nonempty dict of `_SCALARS`, the list
-    is one call of the C encoder (`_RECORDS`), not the pure-Python indent layout,
-    and one replace re-indents the record boundaries. A JSON string holds no raw
-    newline, so "}," then the separator and "{" only sit between records. Any other
-    report (empty details, an empty record, a record holding a list or dict) is
-    json.dumps(report, indent=2) itself.
-    """
-    details = report["details"]
-    flat = (
-        details
-        and all(type(record) is dict and record for record in details)
-        and {type(v) for record in details for v in record.values()} <= _SCALARS
-    )
-    if not flat:
-        return json.dumps(report, indent=2)
-    body = _RECORDS.encode(details)[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-    head = json.dumps({**report, "details": []}, indent=2)  # one top-level "details" key
-    return head.replace('\n  "details": []', f'\n  "details": [\n    {{\n      {body}\n    }}\n  ]')
-
-
 def cmd_simulate(o: argparse.Namespace) -> int:
     n = o.n[0]
     with _open_out(o.out) as stream:
@@ -442,7 +414,7 @@ def cmd_verify(o: argparse.Namespace) -> int:
             samplers = [_build_sampler(o, method, o.n[0]) for method in methods]
             blocks = [generate_blocks(s, o.paths, o.seed + i) for i, s in enumerate(samplers)]
             report = BATCH_CHECKS[o.suite](*blocks)
-        stream.write(_report_text(report.to_dict()) + "\n")
+        stream.write(json.dumps(report.to_dict()) + "\n")
     return EXIT_OK if report.verdict else EXIT_VERDICT
 
 
@@ -472,7 +444,7 @@ def cmd_bench(o: argparse.Namespace) -> int:
                 rows.append(row)
 
         if o.format == "json":
-            stream.write(json.dumps(rows, indent=2) + "\n")
+            stream.write(json.dumps(rows) + "\n")
         else:  # the records' keys, then their values: None is an empty cell, a float its repr
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(rows[0])

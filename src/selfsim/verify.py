@@ -238,7 +238,7 @@ def marginal_variance_profile(batch) -> VerificationReport:
     )
 
 
-def ks_distance(sample: np.ndarray) -> float:
+def _ks_distance(sample: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance of standardized data to the standard normal,
     whose CDF is Phi(z) = erfc(-z / sqrt 2) / 2."""
     z = np.sort((sample - sample.mean()) / sample.std(ddof=1))
@@ -256,7 +256,7 @@ def normality_check(batch) -> VerificationReport:
     within KS_CRIT_1PCT / sqrt(M), a bound well above the 1% point (KS_CRIT_1PCT)."""
     first, nodes, values = _columns(batch, _ks_nodes, 1000)
     m = len(values)
-    details = [{"node": j, "ks_distance": ks_distance(x)} for j, x in zip(nodes, values.T)]
+    details = [{"node": j, "ks_distance": _ks_distance(x)} for j, x in zip(nodes, values.T)]
     worst = max(d["ks_distance"] for d in details)
     tolerance = KS_CRIT_1PCT / math.sqrt(m)
     return VerificationReport.of(

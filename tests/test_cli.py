@@ -5,7 +5,6 @@ import csv
 import io
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -16,7 +15,7 @@ import pytest
 from selfsim.cli import main
 from selfsim.core import GridSpec, generate_batch, generate_blocks
 from selfsim.samplers import davies_harte_sampler
-from selfsim.verify import error_bound_check, ks_distance
+from selfsim.verify import _ks_distance, error_bound_check
 
 
 def run(args):
@@ -582,51 +581,6 @@ class TestWriters:
             assert text == _rendered(_reference_json, batch, meta)
 
 
-class TestReportText:
-    """`cli._report_text` is json.dumps(report, indent=2), whatever the details hold."""
-
-    HEAD = {
-        "check": "x",
-        "method": "lamperti",
-        "process": "fbm",
-        "hurst": 0.8,
-        "n": 2,
-        "m_replicates": 3,
-        "verdict": "pass",
-        "worst_deviation": 1.5,
-        "tolerance": 4.0,
-    }
-    DETAILS = {
-        "empty": [],
-        "empty-record": [{}],
-        "empty-record-last": [{"node": 1}, {}],
-        "list": [{"nodes": [1, 5, 9]}],
-        "dict": [{"info": {"jitter": 0.0}}],
-        "flat-and-nested": [{"node": 1, "t": 0.5}, {"nodes": [1, 2]}, {"node": 2, "t": 1.0}],
-        "nonfinite": [{"a": math.nan, "b": math.inf}, {"c": -math.inf}],
-        "small": [{"a": -0.0, "b": 1e-05, "c": 5e-324, "d": 1e22}],
-        "none-bool": [{"a": None, "b": True, "c": False}, {"d": 0}],
-        "non-ascii": [{"name": "\u00e9 \u2603 \U0001d525", "\u00e9": 1}],
-        "boundary-string": [{"s": "},\n{"}, {"s": "},\n      {", "t": "}]"}],
-        "numpy-scalars": [{"a": np.float64(0.1), "b": np.float64(-0.0)}],
-        "one-record": [{"node": 1}],
-    }
-
-    @pytest.mark.parametrize("details", DETAILS.values(), ids=DETAILS.keys())
-    def test_equals_indented_dumps(self, details):
-        from selfsim.cli import _report_text
-
-        report = {**self.HEAD, "details": details}
-        assert _report_text(report) == json.dumps(report, indent=2)
-
-    def test_head_values_equal_indented_dumps(self):
-        from selfsim.cli import _report_text
-
-        head = {**self.HEAD, "method": "\u00e9", "worst_deviation": math.nan}
-        report = {**head, "details": [{"a": 1}]}
-        assert _report_text(report) == json.dumps(report, indent=2)
-
-
 # sizes no array can index: each is rejected where it enters, and the message says so
 TOO_LARGE = [
     ["simulate", "--process", "bm", "--method", "bm-cumsum", "--n", str(10**19)],
@@ -1149,7 +1103,7 @@ class TestVerifyCommand:
         assert report["check"] == "normality"
         assert [d["node"] for d in report["details"]] == nodes
         batch = generate_batch(davies_harte_sampler(GridSpec(n), 0.5), 1000, 5)
-        distances = [ks_distance(batch.values[:, j - 1]) for j in nodes]
+        distances = [_ks_distance(batch.values[:, j - 1]) for j in nodes]
         assert [d["ks_distance"] for d in report["details"]] == distances
         assert report["worst_deviation"] == max(distances)
         assert code == (0 if report["verdict"] == "pass" else 1)
@@ -1167,7 +1121,7 @@ class TestVerifyCommand:
         ids=["marginals", "covariance", "normality", "equivalence", "error-bound"],
     )
     @pytest.mark.parametrize("verdict", ["pass", "fail"])
-    def test_report_layout_is_indented_json(self, argv, verdict, tmp_path, monkeypatch):
+    def test_report_is_one_line_of_json(self, argv, verdict, tmp_path, monkeypatch):
         # a fail is forced by a zero tolerance, or for error-bound by sizes whose a(2) is 0
         from selfsim import verify
 
@@ -1180,7 +1134,22 @@ class TestVerifyCommand:
         text = out.read_text(encoding="utf-8")
         report = json.loads(text)
         assert (report["verdict"], code) == (verdict, 0 if verdict == "pass" else 1)
-        assert text == json.dumps(report, indent=2) + "\n"
+        assert text == json.dumps(report) + "\n"
+        assert text.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout device")
+    def test_appended_reports_are_json_lines(self, tmp_path):
+        # each report is one line, so runs appended to one log read back one report a line
+        verify = [sys.executable, "-m", "selfsim.cli", "verify", "--out", "/dev/stdout"]
+        runs = [["--suite", "error-bound", "--n", "64,256"], ["--n", "16", "--paths", "300"]]
+        log = tmp_path / "runs.log"
+        for argv in runs:
+            with open(log, "ab") as stream:
+                subprocess.run(verify + argv, stdout=stream, timeout=60)
+        lines = log.read_text(encoding="utf-8").split("\n")
+        assert lines[2:] == [""]
+        checks = [json.loads(line)["check"] for line in lines[:2]]
+        assert checks == ["error-bound", "marginal-variance"]
 
 
 class TestBench:
@@ -1204,7 +1173,10 @@ class TestBench:
             ]
         )
         assert code == 0
-        rows = json.loads(out.read_text(encoding="utf-8"))
+        text = out.read_text(encoding="utf-8")
+        rows = json.loads(text)
+        assert text == json.dumps(rows) + "\n"
+        assert text.count("\n") == 1
         assert len(rows) == 4
         assert all(r["seconds_per_path"] > 0 for r in rows)
         ratios = [r["ratio_vs_previous_n"] for r in rows if r["ratio_vs_previous_n"]]

@@ -1,9 +1,10 @@
-"""Package exports: every public name the package lists resolves, every name
-the benchmark imports from it resolves and its reference paths are the batch
-rows, the README's library example runs, the package imports without scipy,
-no module imports one above it (the samplers below the checks, the checks
-below the CLI), one function draws every normal, and a first `simulate` of a
-4096-value path loads no `numpy.ma`."""
+"""Package exports: every public name the package lists resolves, every public
+definition of a star-imported module is listed, every name the benchmark
+imports from it resolves and its reference paths are the batch rows, the
+README's library example runs, the package imports without scipy, no module
+imports one above it (the samplers below the checks, the checks below the CLI),
+one function draws every normal, and a first `simulate` of a 4096-value path
+loads no `numpy.ma`."""
 
 import ast
 import importlib
@@ -40,6 +41,23 @@ def test_every_listed_name_resolves():
                 if not (hasattr(selfsim, name) and hasattr(module, name)):
                     missing.append(f"selfsim.{name}")
     assert missing == []
+
+
+def test_every_public_definition_is_listed():
+    # a public-named def or class left out of `__all__` is public in its module and
+    # missing from the package: each public name is listed once, in `__all__`
+    unlisted = []
+    for name in ("core", "covmodels", "samplers", "lamperti", "verify"):
+        module = importlib.import_module(f"selfsim.{name}")
+        tree = ast.parse((ROOT / "src" / "selfsim" / f"{name}.py").read_text(encoding="utf-8"))
+        defined = [
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+        public = [d for d in defined if not d.startswith("_")]
+        unlisted += [f"{name}.{d}" for d in public if d not in module.__all__]
+    assert unlisted == []
 
 
 def test_benchmark_imports_resolve():
