@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import stat
@@ -82,12 +83,12 @@ BATCH_CHECKS = {
 }
 SUITES = (*BATCH_CHECKS, "error-bound")
 FORMATS = ("csv", "json")
-# Values per write and per `_reprs` call, at most (`_pieces`): their floats, reprs and text
+# Values per write and per `_reprs` call, at most (`_pieces`): their floats, words and text
 # live only while written, so a writer holds O(_CHUNK) of them, not O(n) or O(paths). Its
-# traced peak is 3.0 MiB as CSV and 2.4 as JSON for the widest piece, 4096 rows of n = 1.
+# warm traced peak is 1.4 MiB as CSV and as JSON for the widest piece, 4096 rows of n = 1.
 # One bm path of n = 2**21 peaks at 84 MiB as CSV and as JSON, against 614 and 323 MiB in
-# one write. A warm write of 4 sfBm paths of n = 32768 takes at most one page fault at
-# 4096 or 8192; at 16384 (core._BLOCK_NORMALS) the CSV one takes about 2500.
+# one write. A warm write of 4 sfBm paths of n = 32768 takes about 250 page faults as CSV
+# and none as JSON; at 8192 about 8800 and 6000, at 16384 (core._BLOCK_NORMALS) 12600 and 8300.
 _CHUNK = 4096
 
 
@@ -232,12 +233,13 @@ def _open_out(out):
             stream.close()
 
 
-# Below this many values `_reprs` is repr itself. A process's first call of 1024 values
-# took 1.8 ms against repr's 0.7, of 2048 about as long as repr (2-vCPU Xeon VM, numpy 2.4).
+# Below this many values `_reprs` is repr itself. A process's first call of 1024 values took
+# 1.0 ms against repr's 0.9, of 2048 1.6 against 2.7 (2-vCPU Xeon VM, numpy 2.4, medians).
 # A whole piece holds at least this many, so only a block's or a path's last one can be short.
 _REPR_FLOOR = 2048
 _POW10 = tuple(10.0**q for q in range(23))  # exact doubles
 _U = np.uint64
+_PAD = "\x10"  # '0' & 0xDF: the pad byte of a word, which no output holds
 
 
 def _digits(g):
@@ -252,20 +254,33 @@ def _digits(g):
 
 @functools.cache
 def _layouts():
-    """Per (unit byte u, digit count k, sign): the 4 masks, 3 words each, of a `_reprs` row."""
-    u, k, neg, b = np.ogrid[:21, :18, :2, :24]
-    start, point = np.minimum(5, u), u + 1
-    inside = (b >= start) & (b < np.maximum(6 + k, u + 3))
-    keep = np.where(b < point, 0xFF, 0)
-    clear = np.where(b == point, 0, np.where(inside, 0xFF, 0xEF))
-    put = np.where(b == point, 0x2E, np.where((b == start - 1) & (neg == 1), 0x0D, 0))
-    words = np.stack(np.broadcast_arrays(keep, 0xFF - keep, clear, put)).astype(np.uint8)
-    return words.view(_U).reshape(4, -1, 3)
+    """The keep, clear and put masks of a `_reprs` slot, each [word, layout]: 9 tables of
+    its 3 words per layout (unit byte u, digit count k, sign), at (u * 18 + k) * 2 + sign."""
+    layout, first = np.arange(756), np.arange(0, 24, 8)[:, None]
+    u, k, neg = layout // 36, layout // 2 % 18, layout % 2
+    start, point, end = np.minimum(5, u), u + 1, np.maximum(6 + k, u + 3)
+    ones = np.array([(1 << 8 * c) - 1 for c in range(9)], _U)
+
+    def below(b):  # the bytes of each word before byte b of the slot
+        return ones[np.clip(b - first, 0, 8)]
+
+    keep, text = below(point), below(end) & ~below(start)
+    dot, sign = below(point + 1) & ~keep, below(start - 1 + neg) & ~below(start - 1)
+    clear = (text | _U(0xDFDFDFDFDFDFDFDF)) & ~(dot | sign)
+    return keep, clear, dot & _U(0x2E2E2E2E2E2E2E2E) | sign & _U(0x2D2D2D2D2D2D2D2D)
 
 
-def _reprs(values) -> list[str]:
-    """list(map(repr, values.tolist())) of a 1-d float64 array, byte for byte, in
-    whole-array numpy steps; repr is the reference and the fallback.
+def _words(texts, count: int):
+    """Each text, which fits `count` words, padded to them: a (len(texts), count) array."""
+    text = "".join(map(str.ljust, texts, itertools.repeat(8 * count), itertools.repeat(_PAD)))
+    return np.frombuffer(text.encode("ascii"), _U).reshape(-1, count)
+
+
+def _reprs(values, out) -> None:
+    """Write each float64 x of `values` into its slot out[..., :3], 3 uint64 words
+    (out.shape is values.shape + (3,); `out` may view a larger buffer), as repr(x) and
+    pad bytes, in whole-array numpy steps; repr is the reference and the fallback. A
+    24-character repr fills its slot, so separators need words of their own.
 
     repr writes 1e-4 <= |x| < 1e16 in fixed notation, with the shortest decimal that
     rounds back to x, the nearest to x of those. With q = 16 - floor(log10|x|), Dekker's
@@ -277,11 +292,13 @@ def _reprs(values) -> list[str]:
     is repr's digits with j trailing zeros. Each test compares lo with H less a small
     integer, exactly. A distance of exactly H, a tie, 0, subnormals, powers of two,
     exponent forms, non-finite values, calls below _REPR_FLOOR and big-endian hosts
-    (the rows are read as little-endian bytes) go to repr.
+    (the slots are built as little-endian words) go to repr.
     """
-    if len(values) < _REPR_FLOOR or sys.byteorder != "little":
-        return list(map(repr, values.tolist()))
-    a = np.abs(values)
+    flat = values.ravel()
+    if len(flat) < _REPR_FLOOR or sys.byteorder != "little":
+        out[...] = _words(map(repr, flat.tolist()), 3).reshape(out.shape)
+        return
+    a = np.abs(flat)
     fast = (a >= 1e-4) & (a < 1e16) & (a.view(np.int64) & (2**52 - 1) != 0)
     a = np.where(fast, a, 1.5)
     q = 16 - np.floor(np.log10(a)).astype(np.int64)
@@ -309,36 +326,35 @@ def _reprs(values) -> list[str]:
     g = _digits(np.stack([top - d0 * 10**8, low]))
     zeros = np.where(g == 0, 8, 7 - (np.frexp(g.astype(np.float64))[1] - 1) // 8)
     k = 17 - np.where(g[1] == 0, 8 + zeros[0], zeros[1])
-    # A row is 24 bytes: "0000", the 17 digits and "00" from byte 1. Up to the unit digit
+    # A slot is 24 bytes: "0000", the 17 digits and "00" from byte 1. Up to the unit digit
     # (byte 5 + exponent) it keeps its bytes, then the point, then its bytes moved up one;
-    # outside the text '0' becomes ' ' (or '-' before a negative), and split() cuts rows.
+    # outside the text '0' becomes the pad byte, or '-' before a negative. Word by word.
     g |= _U(0x3030303030303030)
     s0 = ((d0 | 0x30) << 40 | 0x3030303030).view(_U) | g[0] << _U(48)
     s1, s2 = g[0] >> _U(16) | g[1] << _U(48), g[1] >> _U(16) | _U(0x3030 << 48)
-    rows = np.stack([s0, s1, s2], axis=1)
-    shifted = np.stack([s0 << _U(8), s1 << _U(8) | s0 >> _U(56), s2 << _U(8) | s1 >> _U(56)], 1)
-    keep, move, clear, put = np.take(_layouts(), ((21 - q) * 18 + k) * 2 + (values < 0), 1)
-    strs = ((rows & keep | shifted & move) & clear | put).tobytes().decode("ascii").split()
-    for j in np.flatnonzero(bad).tolist():
-        strs[j] = repr(float(values[j]))
-    return strs
+    moved = (s0 << _U(8), s1 << _U(8) | s0 >> _U(56), s2 << _U(8) | s1 >> _U(56))
+    layout = ((21 - q) * 18 + k) * 2 + (flat < 0)
+    keep, clear, put = _layouts()
+    for w, (kept, shifted) in enumerate(zip((s0, s1, s2), moved)):
+        word = (shifted ^ (kept ^ shifted) & np.take(keep[w], layout)) & np.take(clear[w], layout)
+        out[..., w] = (word | np.take(put[w], layout)).reshape(values.shape)
+    bad = np.flatnonzero(bad)
+    if len(bad):
+        out[np.unravel_index(bad, values.shape)] = _words(map(repr, flat[bad].tolist()), 3)
 
 
-def _pieces(blocks, n: int, end: str):
-    """(i, s, end, rows) per piece of the paths of n values in `blocks`: one `_reprs` call's
-    strings of values s, s + 1, ... of paths i, i + 1, ..., cut into one list a path, and
-    `end` if they close their paths, else "". A piece is max(1, _CHUNK // n) consecutive
-    rows of a block, or one row's chunk of _CHUNK values (the last one shorter) if n > _CHUNK.
+def _pieces(blocks, n: int):
+    """(i, s, last, piece) per piece of the paths of n values in `blocks`: the 2-d view of
+    values s, s + 1, ... of paths i, i + 1, ..., and whether they close their paths. A
+    piece is max(1, _CHUNK // n) consecutive rows of a block, or one row's chunk of _CHUNK
+    values (the last one shorter) if n > _CHUNK.
     """
     step, i = max(1, _CHUNK // n), 0
     for block in blocks:
         for a in range(0, len(block.values), step):
-            piece = block.values[a : a + step]
+            rows = block.values[a : a + step]
             for s in range(0, n, _CHUNK):
-                strs = _reprs(piece[:, s : s + _CHUNK].ravel())
-                w = len(strs) // len(piece)
-                rows = [strs[k : k + w] for k in range(0, len(strs), w)]
-                yield i + a, s, "" if s + _CHUNK < n else end, rows
+                yield i + a, s, s + _CHUNK >= n, rows[:, s : s + _CHUNK]
         i += len(block.values)
 
 
@@ -346,39 +362,61 @@ def _write_csv(blocks, n: int, count: int, stream) -> None:
     """Rows path_id,t,value of the `count` paths of n values in `blocks`, the t = 0
     row first; one write per piece of at most _CHUNK values (`_pieces`).
 
-    A path's part of a piece is one join of a list that repeats the row's "\n{i},"
-    separator, its "t," cell and its value's repr, so no "t,value" string is built
-    per value. Each "t," cell is formatted once, from GridSpec.times()'s arange / n,
-    when the first piece reaches it, and kept only while another path follows: one
-    path holds O(_CHUNK) of them, not n.
+    A piece is one array of padded words, written less its pad bytes. Per row: the
+    path's "{i},0.0,0.0" head if the piece opens it, per value its "\n{i}," words, its
+    "t," cell and its `_reprs` slot, and "\n" if the piece closes it. A "t," cell is the
+    slot of repr(t), from GridSpec.times()'s arange / n, with ',' in its 24th byte
+    (repr(t) has at most 22 characters). A chunk's cells are formatted when the first
+    piece reaches it, and kept only while another path follows: one path holds
+    O(_CHUNK) of them, not n.
     """
-    last, times = count - 1, {}
+    last, times, newline = count - 1, {}, _words(("\n",), 1)
     stream.write("path_id,t,value\n")
-    for i, s, end, rows in _pieces(blocks, n, "\n"):
-        cells = times.get(s) or [f"{t}," for t in _reprs((np.arange(s, s + len(rows[0])) + 1) / n)]
-        times[s] = cells if i + len(rows) <= last else None
-        text = []
-        for j, strs in enumerate(rows, i):
-            parts = [f"\n{j},"] * (3 * len(cells))
-            parts[1::3] = cells
-            parts[2::3] = strs
-            text += ("" if s else f"{j},0.0,0.0", "".join(parts), end)
-        stream.write("".join(text))
+    for i, s, end, piece in _pieces(blocks, n):
+        rows, w = piece.shape
+        d = len(str(i + rows - 1))  # the digits of the piece's last path id
+        p, h = (d + 9) // 8, 0 if s else (d + 15) // 8  # the words of "\n{i}," and the head
+        cells = times.get(s)
+        if cells is None:
+            cells = np.empty((w, 3), _U)
+            _reprs((np.arange(s, s + w) + 1) / n, cells)
+            cells.view(np.uint8)[:, 23] = ord(",")
+        times[s] = cells if i + rows <= last else None
+        buf = np.empty((rows, h + w * (p + 6) + end), _U)
+        if h:
+            buf[:, :h] = _words(map("{},0.0,0.0".format, range(i, i + rows)), h)
+        lines = buf[:, h : h + w * (p + 6)].reshape(rows, w, p + 6)
+        lines[..., :p] = _words(map("\n{},".format, range(i, i + rows)), p)[:, None]
+        lines[..., p : p + 3] = cells
+        _reprs(piece, lines[..., p + 3 :])
+        buf[:, h + w * (p + 6) :] = newline
+        stream.write(buf.tobytes().translate(None, _PAD.encode()).decode("ascii"))
 
 
 def _write_json(blocks, n: int, meta: dict, stream) -> None:
     """The layout of json.dump({"meta": ..., "paths": ...}, indent=2) for the paths of
     n values in `blocks`; one write per piece of at most _CHUNK values (`_pieces`).
 
-    repr equals the JSON token only for finite floats; ReplicateBatch rejects
-    non-finite values, and this writer relies on that.
+    A piece is one array of padded words, written less its pad bytes. Per row: the
+    path's opening words and its 0.0 if the piece opens it, per value the word
+    ",\n      " and its `_reprs` slot, and "\n    ]" if the piece closes it. repr equals
+    the JSON token only for finite floats; ReplicateBatch rejects non-finite values,
+    and this writer relies on that.
     """
     head = json.dumps({"meta": {**meta, "artifact_version": __version__}}, indent=2)
     stream.write(f'{head[:-2]},\n  "paths": [\n')
-    sep, opens = ",\n      ", ("    [\n      0.0,\n      ", ",\n    [\n      0.0,\n      ")
-    for i, s, end, rows in _pieces(blocks, n, "\n    ]"):
-        text = (f"{sep if s else opens[j > 0]}{sep.join(r)}{end}" for j, r in enumerate(rows, i))
-        stream.write("".join(text))
+    opens = _words(("    [\n      0.0", ",\n    [\n      0.0"), 3)
+    sep, close = _words((",\n      ", "\n    ]"), 1)
+    for i, s, end, piece in _pieces(blocks, n):
+        (rows, w), h = piece.shape, 0 if s else 3
+        buf = np.empty((rows, h + 4 * w + end), _U)
+        if h:
+            buf[:, :h], buf[0, :h] = opens[1], opens[min(i, 1)]
+        values = buf[:, h : h + 4 * w].reshape(rows, w, 4)
+        values[..., 0] = sep
+        _reprs(piece, values[..., 1:])
+        buf[:, h + 4 * w :] = close
+        stream.write(buf.tobytes().translate(None, _PAD.encode()).decode("ascii"))
     stream.write("\n  ]\n}\n")
 
 

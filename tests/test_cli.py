@@ -1,6 +1,7 @@
 """CLI contract: output formats, determinism, exit codes, config precedence."""
 
 import argparse
+import collections
 import csv
 import io
 import itertools
@@ -322,16 +323,29 @@ def _rendered(writer, *args):
 
 
 # The edges of cli._reprs' numpy domain, 1e-4 <= |x| < 1e16 without the powers of
-# two, and values whose shortest digits end in a carry or sit next to one
+# two, values whose shortest digits end in a carry or sit next to one, and last the
+# reprs that fill a whole 24-byte slot once negative
 REPR_EDGES = np.array(
     [1e-4, np.nextafter(1e-4, 0), np.nextafter(1e-4, 1), np.nextafter(1e16, 0)]
     + [2.0**e for e in range(-14, 54)]
     + [5e-324, 0.0, -0.0, 0.1 + 0.2, 9.5, 0.9999999999999999, 99.99999999999999, 123.0]
+    + [2.2250738585072014e-308, 1.7976931348623157e308, 2.4761579193295082e303]
 )
 
 
+def _slots(values, out=None):
+    """The texts cli._reprs writes for `values` (into `out`, a fresh array if None):
+    each 24-byte slot less its pad bytes, which are the only other bytes it holds."""
+    from selfsim.cli import _reprs
+
+    out = np.empty(values.shape + (3,), np.uint64) if out is None else out
+    _reprs(values, out)
+    slots = np.ascontiguousarray(out).reshape(-1, 3)
+    return [slot.tobytes().replace(b"\x10", b"").decode("ascii") for slot in slots]
+
+
 class TestReprs:
-    """cli._reprs returns list(map(repr, values.tolist())), above and below its floor."""
+    """cli._reprs writes repr of each value into its slot, above and below its floor."""
 
     @staticmethod
     def _families():
@@ -350,7 +364,7 @@ class TestReprs:
         }
 
     def test_matches_repr(self):
-        from selfsim.cli import _REPR_FLOOR, _reprs
+        from selfsim.cli import _REPR_FLOOR
 
         # consecutive chunks above, at and below the floor: every value is seen once
         sizes = itertools.cycle((4096, _REPR_FLOOR, 3000, _REPR_FLOOR - 1, 1000))
@@ -359,20 +373,34 @@ class TestReprs:
             start = 0
             while start < values.size:
                 chunk = values[start : start + next(sizes)]
-                assert _reprs(chunk) == list(map(repr, chunk.tolist())), (name, start)
+                assert _slots(chunk) == list(map(repr, chunk.tolist())), (name, start)
                 start += chunk.size
             total += values.size
         assert total >= 10**6
 
     def test_edges_match_repr(self):
-        from selfsim.cli import _CHUNK, _REPR_FLOOR, _reprs
+        from selfsim.cli import _CHUNK, _REPR_FLOOR
 
         assert _REPR_FLOOR <= _CHUNK  # the writers' chunks reach the numpy pass
         edges = np.concatenate([REPR_EDGES, -REPR_EDGES])
-        for size in (_REPR_FLOOR, 2049, 4096):
+        assert max(len(repr(v)) for v in edges.tolist()) == 24  # a slot with no pad byte
+        for size in (_REPR_FLOOR - 1, _REPR_FLOOR, 2049, 4096):
             values = np.resize(edges, size)
-            assert _reprs(values) == list(map(repr, values.tolist()))
-            assert _reprs(values[::-1]) == list(map(repr, values[::-1].tolist()))
+            assert _slots(values) == list(map(repr, values.tolist()))
+            assert _slots(values[::-1]) == list(map(repr, values[::-1].tolist()))
+
+    @pytest.mark.parametrize("rows, size", [(2, 1000), (4, 1024)], ids=["below", "above"])
+    def test_writes_only_its_slots_of_a_padded_buffer(self, rows, size):
+        # the writers pass the slot words of a row-padded buffer, a view no reshape may
+        # copy: every slot is written through it, and no word beside a slot is touched
+        edges = np.concatenate([REPR_EDGES, -REPR_EDGES])
+        values = np.resize(edges, (rows, size))
+        buf = np.full((rows, 5 * size + 2), 0x2C, np.uint64)
+        slots = buf[:, 1 : 1 + 5 * size].reshape(rows, size, 5)[..., 1:4]
+        assert _slots(values, slots) == list(map(repr, values.ravel().tolist()))
+        assert (buf[:, 0] == 0x2C).all() and (buf[:, -1] == 0x2C).all()
+        beside = buf[:, 1 : 1 + 5 * size].reshape(rows, size, 5)[..., [0, 4]]
+        assert (beside == 0x2C).all()
 
 
 class TestWriters:
@@ -441,9 +469,9 @@ class TestWriters:
 
         sizes = []
 
-        def counted(values):
-            sizes.append(len(values))
-            return reprs(values)
+        def counted(values, out):
+            sizes.append(values.size)
+            return reprs(values, out)
 
         reprs = cli._reprs
         monkeypatch.setattr(cli, "_reprs", counted)
@@ -539,11 +567,13 @@ class TestWriters:
         from selfsim.core import GridSpec, ReplicateBatch
 
         edge = [1e-05, 1.5e16, 5e-324, -0.0, 1e300, 0.1, -2.5e-7, 123456789.0, 1e16, 1e22, -1e-300]
+        edge += [-2.4761579193295082e303]  # 24 characters: a row's last slot has no pad byte
         grid = GridSpec(len(edge))
         batch = ReplicateBatch(grid, np.array([edge, edge[::-1]]), "x", "fbm", 0.7, 1, (0, 0))
         csv_text = _rendered(_write_csv, [batch], grid.n, 2)
         assert csv_text == _rendered(_reference_csv, batch)
-        assert "0,1.0,-1e-300\n" in csv_text and "1,0.8181818181818182,5e-324\n" in csv_text
+        assert "0,1.0,-2.4761579193295082e+303\n" in csv_text
+        assert "1,0.8333333333333334,5e-324\n" in csv_text
         meta = {**self.META, "note": "é", "info": {"jitter": 0.0}}
         assert _rendered(_write_json, [batch], grid.n, meta) == _rendered(
             _reference_json, batch, meta
@@ -553,6 +583,7 @@ class TestWriters:
         from selfsim.cli import _REPR_FLOOR
 
         path = np.resize(np.concatenate([REPR_EDGES, -REPR_EDGES]), 2049)
+        path[-1] = path[0] = -REPR_EDGES[-1]  # 24 characters at both rows' ends
         assert path.size > _REPR_FLOOR
         grid = GridSpec(path.size)
         batch = ReplicateBatch(grid, np.array([path, path[::-1]]), "x", "fbm", 0.7, 1, (0, 0))
@@ -560,6 +591,51 @@ class TestWriters:
         assert _rendered(_write_json, [batch], grid.n, meta) == _rendered(
             _reference_json, batch, meta
         )
+
+    def test_seven_digit_path_ids_match_reference(self):
+        # "\n{i}," spans two words from path 1 000 000 on: the last piece of 4096 rows of
+        # n = 1 holds six- and seven-digit ids, each padded to the widest
+        from selfsim.cli import _CHUNK, _write_csv, _write_json
+        from selfsim.core import ReplicateBatch
+
+        count = 1_000_001
+        edges = np.concatenate([REPR_EDGES, -REPR_EDGES])
+        values = np.resize(edges, (count, 1))
+        values[-1] = -REPR_EDGES[-1]  # 24 characters in the last path's last slot
+        batch = ReplicateBatch(GridSpec(1), values, "x", "fbm", 0.7, 1, range(count))
+        last = (count - 1) // _CHUNK * _CHUNK  # the first path of the last piece
+        tail = ReplicateBatch(GridSpec(1), values[last:], "x", "fbm", 0.7, 1, range(count - last))
+
+        class Tail(collections.deque):  # the last two writes
+            write = collections.deque.append
+
+        stream = Tail(maxlen=2)
+        _write_csv([batch], 1, count, stream)
+        reference = _rendered(_reference_csv, tail).split("\n", 1)[1]  # less the header
+        lines = reference.split("\n")[:-1]
+        for k, line in enumerate(lines):  # the reference numbers the tail's paths from 0
+            path, rest = line.split(",", 1)
+            lines[k] = f"{int(path) + last},{rest}"
+        assert stream[-1] == "\n".join(lines) + "\n"
+        assert stream[-1].endswith("\n1000000,1.0,-2.4761579193295082e+303\n")
+        stream.clear()
+        _write_json([batch], 1, self.META, stream)
+        assert stream[-2] == "".join(
+            f",\n    [\n      0.0,\n      {v!r}\n    ]" for v in values[last:, 0].tolist()
+        )
+
+    def test_t_cells_fit_22_characters(self):
+        # the "t," cell's ',' sits in the 24th byte of its slot: repr(j / n) for
+        # 0 < j <= n <= the largest grid has at most 22 characters (fixed notation from
+        # 1e-4 holds "0.000" and 17 digits; below it, the exponent has two digits)
+        from selfsim.core import _MAX_GRID
+
+        lengths = []
+        for n in (_MAX_GRID, _MAX_GRID - 1, 10**17 + 3, 3 * 10**16, 999_983, 3, 1):
+            assert GridSpec(n).n == n
+            for j in {1, 2, 3, 7, n // 3, n // 7, n // 9999, n - 1, n} - {0}:
+                lengths.append(len(repr(j / n)))
+        assert max(lengths) == 22  # 0.00010001000100009864 and 1.0000170002890049e-06
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_stdout_matches_reference(self, fmt, capsys):

@@ -31,12 +31,15 @@ parameter gives its exception's name and an empty output.
 The writer cases: a hand-built ``ReplicateBatch`` of the edge values of the
 float formatter's domain, in both signs (``EDGES``: 1e-4 and its neighbours,
 the largest double below 1e16, the powers of two from 2**-14 to 2**53, the
-smallest subnormal, both zeros and values with a carry in their shortest
-digits), which sampler paths rarely hold: three rows at n in {2047, 2048,
-4097} (one side and the other of ``cli._REPR_FLOOR``, and a path of two
-chunks), and 8 rows at n = 1024, 40 at n = 64 and 5000 at n = 1 (paths below
-the floor, whose rows the writers format together). Each batch goes through
-the tree's ``cli._write_csv`` and ``cli._write_json`` as one block.
+smallest subnormal, both zeros, values with a carry in their shortest digits
+and reprs of 24 characters, which fill a formatter slot), which sampler paths
+rarely hold; its first and last rows end in a 24-character repr: three rows at
+n in {2047, 2048, 4097} (one side and the other of ``cli._REPR_FLOOR``, and a
+path of two chunks), and 8 rows at n = 1024, 40 at n = 64, 5000 at n = 1
+(paths below the floor, whose rows the writers format together) and 1 000 001
+at n = 1 (path ids of seven digits). Each batch goes through the tree's
+``cli._write_csv`` and ``cli._write_json`` as one block, and its output's
+sha256 is taken as it is written.
 
 The exit status checks the bit contract: 0 when the cases that differ are
 exactly those that NEW_TREE declares in ``tools/bitsweep_declared.txt``, one
@@ -86,14 +89,18 @@ SUITE_PATHS = {"marginals": 500, "covariance": 200, "normality": 1000, "equivale
 SUITE_MINIMA = {"marginals": 2, "covariance": 100, "normality": 1000, "equivalence": 2}
 # the streams of every path case, at seed 11: the first two and the last
 PATH_STREAMS = (0, 1, 2**64 - 1)
-# the edges of the float formatter's numpy domain, 1e-4 <= |x| < 1e16 less the powers of two
+# the edges of the float formatter's numpy domain, 1e-4 <= |x| < 1e16 less the powers of
+# two, and last the reprs that fill a whole 24-byte slot once negative
 EDGES = (
     [1e-4, 0.00009999999999999999, 0.00010000000000000002, 9999999999999998.0]
     + [2.0**e for e in range(-14, 54)]
     + [5e-324, 0.0, -0.0, 0.1 + 0.2, 9.5, 0.9999999999999999, 99.99999999999999, 123.0]
+    + [2.2250738585072014e-308, 1.7976931348623157e308, 2.4761579193295082e303]
 )
 # (n, rows) of each writer batch
-WRITER_SHAPES = ((2047, 3), (2048, 3), (4097, 3), (1024, 8), (64, 40), (1, 5000))
+WRITER_SHAPES = (
+    (2047, 3), (2048, 3), (4097, 3), (1024, 8), (64, 40), (1, 5000), (1, 1_000_001)
+)
 # the pairs with a per-path function of their own
 WRAPPED = {("fbm", "davies-harte"), ("fbm", "ma-truncated"), ("fbm", "lamperti"),
            ("sfbm", "lamperti")}
@@ -149,10 +156,19 @@ def writer_cases() -> list[str]:
     return [f"writer {fmt} {n} {rows}" for n, rows in WRITER_SHAPES for fmt in ("csv", "json")]
 
 
-def write_batch(case: str) -> bytes:
-    """The UTF-8 bytes one writer case writes: ROWS rows of EDGES in both signs."""
-    import io
+class _Digest:
+    """A text stream that keeps only the sha256 of the UTF-8 bytes written to it."""
 
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.sha.update(text.encode("utf-8"))
+
+
+def write_batch(case: str) -> str:
+    """The sha256 of the UTF-8 bytes one writer case writes: ROWS rows of EDGES in both
+    signs, the first and the last ending in a 24-character repr."""
     import numpy as np
     from selfsim import GridSpec, ReplicateBatch
     from selfsim.cli import _write_csv, _write_json
@@ -161,13 +177,14 @@ def write_batch(case: str) -> bytes:
     n, count = int(n), int(count)
     edges = np.array(EDGES + [-v for v in EDGES])
     rows = np.resize(np.concatenate([edges, edges[::-1], -edges]), (count, n))
-    batch = ReplicateBatch(GridSpec(n), rows, "edges", "fbm", 0.7, 1, tuple(range(count)))
-    stream = io.StringIO()
+    rows[0, -1] = rows[-1, -1] = -EDGES[-1]
+    batch = ReplicateBatch(GridSpec(n), rows, "edges", "fbm", 0.7, 1, range(count))
+    stream = _Digest()
     if fmt == "csv":
         _write_csv([batch], n, count, stream)
     else:
         _write_json([batch], n, {"process": "fbm", "n": n}, stream)
-    return stream.getvalue().encode("utf-8")
+    return stream.sha.hexdigest()
 
 
 def draw_path(case: str) -> bytes:
@@ -221,7 +238,7 @@ def run_cases() -> None:
             code, data = type(exc).__name__, b""
         print(json.dumps([case, code, hashlib.sha256(data).hexdigest()]), flush=True)
     for case in writer_cases():
-        print(json.dumps([case, 0, hashlib.sha256(write_batch(case)).hexdigest()]), flush=True)
+        print(json.dumps([case, 0, write_batch(case)]), flush=True)
 
 
 def sweep(tree: str) -> dict:
